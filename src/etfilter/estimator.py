@@ -15,13 +15,13 @@ only, never of the current measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .model import LinearGaussianModel
-from .numerics import _ball_full, require_spd, symmetrize
+from .numerics import BallMoments, _ball_full, require_spd, symmetrize
 from .trigger import TriggerConfig, decide
 
 __all__ = [
@@ -33,7 +33,10 @@ __all__ = [
     "prior_cache",
 ]
 
-_MASS_FLOOR = 1e-300
+# Smallest silence probability the silent branch conditions on.  The
+# probability is dimensionless, so the guard does not depend on the units of
+# the data.
+_PROB_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,8 @@ class StepCache:
     Psi   : raw second moment of the silence ball
     N_z   : whitened innovation covariance
     prob0 : probability of silence at this step given the previous info set
+
+    Inside the batched recursion every field carries a leading trial axis.
     """
 
     P_z: NDArray
@@ -54,6 +59,12 @@ class StepCache:
     Psi: NDArray
     N_z: NDArray
     prob0: float
+
+
+def _take(batched, index):
+    """The trials ``index`` selects from a batched StepCache or FilterRun
+    (an int drops the trial axis)."""
+    return type(batched)(**{f.name: getattr(batched, f.name)[index] for f in fields(batched)})
 
 
 @dataclass(frozen=True)
@@ -78,6 +89,9 @@ class StepOutput:
 
 @dataclass(frozen=True)
 class FilterRun:
+    """Per-step results of a whole run; ``first_moment_max`` is the largest
+    raw silence-ball first moment over steps 1..K."""
+
     gamma: NDArray
     xhat: NDArray
     P: NDArray
@@ -87,8 +101,21 @@ class FilterRun:
     first_moment_max: float
 
 
+def _finite(y, what: str) -> NDArray:
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError(f"{what} contain NaN or inf; a non-finite measurement cannot be filtered")
+    return y
+
+
 class EventTriggeredFilter:
     """Filter a measurement stream under a fixed model and trigger.
+
+    One recursion (``_advance``) moves a stack of B independent trials one
+    step forward; ``init``, ``step`` and ``run`` drive it as a batch of one
+    and the Monte Carlo harness as a batch of many.  The covariance recursion
+    depends on the data only through the send decisions, so the trials share
+    every operation but their own small matrices.
 
     Parameters
     ----------
@@ -124,121 +151,95 @@ class EventTriggeredFilter:
         self.joseph = bool(joseph)
         self._eye_n = np.eye(model.n)
 
-    # -- shared per-step geometry --------------------------------------------
+    # -- the batched recursion -------------------------------------------------
 
-    def _measurement_geometry(self, cov: NDArray):
-        """Gain, whitened quantities, and send-branch covariance from a prior covariance."""
+    def _predict(self, xhat: NDArray, cov: NDArray):
+        m = self.model
+        return xhat @ m.A.T, symmetrize(m.A @ cov @ m.A.T + m.Q)
+
+    def _cache(self, cov: NDArray):
+        """Gain, silence-ball moments and cache from (B, n, n) prior covariances.
+
+        Returns (gain, conditional second moment, raw first moment, cache);
+        none of them depends on the measurements.
+        """
         m = self.model
         t = self.trigger
         cross = cov @ m.C.T
         s = symmetrize(m.C @ cross + m.R)
-        gain = np.linalg.solve(s, cross.T).T
+        gain = np.linalg.solve(s, cross.swapaxes(1, 2)).swapaxes(1, 2)
         n_z = symmetrize(t.phi @ s @ t.phi.T)
         k_w = gain @ t.phi_inv
         if self.joseph:
             a = self._eye_n - gain @ m.C
-            p_z = symmetrize(a @ cov @ a.T + gain @ m.R @ gain.T)
+            p_z = symmetrize(a @ cov @ a.swapaxes(1, 2) + gain @ m.R @ gain.swapaxes(1, 2))
         else:
-            p_z = symmetrize(cov - gain @ cross.T)
-        return gain, n_z, k_w, p_z
+            p_z = symmetrize(cov - gain @ cross.swapaxes(1, 2))
+        if t.threshold <= 0.0:
+            rows = cov.shape[0]
+            zeros = np.zeros((rows, t.p, t.p))
+            bm = BallMoments(mass=np.zeros(rows), prob=np.zeros(rows), m1=zeros[:, 0], m2=zeros)
+            conditional = zeros
+        else:
+            bm, conditional = _ball_full(n_z, t.threshold, self.quad_tol)
+        cache = StepCache(P_z=p_z, h=bm.mass, K=k_w, Psi=bm.m2, N_z=n_z, prob0=bm.prob)
+        return gain, conditional, bm.m1, cache
 
-    def _silence_moments(self, n_z: NDArray):
-        thr = self.trigger.threshold
-        if thr <= 0.0:
-            p = self.trigger.p
-            zeros = np.zeros((p, p))
-            return 0.0, 0.0, np.zeros(p), zeros, zeros
-        bm, conditional = _ball_full(n_z, thr, self.quad_tol)
-        return bm.mass, bm.prob, bm.m1, bm.m2, conditional
+    def _advance(self, xhat: NDArray, cov: NDArray, ys: NDArray, predict: bool = True):
+        """Move B trials one step: posterior (B, n), (B, n, n) and measurements (B, p).
 
-    def _build(self, prior_cov: NDArray):
-        gain, n_z, k_w, p_z = self._measurement_geometry(prior_cov)
-        mass, prob, m1, m2, conditional = self._silence_moments(n_z)
-        cache = StepCache(P_z=p_z, h=mass, K=k_w, Psi=m2, N_z=n_z, prob0=prob)
-        return gain, m1, conditional, cache
-
-    def _corrected(self, cache: StepCache, conditional: NDArray) -> NDArray:
-        # Silent branch: fused conditional second moment Psi/h, mapped through K.
-        if not cache.h >= _MASS_FLOOR:
+        With ``predict`` off, ``xhat``/``cov`` already are the prior of this
+        step (time 0).  Received steps take the Kalman update; silent steps
+        keep the predicted mean and add the silence-ball correction mapped
+        through the whitened gain.  Returns (gamma, xhat, P, innovation,
+        cache, raw first moment), each with a leading trial axis.
+        """
+        if predict:
+            xhat, cov = self._predict(xhat, cov)
+        innovation = ys - xhat @ self.model.C.T
+        gamma = decide(self.trigger, innovation).gamma
+        gain, conditional, m1, cache = self._cache(cov)
+        sent = gamma.astype(bool)
+        if not (sent | (cache.prob0 >= _PROB_FLOOR)).all():
             raise ValueError(
-                "silence-region mass underflowed (h < 1e-300): the trigger bound is "
-                "degenerate (too tight or too loose) for this model"
+                f"silence probability underflowed (below {_PROB_FLOOR:g}) on a silent step: "
+                "the trigger bound is degenerate (too tight) for this model"
             )
-        return symmetrize(cache.P_z + cache.K @ conditional @ cache.K.T)
+        xhat = np.where(sent[:, None], xhat + (gain @ innovation[:, :, None])[:, :, 0], xhat)
+        corrected = symmetrize(cache.P_z + cache.K @ conditional @ cache.K.swapaxes(1, 2))
+        cov = np.where(sent[:, None, None], cache.P_z, corrected)
+        return gamma, xhat, cov, innovation, cache, m1
 
-    # -- public recursion ------------------------------------------------------
+    def _run_batch(self, measurements) -> tuple[FilterRun, list[StepCache]]:
+        """Filter B trials of shape (B, K+1, p) together, one step per pass.
 
-    def init(self, y0) -> tuple[int, EstimatorState]:
-        """Consume the time-0 measurement against the model prior."""
+        Returns a FilterRun whose fields gain a leading trial axis
+        (``first_moment_max`` is per trial) and the batched cache of every
+        step.
+        """
+        ys = _finite(measurements, "measurements")
         m = self.model
-        y0 = np.asarray(y0, dtype=float)
-        innovation = y0 - m.C @ m.x0_mean
-        decision = decide(self.trigger, innovation)
-        gain, _, conditional, cache = self._build(m.x0_cov)
-        if decision.gamma:
-            xhat = m.x0_mean + gain @ innovation
-            cov = cache.P_z
-        else:
-            xhat = m.x0_mean.copy()
-            cov = self._corrected(cache, conditional)
-        return decision.gamma, EstimatorState(k=0, xhat=xhat, P=cov, cache=cache)
-
-    def predict(self, state: EstimatorState):
-        """One-step-ahead state mean, state covariance, and measurement mean."""
-        m = self.model
-        xpred = m.A @ state.xhat
-        cov_pred = symmetrize(m.A @ state.P @ m.A.T + m.Q)
-        return xpred, cov_pred, m.C @ xpred
-
-    def step(self, state: EstimatorState, y) -> tuple[StepOutput, EstimatorState]:
-        """Advance one step with measurement ``y`` taken at time state.k + 1."""
-        y = np.asarray(y, dtype=float)
-        xpred, cov_pred, ypred = self.predict(state)
-        innovation = y - ypred
-        decision = decide(self.trigger, innovation)
-        gain, m1, conditional, cache = self._build(cov_pred)
-        if decision.gamma:
-            xhat = xpred + gain @ innovation
-            cov = cache.P_z
-        else:
-            xhat = xpred
-            cov = self._corrected(cache, conditional)
-        fmd = m1 / cache.h if cache.h >= _MASS_FLOOR else np.zeros(self.trigger.p)
-        out = StepOutput(
-            gamma=decision.gamma, xhat=xhat, P=cov, innovation=innovation, first_moment_diag=fmd
-        )
-        return out, EstimatorState(k=state.k + 1, xhat=xhat, P=cov, cache=cache)
-
-    def run(self, measurements) -> FilterRun:
-        """Filter a whole measurement array of shape (K+1, p)."""
-        ys = np.atleast_2d(np.asarray(measurements, dtype=float))
-        total = ys.shape[0]
-        m = self.model
-        gamma = np.zeros(total, dtype=np.int64)
-        xhat = np.zeros((total, m.n))
-        cov = np.zeros((total, m.n, m.n))
-        innovation = np.zeros((total, m.p))
-        prob0 = np.zeros(total)
-        silence_mass = np.zeros(total)
-        fm_max = 0.0
-
-        g0, state = self.init(ys[0])
-        gamma[0] = g0
-        xhat[0] = state.xhat
-        cov[0] = state.P
-        innovation[0] = ys[0] - m.C @ m.x0_mean
-        prob0[0] = state.cache.prob0
-        silence_mass[0] = state.cache.h
-        for k in range(1, total):
-            out, state = self.step(state, ys[k])
-            gamma[k] = out.gamma
-            xhat[k] = out.xhat
-            cov[k] = out.P
-            innovation[k] = out.innovation
-            prob0[k] = state.cache.prob0
-            silence_mass[k] = state.cache.h
-            fm_max = max(fm_max, float(np.abs(out.first_moment_diag * state.cache.h).max()))
-        return FilterRun(
+        rows, total, p = ys.shape
+        if p != m.p:
+            raise ValueError(f"measurements must have {m.p} columns, got {p}")
+        gamma = np.zeros((rows, total), dtype=np.int64)
+        xhat = np.zeros((rows, total, m.n))
+        cov = np.zeros((rows, total, m.n, m.n))
+        innovation = np.zeros((rows, total, p))
+        prob0 = np.zeros((rows, total))
+        silence_mass = np.zeros((rows, total))
+        fm_max = np.zeros(rows)
+        caches = []
+        x = np.broadcast_to(m.x0_mean, (rows, m.n))
+        c = np.broadcast_to(m.x0_cov, (rows, m.n, m.n))
+        for k in range(total):
+            g, x, c, innov, cache, m1 = self._advance(x, c, ys[:, k], predict=k > 0)
+            gamma[:, k], xhat[:, k], cov[:, k], innovation[:, k] = g, x, c, innov
+            prob0[:, k], silence_mass[:, k] = cache.prob0, cache.h
+            if k > 0:
+                fm_max = np.maximum(fm_max, np.abs(m1).max(axis=1))
+            caches.append(cache)
+        run = FilterRun(
             gamma=gamma,
             xhat=xhat,
             P=cov,
@@ -247,6 +248,53 @@ class EventTriggeredFilter:
             silence_mass=silence_mass,
             first_moment_max=fm_max,
         )
+        return run, caches
+
+    # -- public recursion: batches of one ----------------------------------------
+
+    def _one(self, y) -> NDArray:
+        y = _finite(y, "measurements")
+        if y.shape != (self.model.p,):
+            raise ValueError(f"measurement must have shape ({self.model.p},), got {y.shape}")
+        return y[None]
+
+    def init(self, y0) -> tuple[int, EstimatorState]:
+        """Consume the time-0 measurement against the model prior."""
+        m = self.model
+        gamma, xhat, cov, _, cache, _ = self._advance(
+            m.x0_mean[None], m.x0_cov[None], self._one(y0), predict=False
+        )
+        return int(gamma[0]), EstimatorState(k=0, xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
+
+    def predict(self, state: EstimatorState):
+        """One-step-ahead state mean, state covariance, and measurement mean."""
+        xpred, cov_pred = self._predict(state.xhat[None], state.P[None])
+        return xpred[0], cov_pred[0], (xpred @ self.model.C.T)[0]
+
+    def step(self, state: EstimatorState, y) -> tuple[StepOutput, EstimatorState]:
+        """Advance one step with measurement ``y`` taken at time state.k + 1."""
+        gamma, xhat, cov, innovation, cache, m1 = self._advance(
+            state.xhat[None], state.P[None], self._one(y)
+        )
+        cache = _take(cache, 0)
+        if cache.prob0 >= _PROB_FLOOR:
+            fmd = m1[0] / cache.h
+        else:
+            fmd = np.zeros(self.trigger.p)
+        out = StepOutput(
+            gamma=int(gamma[0]),
+            xhat=xhat[0],
+            P=cov[0],
+            innovation=innovation[0],
+            first_moment_diag=fmd,
+        )
+        return out, EstimatorState(k=state.k + 1, xhat=xhat[0], P=cov[0], cache=cache)
+
+    def run(self, measurements) -> FilterRun:
+        """Filter a whole measurement array of shape (K+1, p)."""
+        ys = np.atleast_2d(np.asarray(measurements, dtype=float))
+        run, _ = self._run_batch(ys[None])
+        return _take(run, 0)
 
 
 def prior_cache(
@@ -261,5 +309,4 @@ def prior_cache(
     only, which is what lets the rate bootstrap run before any measurement.
     """
     filt = EventTriggeredFilter(model, trigger, quad_tol=quad_tol, joseph=joseph)
-    _, _, _, cache = filt._build(model.x0_cov)
-    return cache
+    return _take(filt._cache(model.x0_cov[None])[3], 0)

@@ -2,22 +2,23 @@
 
 Trials are mutually independent: trial ``i`` gets its own generator derived
 from ``SeedSequence([seed, i])``, so any execution order (or process pool)
-produces the same per-trial results.  Aggregation runs over fixed-size chunks
-of consecutive trials, combined in chunk order, which makes every reduction
-bitwise identical no matter how many workers are used.
+produces the same per-trial results.  Each fixed-size chunk of consecutive
+trials is filtered as one batch through the estimator's batched recursion,
+and chunks are combined in chunk order, which makes every reduction bitwise
+identical no matter how many workers are used.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .estimator import EventTriggeredFilter
+from .estimator import EventTriggeredFilter, StepCache
 from .model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
 from .rate import RateState, bootstrap_rates, rate_two_step
 from .trigger import make_config
@@ -102,67 +103,39 @@ class ExperimentSummary:
     max_first_moment: float
 
 
-def _run_single_trial(filt, model, trigger, traj, want_rates, e0, e1, quad_tol):
-    steps = traj.measurements.shape[0]
-    gam = np.zeros(steps, dtype=np.int64)
-    sq = np.empty((steps, model.n))
-    alg1 = np.empty(steps) if want_rates else None
-    alg2 = np.empty(steps) if want_rates else None
-
-    g0, state = filt.init(traj.measurements[0])
-    gam[0] = g0
-    err = state.xhat - traj.states[0]
-    sq[0] = err * err
-    fm_max = 0.0
-    if want_rates:
-        alg1[0] = 1.0 - state.cache.prob0
+def _chunk_worker(payload):
+    """Simulate the chunk's trials, one generator each, then filter them as one batch."""
+    (model, trigger, quad_tol, joseph, steps, seed, lo, hi, designated, e0, e1, true_x0) = payload
+    filt = EventTriggeredFilter(model, trigger, quad_tol=quad_tol, joseph=joseph)
+    rngs = (np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(lo, hi))
+    trajs = [simulate(model, steps - 1, rng, x0=true_x0) for rng in rngs]
+    run, caches = filt._run_batch(np.stack([t.measurements for t in trajs]))
+    err = run.xhat - np.stack([t.states for t in trajs])
+    rates = None
+    if lo <= designated < hi:
+        row = designated - lo
+        alg2 = np.empty(steps)
         alg2[0] = e0
-        if steps > 1:
-            alg2[1] = e1
-    for k in range(1, steps):
-        if want_rates and k >= 2:
-            alg2[k] = rate_two_step(
+        alg2[1] = e1
+        if steps > 2:
+            # Step k's two-step prediction reads the cache of step k-1.
+            prev = StepCache(
+                **{
+                    f.name: np.stack([getattr(c, f.name)[row] for c in caches[1:-1]])
+                    for f in fields(StepCache)
+                }
+            )
+            alg2[2:] = rate_two_step(
                 RateState(
-                    prob0_prev=state.cache.prob0,
-                    cache_prev=state.cache,
+                    prob0_prev=prev.prob0,
+                    cache_prev=prev,
                     model=model,
                     trigger=trigger,
                     quad_tol=quad_tol,
                 )
             ).gamma_hat
-        out, state = filt.step(state, traj.measurements[k])
-        gam[k] = out.gamma
-        err = out.xhat - traj.states[k]
-        sq[k] = err * err
-        if want_rates:
-            alg1[k] = 1.0 - state.cache.prob0
-        fm = float(np.abs(out.first_moment_diag).max()) * state.cache.h
-        if fm > fm_max:
-            fm_max = fm
-    return gam, sq, fm_max, alg1, alg2
-
-
-def _chunk_worker(payload):
-    (model, trigger, quad_tol, joseph, steps, seed, lo, hi, designated, e0, e1, true_x0) = payload
-    filt = EventTriggeredFilter(model, trigger, quad_tol=quad_tol, joseph=joseph)
-    counts = np.zeros(steps, dtype=np.int64)
-    sq_sum = np.zeros((steps, model.n))
-    fm_max = 0.0
-    rates = None
-    for trial in range(lo, hi):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        traj = simulate(model, steps - 1, rng, x0=true_x0)
-        want = trial == designated
-        gam, sq, fm, alg1, alg2 = _run_single_trial(
-            filt, model, trigger, traj, want, e0, e1, quad_tol
-        )
-        counts += gam
-        sq_sum += sq
-        if fm > fm_max:
-            fm_max = fm
-        if want:
-            rates = (alg1, alg2)
-    return counts, sq_sum, fm_max, rates
+        rates = (1.0 - run.prob0[row], alg2)
+    return run.gamma.sum(axis=0), (err * err).sum(axis=0), float(run.first_moment_max.max()), rates
 
 
 def _resolve_nbar(config: ExperimentConfig) -> tuple[str, NDArray]:

@@ -7,8 +7,9 @@ that a draw from ``N(0, n)`` lands inside the ball.  Everything is computed in
 the eigenframe of ``n``; the ball is rotation invariant, so the second moment
 is diagonal there and the first moment vanishes by symmetry.
 
-All functions are pure.  The only module state is a cache of Gauss-Legendre
-nodes.
+Every moment routine takes a stack of kernels and evaluates it in one
+vectorised pass, so a single matrix is a batch of one.  All functions are
+pure.  The only module state is a cache of Gauss-Legendre node sets.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class QuadratureError(RuntimeError):
 
 
 def symmetrize(a: NDArray) -> NDArray:
-    return 0.5 * (a + a.T)
+    """Symmetric part of a matrix, or of every matrix in a stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def _as_square(a, name: str) -> NDArray:
@@ -190,180 +192,223 @@ def _gl_nodes(order: int) -> tuple[NDArray, NDArray]:
     return cached
 
 
-def _sin_nodes(order: int, half_width) -> tuple[NDArray, NDArray]:
-    """Nodes/weights for integrating over [-b, b] under x = b sin(phi).
+_RULE_CACHE: dict[tuple[int, int], tuple[NDArray, NDArray, NDArray]] = {}
 
-    The substitution removes the sqrt-type endpoint behaviour the ball boundary
-    induces, so Gauss-Legendre applied in phi converges geometrically.
+
+def _rule(order: int, levels: int) -> tuple[NDArray, NDArray, NDArray]:
+    """Unit nodes and weights of x = b sin(phi) for the Gauss-Legendre orders
+    ``order >> (levels - 1)``, ..., ``order``, laid end to end, plus the index
+    where each order's nodes start.
+
+    The substitution removes the sqrt-type endpoint behaviour the ball
+    boundary induces, so Gauss-Legendre applied in phi converges
+    geometrically.
     """
-    t, w = _gl_nodes(order)
-    phi = (0.5 * math.pi) * t
-    x = half_width * np.sin(phi)
-    wx = half_width * np.cos(phi) * (0.5 * math.pi) * w
-    return x, wx
+    cached = _RULE_CACHE.get((order, levels))
+    if cached is None:
+        orders = [order >> i for i in reversed(range(levels))]
+        phis = [(0.5 * math.pi) * _gl_nodes(o)[0] for o in orders]
+        weights = [np.cos(phi) * (0.5 * math.pi) * _gl_nodes(o)[1] for o, phi in zip(orders, phis)]
+        cached = np.sin(np.concatenate(phis)), np.concatenate(weights), np.cumsum([0, *orders[:-1]])
+        _RULE_CACHE[(order, levels)] = cached
+    return cached
 
 
-def _gauss_1d(x: NDArray, lam: float) -> NDArray:
-    return np.exp(x * x / (-2.0 * lam)) / math.sqrt(2.0 * math.pi * lam)
+def _gauss_1d(x: NDArray, lam: NDArray) -> NDArray:
+    return np.exp(x * x / (-2.0 * lam)) / np.sqrt(2.0 * math.pi * lam)
 
 
-def _inner_closed(c_sq: NDArray, lam: float) -> tuple[NDArray, NDArray]:
+def _inner_closed(c_sq: NDArray, lam: NDArray) -> tuple[NDArray, NDArray]:
     """Innermost-dimension integrals in closed form.
 
-    For half-width c = sqrt(c_sq) (entries may be inf), returns
-    E0 = integral of the unit-normalized N(0, lam) density over [-c, c] and
-    E2 = the matching second-moment integral.
+    For half-width c = sqrt(c_sq) (entries may be inf) and variances ``lam``
+    broadcast against it, returns E0 = integral of the unit-normalized
+    N(0, lam) density over [-c, c] and E2 = the matching second-moment
+    integral.
     """
-    cap = _TAIL_CLIP * math.sqrt(lam)
-    c = np.minimum(np.sqrt(np.maximum(c_sq, 0.0)), cap)
-    scaled = c / math.sqrt(2.0 * lam)
+    c = np.minimum(np.sqrt(np.maximum(c_sq, 0.0)), _TAIL_CLIP * np.sqrt(lam))
+    scaled = c / np.sqrt(2.0 * lam)
     e0 = erf(scaled)
-    e2 = lam * e0 - c * math.sqrt(2.0 * lam / math.pi) * np.exp(-scaled * scaled)
+    # e2 = lam * e0 - c * sqrt(2 lam / pi) * exp(-scaled^2), in place: on a
+    # p = 3 grid every temporary is a full grid.
+    tail = np.square(scaled, out=scaled)
+    np.exp(np.negative(tail, out=tail), out=tail)
+    tail *= c
+    tail *= np.sqrt(2.0 * lam / math.pi)
+    e2 = lam * e0
+    e2 -= tail
     return e0, e2
 
 
-def _kernel_p1(lam: NDArray, radius2: float, order: int):
-    (l1,) = lam
-    b1 = min(math.sqrt(radius2), _TAIL_CLIP * math.sqrt(l1))
-    x, wx = _sin_nodes(order, b1)
-    base = _gauss_1d(x, l1) * wx
-    prob = float(base.sum())
-    d = np.array([float((base * x * x).sum())])
-    m1 = np.array([float((base * x).sum())])
-    return prob, d, m1
+def _kernel(lam: NDArray, radius2: float, order: int, levels: int = 1) -> NDArray:
+    """Ball sums for every row of the (B, p) eigenvalues ``lam``, p <= 3.
+
+    Evaluates the Gauss-Legendre orders ``order >> (levels - 1)``, ...,
+    ``order`` in one vectorised pass.  The first max(p - 1, 1) eigendirections
+    run over sine-mapped nodes; for p >= 2 the last one is integrated in
+    closed form.  Returns term-major sums of shape (T, B, L), normalized by
+    the full Gaussian constant: the probability, the p second moments in the
+    eigenframe, then the first moments of the node coordinates (the
+    closed-form one vanishes by symmetry).
+    """
+    p = lam.shape[1]
+    sin, weight, starts = _rule(order, levels)
+    l1 = lam[:, :1]
+    half = np.minimum(math.sqrt(radius2), _TAIL_CLIP * np.sqrt(l1))
+    x = half * sin
+    w = _gauss_1d(x, l1) * (half * weight)
+    rem = radius2 - x * x
+    sums = np.empty((1 + p + max(p - 1, 1), lam.shape[0], starts.size))
+    if p == 3:
+        bounds = [*starts, sin.size]
+        for level, seg in enumerate(map(slice, bounds[:-1], bounds[1:])):
+            outer = x[:, seg], w[:, seg], rem[:, seg]
+            for i, t in enumerate(_grid_terms(lam, *outer, sin[seg], weight[seg])):
+                sums[i, :, level] = t.sum(axis=(1, 2))
+        return sums
+    if p == 1:
+        f0, closed = w, []
+    else:
+        e0, e2 = _inner_closed(rem, lam[:, 1:])
+        f0, closed = w * e0, [w * e2]
+    for i, t in enumerate([f0, f0 * x * x, *closed, f0 * x]):
+        np.add.reduceat(t, starts, axis=1, out=sums[i])
+    return sums
 
 
-def _kernel_p2(lam: NDArray, radius2: float, order: int):
-    l1, l2 = lam
-    b1 = min(math.sqrt(radius2), _TAIL_CLIP * math.sqrt(l1))
-    x, wx = _sin_nodes(order, b1)
-    base = _gauss_1d(x, l1) * wx
-    e0, e2 = _inner_closed(radius2 - x * x, l2)
-    f0 = base * e0
-    prob = float(f0.sum())
-    d = np.array([float((f0 * x * x).sum()), float((base * e2).sum())])
-    m1 = np.array([float((f0 * x).sum()), 0.0])
-    return prob, d, m1
+def _grid_terms(lam: NDArray, x: NDArray, w: NDArray, rem: NDArray, sin: NDArray, weight: NDArray):
+    """p = 3 integrands on one order's tensor grid: the middle eigendirection
+    runs over sine-mapped nodes across each outer node's chord of the ball."""
+    l2 = lam[:, 1:2]
+    half = np.minimum(np.sqrt(np.maximum(rem, 0.0)), _TAIL_CLIP * np.sqrt(l2))[:, :, None]
+    x = x[:, :, None]
+    l2 = l2[:, :, None]
+    y = half * sin
+    yy = y * y
+    # w * N(y; 0, l2) * dy, with the density's constant folded into the weights.
+    g = np.exp(yy / (-2.0 * l2))
+    g *= half * (weight / np.sqrt(2.0 * math.pi * l2))
+    g *= w[:, :, None]
+    e0, e2 = _inner_closed(rem[:, :, None] - yy, lam[:, 2:, None])
+    f0 = g * e0
+    e2 *= g
+    return f0, f0 * (x * x), f0 * yy, e2, f0 * x, f0 * y
 
 
-def _kernel_p3(lam: NDArray, radius2: float, order: int):
-    l1, l2, l3 = lam
-    b1 = min(math.sqrt(radius2), _TAIL_CLIP * math.sqrt(l1))
-    x, wx = _sin_nodes(order, b1)
-    c1_sq = radius2 - x * x
-    b2 = np.minimum(np.sqrt(np.maximum(c1_sq, 0.0)), _TAIL_CLIP * math.sqrt(l2))
+_KERNELS = {1: _kernel, 2: _kernel, 3: _kernel}
 
-    t, w = _gl_nodes(order)
-    phi = (0.5 * math.pi) * t
-    y = b2[:, None] * np.sin(phi)[None, :]
-    wy = b2[:, None] * (np.cos(phi) * (0.5 * math.pi) * w)[None, :]
+# The first pass evaluates every order up to this one at once: up to 64 nodes
+# on a line the cost is call overhead, while a p = 3 grid pays per node, so
+# its higher orders run only for rows that need them.
+_FUSED_ORDER = {1: 64, 2: 64, 3: 32}
 
-    base = (_gauss_1d(x, l1) * wx)[:, None] * (_gauss_1d(y, l2) * wy)
-    e0, e2 = _inner_closed(c1_sq[:, None] - y * y, l3)
-    f0 = base * e0
-    prob = float(f0.sum())
-    d = np.array(
-        [
-            float((f0 * (x * x)[:, None]).sum()),
-            float((f0 * y * y).sum()),
-            float((base * e2).sum()),
-        ]
-    )
-    m1 = np.array([float((f0 * x[:, None]).sum()), float((f0 * y).sum()), 0.0])
-    return prob, d, m1
+# Points one kernel call may hold per temporary array.  At 128 kB a call's
+# dozen temporaries stay cache resident: two p = 3 rows at order 128 in one
+# call run about a fifth slower than one row at a time.  Larger batches run
+# in blocks of rows.
+_POINT_BUDGET = 1 << 14
 
 
-_KERNELS = {1: _kernel_p1, 2: _kernel_p2, 3: _kernel_p3}
+def _evaluate(lam: NDArray, radius2: float, order: int, levels: int) -> NDArray:
+    p = lam.shape[1]
+    per_row = sum((order >> i) ** max(p - 1, 1) for i in range(levels))
+    block = max(1, _POINT_BUDGET // per_row)
+    parts = [
+        _KERNELS[p](lam[lo : lo + block], radius2, order, levels)
+        for lo in range(0, lam.shape[0], block)
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def _order_error(cur: NDArray, prev: NDArray) -> NDArray:
+    """Largest relative change of the probability and second moments between orders."""
+    return (np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-300)).max(axis=0)
 
 
 def _moments_diag(lam: NDArray, radius2: float, tol: float):
-    """Normalized ball moments for a diagonal covariance, with order doubling.
+    """Normalized ball moments for (B, p) diagonal covariances, with order doubling.
 
-    Returns (prob, diag second moments, first moments, achieved error), all
-    normalized by the full Gaussian constant.  Error control compares
-    consecutive Gauss-Legendre orders; the integrands are analytic after the
-    sine substitution, so the comparison is a sound (conservative) estimate.
+    Returns (prob, diag second moments, first moments, achieved error) per
+    row, all normalized by the full Gaussian constant.  A row is accepted at
+    the first order whose probability and second moments differ from the
+    previous order's by at most ``tol`` relative; the integrands are analytic
+    after the sine substitution, so the comparison is a sound (conservative)
+    estimate.  One pass evaluates the orders 16 to ``_FUSED_ORDER``, and
+    doubling continues only for the rows that still need it.
     """
-    kernel = _KERNELS[lam.size]
-    max_order = _MAX_ORDER[lam.size]
-    prev = None
-    err = math.inf
-    order = 16
-    while order <= max_order:
-        cur = kernel(lam, radius2, order)
-        if prev is not None:
-            dp = abs(cur[0] - prev[0]) / max(abs(cur[0]), 1e-300)
-            dd = float(np.max(np.abs(cur[1] - prev[1]) / np.maximum(np.abs(cur[1]), 1e-300)))
-            err = max(dp, dd)
-            if err <= tol:
-                return cur + (err,)
-        prev = cur
+    p = lam.shape[1]
+    order = _FUSED_ORDER[p]
+    sums = _evaluate(lam, radius2, order, order.bit_length() - 4)  # from order 16 up
+    err = _order_error(sums[: p + 1, :, 1:], sums[: p + 1, :, :-1])
+    passed = err <= tol
+    level = passed.argmax(axis=1)
+    rows = np.arange(lam.shape[0])
+    out = sums[:, rows, level + 1]
+    achieved = err[rows, level]
+    pending = np.flatnonzero(~passed.any(axis=1))
+    prev = sums[: p + 1, pending, -1]
+    while pending.size and order < _MAX_ORDER[p]:
         order *= 2
-    raise QuadratureError(
-        f"ball moment quadrature stalled at order {max_order} with error "
-        f"{err:.3e} > tol {tol:.3e}",
-        achieved=err,
-    )
+        cur = _evaluate(lam[pending], radius2, order, 1)[:, :, 0]
+        err = _order_error(cur[: p + 1], prev)
+        out[:, pending] = cur
+        achieved[pending] = err
+        keep = ~(err <= tol)
+        pending, prev = pending[keep], cur[: p + 1, keep]
+    if pending.size:
+        worst = float(np.max(achieved[pending]))
+        raise QuadratureError(
+            f"ball moment quadrature stalled at order {_MAX_ORDER[p]} with error "
+            f"{worst:.3e} > tol {tol:.3e}",
+            achieved=worst,
+        )
+    m1 = np.zeros((lam.shape[0], p))
+    m1[:, : max(p - 1, 1)] = out[p + 1 :].T
+    return out[0], out[1 : p + 1].T, m1, achieved
 
 
 def _moments_qmc(lam: NDArray, radius2: float, tol: float):
-    """Randomized quasi-Monte-Carlo fallback for p > 3.
+    """Randomized quasi-Monte-Carlo fallback for p > 3, one row of ``lam`` at a time.
 
     Accuracy is sampling limited; if the replicate spread exceeds tol the
     achieved error is reported through a warning rather than an exception.
     """
     from scipy.stats import qmc
 
-    p = lam.size
-    root = np.sqrt(lam)
-    probs, diags, firsts = [], [], []
-    for rep in range(8):
-        sob = qmc.Sobol(d=p, scramble=True, seed=1000 + rep)
-        u = sob.random(2**15)
-        z = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15)) * root
-        inside = (z * z).sum(axis=1) <= radius2
-        probs.append(inside.mean())
-        zin = z[inside]
-        m = max(len(z), 1)
-        diags.append((zin * zin).sum(axis=0) / m)
-        firsts.append(zin.sum(axis=0) / m)
-    prob = float(np.mean(probs))
-    d = np.mean(diags, axis=0)
-    m1 = np.mean(firsts, axis=0)
-    err = 3.0 * float(np.std(probs)) / math.sqrt(len(probs))
-    if err > tol:
-        warnings.warn(
-            f"QMC ball moments (p={p}) achieved error ~{err:.2e} above tol {tol:.2e}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return prob, d, m1, err
+    rows = []
+    for row in lam:
+        p = row.size
+        root = np.sqrt(row)
+        probs, diags, firsts = [], [], []
+        for rep in range(8):
+            sob = qmc.Sobol(d=p, scramble=True, seed=1000 + rep)
+            u = sob.random(2**15)
+            z = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15)) * root
+            inside = (z * z).sum(axis=1) <= radius2
+            probs.append(inside.mean())
+            zin = z[inside]
+            m = max(len(z), 1)
+            diags.append((zin * zin).sum(axis=0) / m)
+            firsts.append(zin.sum(axis=0) / m)
+        err = 3.0 * float(np.std(probs)) / math.sqrt(len(probs))
+        if err > tol:
+            warnings.warn(
+                f"QMC ball moments (p={p}) achieved error ~{err:.2e} above tol {tol:.2e}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        rows.append((float(np.mean(probs)), np.mean(diags, axis=0), np.mean(firsts, axis=0), err))
+    return tuple(np.array(a) for a in zip(*rows))
 
 
-def _sym_eig2(m: NDArray) -> tuple[NDArray, NDArray]:
-    """Closed-form ascending eigendecomposition of a symmetric 2x2 matrix."""
-    a, b, c = m[0, 0], m[0, 1], m[1, 1]
-    half = 0.5 * (a + c)
-    disc = math.hypot(0.5 * (a - c), b)
-    lam = np.array([half - disc, half + disc])
-    if disc == 0.0:
-        return lam, np.eye(2)
-    # Eigenvector of the larger eigenvalue, from the numerically larger residual row.
-    v_hi = (b, lam[1] - a)
-    alt = (lam[1] - c, b)
-    if alt[0] * alt[0] + alt[1] * alt[1] > v_hi[0] * v_hi[0] + v_hi[1] * v_hi[1]:
-        v_hi = alt
-    norm = math.hypot(*v_hi)
-    vx, vy = v_hi[0] / norm, v_hi[1] / norm
-    return lam, np.array([[-vy, vx], [vx, vy]])
+def _as_stack(n) -> tuple[NDArray, bool]:
+    """(B, p, p) view of a matrix or a stack of matrices, and whether it was one matrix."""
+    m = np.asarray(n, dtype=float)
+    return (m[None], True) if m.ndim == 2 else (m, False)
 
 
-def _sym_eig(m: NDArray) -> tuple[NDArray, NDArray]:
-    if m.shape[0] == 1:
-        return np.array([m[0, 0]]), np.eye(1)
-    if m.shape[0] == 2:
-        return _sym_eig2(m)
-    return np.linalg.eigh(m)
+def _first_row(bm: BallMoments) -> BallMoments:
+    return BallMoments(mass=float(bm.mass[0]), prob=float(bm.prob[0]), m1=bm.m1[0], m2=bm.m2[0])
 
 
 def ball_moments(n, radius2: float, tol: float = 1e-8) -> BallMoments:
@@ -371,8 +416,10 @@ def ball_moments(n, radius2: float, tol: float = 1e-8) -> BallMoments:
 
     Parameters
     ----------
-    n : SPD matrix
-        Kernel covariance (the quadrature runs in its eigenframe).
+    n : SPD matrix (p, p), or a stack (B, p, p) of them
+        Kernel covariance (the quadrature runs in its eigenframe).  A stack
+        is evaluated in one vectorised pass, and every field of the result
+        gains a leading axis of length B.
     radius2 : float
         Squared ball radius, > 0.  ``inf`` is allowed and recovers the whole
         space in closed form for every p, the p > 3 sampling path included:
@@ -388,56 +435,74 @@ def ball_moments(n, radius2: float, tol: float = 1e-8) -> BallMoments:
     BallMoments
         Raw mass/m1/m2 plus the normalized ball probability.
     """
-    bm, _ = _ball_full(n, radius2, tol)
-    return bm
+    stack, single = _as_stack(n)
+    bm, _ = _ball_full(stack, radius2, tol)
+    return _first_row(bm) if single else bm
 
 
-def _ball_full(n, radius2: float, tol: float) -> tuple[BallMoments, NDArray]:
-    """Ball moments plus the fused conditional second moment m2/mass.
+def _ball_full(n: NDArray, radius2: float, tol: float) -> tuple[BallMoments, NDArray]:
+    """Ball moments of a (B, p, p) stack plus the fused conditional second moments m2/mass.
 
-    The conditional moment is assembled from the normalized eigenframe
-    quantities (d_i / prob), so it stays finite even when the raw mass
-    over- or underflows double precision.
+    Every field has a leading axis of length B.  The conditional moment is
+    assembled from the normalized eigenframe quantities (d_i / prob), so it
+    stays finite even when the raw mass over- or underflows double precision.
     """
-    m = _require_symmetric(_as_square(n, "n"), "n")
+    if n.ndim != 3 or n.shape[1] != n.shape[2]:
+        raise ValueError(f"n must be a square matrix or a stack of them, got shape {n.shape}")
+    rows, p = n.shape[:2]
+    scale = np.abs(n).reshape(rows, -1).max(axis=1, initial=0.0)
+    if not np.isfinite(scale).all():
+        raise ValueError("n has non-finite entries")
+    asym = np.abs(n - n.swapaxes(1, 2)).reshape(rows, -1).max(axis=1, initial=0.0)
+    if (asym > 1e-12 * np.maximum(scale, 1.0)).any():
+        raise ValueError("n is not symmetric within 1e-12 relative")
     radius2 = float(radius2)
     if not radius2 > 0.0:
         raise ValueError(f"radius2 must be positive, got {radius2}")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
-    lam, vec = _sym_eig(m)
-    p = lam.size
-    if float(lam[0]) <= 0.0:
-        raise ValueError(f"n is not positive definite (min eigenvalue {lam[0]:.3e})")
-    norm_const = (2.0 * math.pi) ** (0.5 * p) * math.sqrt(float(np.prod(lam)))
+    lam, vec = np.linalg.eigh(n)
+    if not (lam[:, 0] > 0.0).all():
+        raise ValueError(f"n is not positive definite (min eigenvalue {lam[:, 0].min():.3e})")
+    # A product of roots: the product of tiny eigenvalues alone could underflow.
+    norm_const = (2.0 * math.pi) ** (0.5 * p) * np.sqrt(lam).prod(axis=1)
     if radius2 == math.inf:
         # The whole space: quadrature would leave a roundoff deficit in prob.
-        return BallMoments(mass=norm_const, prob=1.0, m1=np.zeros(p), m2=m * norm_const), m
-    if p <= 3:
-        prob, d, m1_diag, _ = _moments_diag(lam, radius2, tol)
-    else:
-        prob, d, m1_diag, _ = _moments_qmc(lam, radius2, tol)
+        m = symmetrize(n)
+        bm = BallMoments(
+            mass=norm_const,
+            prob=np.ones(rows),
+            m1=np.zeros((rows, p)),
+            m2=m * norm_const[:, None, None],
+        )
+        return bm, m
+    moments = _moments_diag if p <= 3 else _moments_qmc
+    prob, d, m1_diag, _ = moments(lam, radius2, tol)
 
-    prob = min(float(prob), 1.0)
-    mass = prob * norm_const
-    m2 = symmetrize((vec * (d * norm_const)) @ vec.T)
-    m1 = vec @ (m1_diag * norm_const)
-    conditional = symmetrize((vec * (d / max(prob, 1e-300))) @ vec.T)
-    return BallMoments(mass=mass, prob=prob, m1=m1, m2=m2), conditional
+    prob = np.minimum(prob, 1.0)
+    safe = np.maximum(prob, 1e-300)
+    conditional = symmetrize((vec * (d / safe[:, None])[:, None, :]) @ vec.swapaxes(1, 2))
+    m2 = conditional * (safe * norm_const)[:, None, None]
+    m1 = (vec @ (m1_diag * norm_const[:, None])[:, :, None])[:, :, 0]
+    return BallMoments(mass=prob * norm_const, prob=prob, m1=m1, m2=m2), conditional
 
 
 def truncated_second_moment(n, radius2: float, tol: float = 1e-8) -> NDArray:
-    """Conditional second moment E[z z' | z'z <= radius2] for z ~ N(0, n)."""
-    bm, conditional = _ball_full(n, radius2, tol)
-    if bm.prob <= 0.0:
+    """Conditional second moment E[z z' | z'z <= radius2] for z ~ N(0, n).
+
+    ``n`` may also be a (B, p, p) stack; the result then is one as well.
+    """
+    stack, single = _as_stack(n)
+    bm, conditional = _ball_full(stack, radius2, tol)
+    if not (bm.prob > 0.0).all():
         raise ValueError("ball probability underflowed; radius2 is degenerate for this covariance")
-    n = np.asarray(n, dtype=float)
-    if float(np.trace(conditional)) > float(np.trace(n)) + tol:
+    trace = np.trace(conditional, axis1=1, axis2=2)
+    if (trace > np.trace(stack, axis1=1, axis2=2) + tol).any():
         raise RuntimeError(
             "truncated second moment exceeded the untruncated trace; quadrature is inconsistent"
         )
-    return conditional
+    return conditional[0] if single else conditional
 
 
 def monte_carlo_ball_moments(

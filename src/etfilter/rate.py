@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
-from .estimator import StepCache, prior_cache
+from .estimator import _PROB_FLOOR, StepCache, prior_cache
 from .model import LinearGaussianModel
 from .numerics import ball_moments, symmetrize
 from .trigger import TriggerConfig
@@ -42,7 +41,9 @@ class RateState:
 
     ``cache_prev`` is the filter cache produced at step k-1 and ``prob0_prev``
     its one-step silence probability -- both are measurable with respect to the
-    information available at k-2, which is the point of the predictor.
+    information available at k-2, which is the point of the predictor.  Both
+    may also carry a leading axis of several steps (a batched cache), which
+    are then predicted together.
     """
 
     prob0_prev: float
@@ -57,28 +58,32 @@ def rate_one_step(cache: StepCache) -> RatePrediction:
     return RatePrediction(gamma_hat=1.0 - cache.prob0, prob0=cache.prob0, which="one-step")
 
 
-def _silence_prob(
-    model: LinearGaussianModel, trigger: TriggerConfig, state_cov: NDArray, tol: float
-) -> float:
-    """P(whitened innovation lands in the silence ball) for a given state covariance."""
-    s = symmetrize(model.C @ state_cov @ model.C.T + model.R)
-    n_z = symmetrize(trigger.phi @ s @ trigger.phi.T)
-    return ball_moments(n_z, trigger.threshold, tol).prob
-
-
 def rate_two_step(state: RateState) -> RatePrediction:
-    """Expected transmission indicator for step k given information to k-2."""
+    """Expected transmission indicator for step k given information to k-2.
+
+    The send- and silent-branch covariances of every step are evaluated as
+    one batch of ball moments.
+    """
     cache = state.cache_prev
-    if cache.h < 1e-300:
-        raise ValueError("cache has a degenerate silence mass; two-step prediction undefined")
+    if not np.all(np.asarray(cache.prob0) >= _PROB_FLOOR):
+        raise ValueError(
+            "cache has a degenerate silence probability; two-step prediction undefined"
+        )
     model = state.model
+    trigger = state.trigger
     a = model.A
-    sent_cov = symmetrize(a @ cache.P_z @ a.T + model.Q)
-    correction = cache.K @ (cache.Psi / cache.h) @ cache.K.T
-    silent_cov = symmetrize(a @ (cache.P_z + correction) @ a.T + model.Q)
-    p_sent = _silence_prob(model, state.trigger, sent_cov, state.quad_tol)
-    p_silent = _silence_prob(model, state.trigger, silent_cov, state.quad_tol)
+    h = np.asarray(cache.h)[..., None, None]
+    correction = cache.K @ (cache.Psi / h) @ np.swapaxes(cache.K, -1, -2)
+    branches = np.stack([cache.P_z, cache.P_z + correction])
+    cov = symmetrize(a @ branches @ a.T + model.Q)
+    s = symmetrize(model.C @ cov @ model.C.T + model.R)
+    n_z = symmetrize(trigger.phi @ s @ trigger.phi.T)
+    p = trigger.p
+    probs = ball_moments(n_z.reshape(-1, p, p), trigger.threshold, state.quad_tol).prob
+    p_sent, p_silent = probs.reshape(2, -1)
     prob0 = p_sent + state.prob0_prev * (p_silent - p_sent)
+    if np.ndim(cache.prob0) == 0:
+        prob0 = float(prob0[0])
     return RatePrediction(gamma_hat=1.0 - prob0, prob0=prob0, which="two-step")
 
 

@@ -71,15 +71,21 @@ def make_config(nbar, alpha: float = 0.05) -> TriggerConfig:
 
 
 def decide(config: TriggerConfig, innovation) -> Decision:
-    """Evaluate the trigger for one innovation vector.
+    """Evaluate the trigger for one innovation vector, or for a (B, p) stack of them.
 
     The statistic is computed as the squared norm of the whitened innovation,
     which equals innovation.T @ sigma @ innovation but stays nonnegative in
-    floats.  Ties on the boundary stay silent (gamma = 0).
+    floats.  Ties on the boundary stay silent (gamma = 0).  For a stack,
+    ``gamma`` and ``phi_stat`` are arrays with one entry per row.
     """
     y = np.asarray(innovation, dtype=float)
-    if y.shape != (config.p,):
-        raise ValueError(f"innovation must have shape ({config.p},), got {y.shape}")
-    z = config.phi @ y
-    stat = float(z @ z)
-    return Decision(gamma=1 if stat > config.threshold else 0, phi_stat=stat)
+    if y.ndim not in (1, 2) or y.shape[-1] != config.p:
+        raise ValueError(
+            f"innovation must have shape ({config.p},) or (B, {config.p}), got {y.shape}"
+        )
+    z = y @ config.phi.T
+    stat = (z * z).sum(axis=-1)
+    gamma = (stat > config.threshold).astype(np.int64)
+    if y.ndim == 1:
+        return Decision(gamma=int(gamma), phi_stat=float(stat))
+    return Decision(gamma=gamma, phi_stat=stat)

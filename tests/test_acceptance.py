@@ -38,6 +38,13 @@ CASE1 = np.array([[50.0, 4.0], [4.0, 8.0]])
 # values so any regression in the filter still surfaces as a hard failure.
 REPRODUCED_CASE3 = (0.3106, 0.2989, 0.2993)
 
+# Average rates (empirical, one-step, two-step) of cases 1 and 2 at 5000
+# trials and seed 1234.  At that size the run is deterministic, so these are
+# held to their fourth decimal: a regression smaller than the reference band
+# still fails.
+REPRODUCED = {"case1": (0.3862, 0.3719, 0.3765), "case2": (0.5703, 0.5681, 0.5670)}
+PIN_TOL = 5e-5
+
 _CAPTURE = None
 
 
@@ -72,8 +79,17 @@ def test_criterion_1_average_rates_match_reference(benchmark_results):
             if abs(g - r) > band:
                 bad.append(f"{case} {name}: {g:.4f} vs {r:.4f}")
                 bad_cases.add(case)
+    if benchmark_results.trials == 5000:
+        for case, pinned in REPRODUCED.items():
+            got = benchmark_results.summaries[case].avg_rates
+            for name, g, r in zip(("empirical", "alg1", "alg2"), got, pinned):
+                if abs(g - r) > PIN_TOL:
+                    bad.append(f"{case} {name}: {g:.6f} vs reproduced {r:.4f}")
+                    bad_cases.add(case)
     ok = not bad
     desc = f"average transmission rates within {band} of the reference table"
+    if benchmark_results.trials == 5000:
+        desc += ", cases 1 and 2 at their reproduced values"
     line = f"criterion 1 ({desc}): {'PASS' if ok else 'FAIL'}"
     _announce(line)
     if ok:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import oracles
 from conftest import random_model, random_spd
 from etfilter.estimator import EventTriggeredFilter, prior_cache
-from etfilter.model import LinearGaussianModel, simulate, tracking_preset
+from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
 from etfilter.trigger import make_config
 
 CASE1 = np.array([[50.0, 4.0], [4.0, 8.0]])
@@ -140,6 +141,76 @@ class TestDegenerateTrigger:
         g0, state = filt.init(model.C @ model.x0_mean + np.array([1.0, 1.0]))
         assert g0 == 1
         assert np.isfinite(state.xhat).all()
+
+
+class TestNonFiniteMeasurements:
+    """A NaN or inf measurement must raise, never pass as silence."""
+
+    def test_init_rejects_nan(self):
+        _, _, filt = _tracking_filter()
+        with pytest.raises(ValueError, match="NaN or inf"):
+            filt.init([math.nan, 0.0])
+
+    def test_step_rejects_inf(self):
+        model, _, filt = _tracking_filter()
+        _, state = filt.init(model.C @ model.x0_mean)
+        with pytest.raises(ValueError, match="NaN or inf"):
+            filt.step(state, [math.inf, 1.0])
+
+    def test_run_rejects_any_non_finite_entry(self):
+        model, _, filt = _tracking_filter()
+        ys = simulate(model, 10, np.random.default_rng(3)).measurements
+        ys[7, 1] = -math.inf
+        with pytest.raises(ValueError, match="NaN or inf"):
+            filt.run(ys)
+
+
+class TestHugeBound:
+    def test_silence_guard_is_unit_free(self):
+        """A bound of 1e170 * I is effectively never-send: silence has
+        probability 1 although the raw silence mass is ~1e-166."""
+        model = tracking_preset()
+        filt = EventTriggeredFilter(model, make_config(1e170 * np.eye(2), 0.05))
+        traj = simulate(model, 10, np.random.default_rng(12), x0=np.array(TRUE_INITIAL_STATE))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gamma, state = filt.init(traj.measurements[0])
+            for k in range(1, 11):
+                out, state = filt.step(state, traj.measurements[k])
+                gamma += out.gamma
+        assert gamma == 0
+        assert state.cache.prob0 == pytest.approx(1.0, abs=1e-12)
+        assert np.isfinite(state.P).all()
+
+
+class TestBatchedRecursion:
+    """The harness filters a chunk of trials as one batch; every row must be
+    the run of that trial alone."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rows_equal_single_runs(self, p):
+        if p == 2:
+            model, trig, filt = _tracking_filter()
+            x0 = np.array(TRUE_INITIAL_STATE)
+        else:
+            rng = np.random.default_rng(14)
+            model = random_model(rng, 3, 3)
+            trig = make_config(random_spd(rng, 3), 0.1)
+            filt = EventTriggeredFilter(model, trig)
+            x0 = None
+        trajs = [
+            simulate(model, 30, np.random.default_rng(np.random.SeedSequence([8, i])), x0=x0)
+            for i in range(9)
+        ]
+        batch, caches = filt._run_batch(np.stack([t.measurements for t in trajs]))
+        assert len(caches) == 31
+        assert 0 < batch.gamma.mean() < 1
+        for i, traj in enumerate(trajs):
+            single = filt.run(traj.measurements)
+            assert np.array_equal(batch.gamma[i], single.gamma)
+            for got, want in ((batch.xhat[i], single.xhat), (batch.P[i], single.P)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.allclose(batch.prob0[i], single.prob0, rtol=1e-12, atol=0.0)
 
 
 class TestRunBookkeeping:

@@ -52,6 +52,23 @@ class TestConfigValidation:
         assert np.isfinite(summary.rate_alg2).all()
 
 
+class TestNonFiniteTrials:
+    def test_overflowing_trajectories_raise(self):
+        # A true state of 1e308 doubles to inf at the first transition.
+        model = LinearGaussianModel(
+            A=np.array([[2.0]]),
+            C=np.array([[1.0]]),
+            Q=np.array([[1.0]]),
+            R=np.array([[1.0]]),
+            x0_mean=np.zeros(1),
+            x0_cov=np.eye(1),
+        )
+        cfg = ExperimentConfig(nbar=np.eye(1), trials=3, steps=6, seed=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="NaN or inf"):
+                run_monte_carlo(cfg, model=model, true_x0=np.array([1e308]))
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         cfg = ExperimentConfig(case="case1", **SMALL)

@@ -225,6 +225,50 @@ class TestBallMomentsGeneral:
             ball_moments(np.eye(2), 1.0, tol=0.0)
 
 
+class TestBatchedBallMoments:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_rows_equal_single_calls(self, p):
+        rng = np.random.default_rng(20 + p)
+        r2 = chi_square_quantile(0.05, p)
+        stack = []
+        for ratio in (1.0, 1e2, 1e6):
+            for scale in (0.3, 1.0, 4.0):
+                rot, _ = np.linalg.qr(rng.standard_normal((p, p)))
+                lam = scale * (np.array([ratio]) if p == 1 else ratio ** (np.arange(p) / (p - 1)))
+                n = (rot * lam) @ rot.T
+                stack.append(0.5 * (n + n.T))
+        stack = np.array(stack)
+        batch = ball_moments(stack, r2)
+        conditional = truncated_second_moment(stack, r2)
+        assert batch.prob.shape == (len(stack),)
+        for i, n in enumerate(stack):
+            one = ball_moments(n, r2)
+            for got, want in (
+                (batch.prob[i], one.prob),
+                (batch.mass[i], one.mass),
+                (batch.m2[i], one.m2),
+                (conditional[i], truncated_second_moment(n, r2)),
+            ):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (i, p)
+            assert np.abs(batch.m1[i] - one.m1).max() <= 1e-12 * one.mass * math.sqrt(np.trace(n))
+
+    def test_validates_every_row(self):
+        good = np.eye(2)
+        with pytest.raises(ValueError, match="positive definite"):
+            ball_moments(np.array([good, [[1.0, 3.0], [3.0, 1.0]]]), 2.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            ball_moments(np.array([good, [[1.0, 0.5], [0.0, 1.0]]]), 2.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            ball_moments(np.array([good, [[math.nan, 0.0], [0.0, 1.0]]]), 2.0)
+
+    def test_infinite_radius_on_every_row(self):
+        stack = np.array([np.eye(3), np.diag([1e-4, 2.0, 9.0])])
+        bm = ball_moments(stack, math.inf)
+        assert np.array_equal(bm.prob, np.ones(2))
+        assert not bm.m1.any()
+        assert np.array_equal(truncated_second_moment(stack, math.inf), stack)
+
+
 class TestMonteCarloBallMoments:
     def test_tracks_quadrature(self):
         rng = np.random.default_rng(123)
