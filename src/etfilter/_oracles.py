@@ -1,10 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
+The test suite and the CLI's ``--check`` suite share this one module.
 Everything here is deliberately written from scratch (series expansions,
 closed forms, textbook recursions, brute-force sampling) rather than calling
-into the package, so a test that compares the two routes actually compares two
-routes.  scipy appears only where the package itself does not rely on it for
-the quantity under test.
+into the numerics it checks, so a test that compares the two routes actually
+compares two routes.  scipy appears only where the package itself does not
+rely on it for the quantity under test.
 """
 
 from __future__ import annotations
@@ -12,6 +13,27 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .model import LinearGaussianModel
+
+
+def random_spd(rng: np.random.Generator, dim: int, jitter: float = 0.1) -> np.ndarray:
+    base = rng.normal(size=(dim, dim))
+    return base @ base.T + jitter * np.eye(dim)
+
+
+def random_model(rng: np.random.Generator, n: int, p: int) -> LinearGaussianModel:
+    """Random stable observable-ish model for equivalence tests."""
+    a = rng.normal(size=(n, n))
+    a *= 0.9 / max(np.abs(np.linalg.eigvals(a)).max(), 1e-9)
+    return LinearGaussianModel(
+        A=a,
+        C=rng.normal(size=(p, n)),
+        Q=random_spd(rng, n),
+        R=random_spd(rng, p),
+        x0_mean=rng.normal(size=n),
+        x0_cov=random_spd(rng, n),
+    )
 
 
 def reg_lower_gamma(a: float, x: float) -> float:

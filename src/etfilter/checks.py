@@ -1,10 +1,11 @@
 """Built-in oracle suite behind the CLI --check flag.
 
 Each check pits a library code path against an independent reference
-implementation kept inside this module (hand-coded incomplete gamma, textbook
-Kalman recursion, closed forms, sampling), so a green run means the installed
-package reproduces its numerical contracts on this machine.  Sizes are chosen
-to finish in about a minute on one core.
+implementation from ``_oracles``, the module the test suite uses too
+(hand-coded incomplete gamma, textbook Kalman recursion, closed forms,
+sampling), so a green run means the installed package reproduces its
+numerical contracts on this machine.  Sizes are chosen to finish in about a
+minute on one core.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _oracles as oracles
 from .estimator import EventTriggeredFilter
 from .harness import CASE_BOUNDS, ExperimentConfig, emit_csv, run_monte_carlo
-from .model import LinearGaussianModel, tracking_preset
+from .model import TRUE_INITIAL_STATE, simulate, tracking_preset
 from .numerics import (
     ball_moments,
     chi_square_quantile,
     factor_precision,
-    monte_carlo_ball_moments,
     psd_sqrt,
     truncated_second_moment,
 )
@@ -33,105 +34,13 @@ from .trigger import make_config
 __all__ = ["run_all"]
 
 
-# -- embedded reference implementations ---------------------------------------
-
-
-def _reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x), series + continued fraction."""
-    if x < 0 or a <= 0:
-        raise ValueError("bad arguments to incomplete gamma")
-    if x == 0.0:
-        return 0.0
-    log_pref = a * math.log(x) - x - math.lgamma(a)
-    if x < a + 1.0:
-        term = 1.0 / a
-        total = term
-        denom = a
-        for _ in range(500):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        return total * math.exp(log_pref)
-    # Lentz continued fraction for Q(a, x)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    frac = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        d = tiny if abs(d) < tiny else d
-        c = b + an / c
-        c = tiny if abs(c) < tiny else c
-        d = 1.0 / d
-        delta = d * c
-        frac *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return 1.0 - math.exp(log_pref) * frac
-
-
-def _chi2_quantile_bisect(alpha: float, dof: int) -> float:
-    target = 1.0 - alpha
-    lo, hi = 0.0, 1.0
-    while _reg_lower_gamma(0.5 * dof, 0.5 * hi) < target:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _reg_lower_gamma(0.5 * dof, 0.5 * mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _reference_kalman(model: LinearGaussianModel, measurements: np.ndarray):
-    """Plain textbook Kalman filter with a time-0 measurement update."""
-    x = model.x0_mean.copy()
-    cov = model.x0_cov.copy()
-    eye = np.eye(model.n)
-    xs, ps = [], []
-    for k in range(measurements.shape[0]):
-        if k > 0:
-            x = model.A @ x
-            cov = model.A @ cov @ model.A.T + model.Q
-        s = model.C @ cov @ model.C.T + model.R
-        gain = cov @ model.C.T @ np.linalg.inv(s)
-        x = x + gain @ (measurements[k] - model.C @ x)
-        cov = (eye - gain @ model.C) @ cov
-        xs.append(x.copy())
-        ps.append(0.5 * (cov + cov.T))
-    return np.array(xs), np.array(ps)
-
-
-def _random_model(rng: np.random.Generator, n: int, p: int) -> LinearGaussianModel:
-    a = rng.normal(size=(n, n))
-    a *= 0.9 / max(np.abs(np.linalg.eigvals(a)).max(), 1e-6)
-    c = rng.normal(size=(p, n))
-    mq = rng.normal(size=(n, n))
-    mr = rng.normal(size=(p, p))
-    m0 = rng.normal(size=(n, n))
-    return LinearGaussianModel(
-        A=a,
-        C=c,
-        Q=mq @ mq.T + 0.1 * np.eye(n),
-        R=mr @ mr.T + 0.1 * np.eye(p),
-        x0_mean=rng.normal(size=n),
-        x0_cov=m0 @ m0.T + 0.1 * np.eye(n),
-    )
-
-
 # -- individual checks ---------------------------------------------------------
 
 
 def _check_chi_square():
     worst = 0.0
     for alpha, dof in ((0.05, 1), (0.05, 2), (0.01, 3), (0.5, 4)):
-        worst = max(worst, abs(chi_square_quantile(alpha, dof) - _chi2_quantile_bisect(alpha, dof)))
+        worst = max(worst, abs(chi_square_quantile(alpha, dof) - oracles.chi2_quantile(alpha, dof)))
     tabled = abs(chi_square_quantile(0.05, 2) - 5.991)
     ok = worst < 1e-9 and tabled < 5e-4
     return ok, f"max |quantile - bisection oracle| = {worst:.2e}, |q(0.05,2) - 5.991| = {tabled:.1e}"
@@ -162,7 +71,7 @@ def _check_quadrature_vs_mc():
         cov = base @ base.T + 0.3 * np.eye(p)
         r2 = 1.5 * float(np.trace(cov))
         bm = ball_moments(cov, r2)
-        mc_prob, mc_m2, count = monte_carlo_ball_moments(cov, r2, 200_000, rng)
+        mc_prob, mc_m2, count = oracles.mc_ball_stats(cov, r2, 200_000, rng)
         se = math.sqrt(max(mc_prob * (1 - mc_prob), 1e-12) / 200_000)
         ok &= abs(bm.prob - mc_prob) < 4.0 * se + 1e-4
         if count:
@@ -179,13 +88,13 @@ def _check_kalman_equivalence():
     for _ in range(5):
         n = int(rng.integers(1, 4))
         p = int(rng.integers(1, 3))
-        model = _random_model(rng, n, p)
+        model = oracles.random_model(rng, n, p)
         trig = replace(make_config(np.eye(p), 0.05), threshold=0.0)
         filt = EventTriggeredFilter(model, trig)
         steps = 25
         ys = rng.normal(size=(steps, p)) @ psd_sqrt(model.R).T + rng.normal(size=(steps, p))
         run = filt.run(ys)
-        ref_x, ref_p = _reference_kalman(model, ys)
+        ref_x, ref_p = oracles.kalman_filter(model, ys)
         worst = max(
             worst,
             float(np.abs(run.xhat - ref_x).max()),
@@ -199,8 +108,6 @@ def _check_rate_one_step():
     trig = make_config(CASE_BOUNDS["case1"], 0.05)
     filt = EventTriggeredFilter(model, trig)
     rng = np.random.default_rng(7)
-    from .model import TRUE_INITIAL_STATE, simulate
-
     traj = simulate(model, 12, rng, x0=np.array(TRUE_INITIAL_STATE))
     _, state = filt.init(traj.measurements[0])
     for k in range(1, 11):
@@ -209,13 +116,9 @@ def _check_rate_one_step():
     _, probe = filt.step(state, traj.measurements[11])
     predicted = rate_one_step(probe.cache).gamma_hat
 
-    samples = 100_000
-    xs = state.xhat + rng.standard_normal((samples, model.n)) @ psd_sqrt(state.P).T
-    nxt = xs @ model.A.T + rng.standard_normal((samples, model.n)) @ psd_sqrt(model.Q).T
-    ys = nxt @ model.C.T + rng.standard_normal((samples, model.p)) @ psd_sqrt(model.R).T
-    innov = ys - (model.A @ state.xhat) @ model.C.T
-    stat = ((innov @ trig.phi.T) ** 2).sum(axis=1)
-    empirical = float((stat > trig.threshold).mean())
+    empirical = oracles.one_step_empirical(
+        model, trig.nbar, trig.threshold, state.xhat, state.P, 100_000, rng
+    )
     ok = abs(predicted - empirical) < 0.01
     return ok, f"one-step predicted {predicted:.4f} vs sampled {empirical:.4f}"
 

@@ -8,9 +8,10 @@ steps keep the predicted mean but add a covariance correction equal to the
 conditional second moment of the whitened innovation restricted to the
 silence ball, mapped back through the whitened gain.
 
-Every step also records the quantities the communication-rate predictors
-need (``StepCache``); those are functions of the previous information set
-only, never of the current measurement.
+Every step also records both branch posteriors and the silence probability
+(``StepCache``), which the communication-rate predictors need; those are
+functions of the previous information set only, never of the current
+measurement.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .model import LinearGaussianModel
-from .numerics import BallMoments, _ball_full, require_spd, symmetrize
+from .numerics import _ball_full, require_spd, symmetrize
 from .trigger import TriggerConfig, decide
 
 __all__ = [
@@ -41,23 +42,18 @@ _PROB_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class StepCache:
-    """Step-k byproducts consumed by the rate predictors.
+    """Step-k byproducts consumed by the rate predictors: both branch
+    posteriors and the silence probability.
 
-    P_z   : posterior covariance of the send branch (measurement received)
-    h     : raw mass of the silence ball under the whitened-innovation kernel
-    K     : whitened gain (standard gain composed with the inverse whitener)
-    Psi   : raw second moment of the silence ball
-    N_z   : whitened innovation covariance
-    prob0 : probability of silence at this step given the previous info set
+    P_z      : posterior covariance of the send branch (measurement received)
+    P_silent : posterior covariance of the silent branch
+    prob0    : probability of silence at this step given the previous info set
 
     Inside the batched recursion every field carries a leading trial axis.
     """
 
     P_z: NDArray
-    h: float
-    K: NDArray
-    Psi: NDArray
-    N_z: NDArray
+    P_silent: NDArray
     prob0: float
 
 
@@ -97,7 +93,6 @@ class FilterRun:
     P: NDArray
     innovation: NDArray
     prob0: NDArray
-    silence_mass: NDArray
     first_moment_max: float
 
 
@@ -106,6 +101,40 @@ def _finite(y, what: str) -> NDArray:
     if not np.isfinite(y).all():
         raise ValueError(f"{what} contain NaN or inf; a non-finite measurement cannot be filtered")
     return y
+
+
+def _check_inputs(model: LinearGaussianModel, trigger: TriggerConfig, quad_tol: float) -> None:
+    if trigger.p != model.p:
+        raise ValueError(
+            f"trigger dimension {trigger.p} does not match measurement dimension {model.p}"
+        )
+    require_spd(model.R, "R")
+    if not 0.0 < quad_tol < 1.0:
+        raise ValueError(f"quad_tol must lie in (0, 1), got {quad_tol}")
+
+
+def _cache(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray, quad_tol: float):
+    """Measurement geometry and silence-ball step from (B, n, n) prior covariances.
+
+    Returns (gain, cache, raw first moment, conditional first moment) of the
+    silence ball; none of them depends on the measurements.  The send branch
+    takes the Joseph-stabilized update; the silent branch adds the ball's
+    conditional second moment mapped through the whitened gain.
+    """
+    cross = cov @ model.C.T
+    s = symmetrize(model.C @ cross + model.R)
+    gain = np.linalg.solve(s, cross.swapaxes(1, 2)).swapaxes(1, 2)
+    a = np.eye(model.n) - gain @ model.C
+    p_z = symmetrize(a @ cov @ a.swapaxes(1, 2) + gain @ model.R @ gain.swapaxes(1, 2))
+    if trigger.threshold <= 0.0:
+        # Always send: there is no silence ball and no silent branch.
+        zeros = np.zeros((cov.shape[0], trigger.p))
+        return gain, StepCache(P_z=p_z, P_silent=p_z, prob0=np.zeros(cov.shape[0])), zeros, zeros
+    n_z = symmetrize(trigger.phi @ s @ trigger.phi.T)
+    bm, first, conditional = _ball_full(n_z, trigger.threshold, quad_tol)
+    k_w = gain @ trigger.phi_inv
+    p_silent = symmetrize(p_z + k_w @ conditional @ k_w.swapaxes(1, 2))
+    return gain, StepCache(P_z=p_z, P_silent=p_silent, prob0=bm.prob), bm.m1, first
 
 
 class EventTriggeredFilter:
@@ -126,30 +155,13 @@ class EventTriggeredFilter:
         Whitener, threshold, and dimension (must match the model's p).
     quad_tol : float
         Relative tolerance handed to the ball-moment quadrature.
-    joseph : bool
-        Use the Joseph-stabilized form for the send-branch covariance
-        (default on; the plain subtraction form is algebraically identical).
     """
 
-    def __init__(
-        self,
-        model: LinearGaussianModel,
-        trigger: TriggerConfig,
-        quad_tol: float = 1e-8,
-        joseph: bool = True,
-    ):
-        if trigger.p != model.p:
-            raise ValueError(
-                f"trigger dimension {trigger.p} does not match measurement dimension {model.p}"
-            )
-        require_spd(model.R, "R")
-        if not 0.0 < quad_tol < 1.0:
-            raise ValueError(f"quad_tol must lie in (0, 1), got {quad_tol}")
+    def __init__(self, model: LinearGaussianModel, trigger: TriggerConfig, quad_tol: float = 1e-8):
+        _check_inputs(model, trigger, quad_tol)
         self.model = model
         self.trigger = trigger
         self.quad_tol = float(quad_tol)
-        self.joseph = bool(joseph)
-        self._eye_n = np.eye(model.n)
 
     # -- the batched recursion -------------------------------------------------
 
@@ -157,48 +169,20 @@ class EventTriggeredFilter:
         m = self.model
         return xhat @ m.A.T, symmetrize(m.A @ cov @ m.A.T + m.Q)
 
-    def _cache(self, cov: NDArray):
-        """Gain, silence-ball moments and cache from (B, n, n) prior covariances.
-
-        Returns (gain, conditional second moment, raw first moment, cache);
-        none of them depends on the measurements.
-        """
-        m = self.model
-        t = self.trigger
-        cross = cov @ m.C.T
-        s = symmetrize(m.C @ cross + m.R)
-        gain = np.linalg.solve(s, cross.swapaxes(1, 2)).swapaxes(1, 2)
-        n_z = symmetrize(t.phi @ s @ t.phi.T)
-        k_w = gain @ t.phi_inv
-        if self.joseph:
-            a = self._eye_n - gain @ m.C
-            p_z = symmetrize(a @ cov @ a.swapaxes(1, 2) + gain @ m.R @ gain.swapaxes(1, 2))
-        else:
-            p_z = symmetrize(cov - gain @ cross.swapaxes(1, 2))
-        if t.threshold <= 0.0:
-            rows = cov.shape[0]
-            zeros = np.zeros((rows, t.p, t.p))
-            bm = BallMoments(mass=np.zeros(rows), prob=np.zeros(rows), m1=zeros[:, 0], m2=zeros)
-            conditional = zeros
-        else:
-            bm, conditional = _ball_full(n_z, t.threshold, self.quad_tol)
-        cache = StepCache(P_z=p_z, h=bm.mass, K=k_w, Psi=bm.m2, N_z=n_z, prob0=bm.prob)
-        return gain, conditional, bm.m1, cache
-
     def _advance(self, xhat: NDArray, cov: NDArray, ys: NDArray, predict: bool = True):
         """Move B trials one step: posterior (B, n), (B, n, n) and measurements (B, p).
 
         With ``predict`` off, ``xhat``/``cov`` already are the prior of this
         step (time 0).  Received steps take the Kalman update; silent steps
-        keep the predicted mean and add the silence-ball correction mapped
-        through the whitened gain.  Returns (gamma, xhat, P, innovation,
-        cache, raw first moment), each with a leading trial axis.
+        keep the predicted mean and take the silent-branch covariance.
+        Returns (gamma, xhat, P, innovation, cache, raw and conditional first
+        moments of the silence ball), each with a leading trial axis.
         """
         if predict:
             xhat, cov = self._predict(xhat, cov)
         innovation = ys - xhat @ self.model.C.T
         gamma = decide(self.trigger, innovation).gamma
-        gain, conditional, m1, cache = self._cache(cov)
+        gain, cache, m1, first = _cache(self.model, self.trigger, cov, self.quad_tol)
         sent = gamma.astype(bool)
         if not (sent | (cache.prob0 >= _PROB_FLOOR)).all():
             raise ValueError(
@@ -206,9 +190,8 @@ class EventTriggeredFilter:
                 "the trigger bound is degenerate (too tight) for this model"
             )
         xhat = np.where(sent[:, None], xhat + (gain @ innovation[:, :, None])[:, :, 0], xhat)
-        corrected = symmetrize(cache.P_z + cache.K @ conditional @ cache.K.swapaxes(1, 2))
-        cov = np.where(sent[:, None, None], cache.P_z, corrected)
-        return gamma, xhat, cov, innovation, cache, m1
+        cov = np.where(sent[:, None, None], cache.P_z, cache.P_silent)
+        return gamma, xhat, cov, innovation, cache, m1, first
 
     def _run_batch(self, measurements) -> tuple[FilterRun, list[StepCache]]:
         """Filter B trials of shape (B, K+1, p) together, one step per pass.
@@ -227,15 +210,14 @@ class EventTriggeredFilter:
         cov = np.zeros((rows, total, m.n, m.n))
         innovation = np.zeros((rows, total, p))
         prob0 = np.zeros((rows, total))
-        silence_mass = np.zeros((rows, total))
         fm_max = np.zeros(rows)
         caches = []
         x = np.broadcast_to(m.x0_mean, (rows, m.n))
         c = np.broadcast_to(m.x0_cov, (rows, m.n, m.n))
         for k in range(total):
-            g, x, c, innov, cache, m1 = self._advance(x, c, ys[:, k], predict=k > 0)
+            g, x, c, innov, cache, m1, _ = self._advance(x, c, ys[:, k], predict=k > 0)
             gamma[:, k], xhat[:, k], cov[:, k], innovation[:, k] = g, x, c, innov
-            prob0[:, k], silence_mass[:, k] = cache.prob0, cache.h
+            prob0[:, k] = cache.prob0
             if k > 0:
                 fm_max = np.maximum(fm_max, np.abs(m1).max(axis=1))
             caches.append(cache)
@@ -245,7 +227,6 @@ class EventTriggeredFilter:
             P=cov,
             innovation=innovation,
             prob0=prob0,
-            silence_mass=silence_mass,
             first_moment_max=fm_max,
         )
         return run, caches
@@ -261,7 +242,7 @@ class EventTriggeredFilter:
     def init(self, y0) -> tuple[int, EstimatorState]:
         """Consume the time-0 measurement against the model prior."""
         m = self.model
-        gamma, xhat, cov, _, cache, _ = self._advance(
+        gamma, xhat, cov, _, cache, _, _ = self._advance(
             m.x0_mean[None], m.x0_cov[None], self._one(y0), predict=False
         )
         return int(gamma[0]), EstimatorState(k=0, xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
@@ -273,22 +254,17 @@ class EventTriggeredFilter:
 
     def step(self, state: EstimatorState, y) -> tuple[StepOutput, EstimatorState]:
         """Advance one step with measurement ``y`` taken at time state.k + 1."""
-        gamma, xhat, cov, innovation, cache, m1 = self._advance(
+        gamma, xhat, cov, innovation, cache, _, first = self._advance(
             state.xhat[None], state.P[None], self._one(y)
         )
-        cache = _take(cache, 0)
-        if cache.prob0 >= _PROB_FLOOR:
-            fmd = m1[0] / cache.h
-        else:
-            fmd = np.zeros(self.trigger.p)
         out = StepOutput(
             gamma=int(gamma[0]),
             xhat=xhat[0],
             P=cov[0],
             innovation=innovation[0],
-            first_moment_diag=fmd,
+            first_moment_diag=first[0],
         )
-        return out, EstimatorState(k=state.k + 1, xhat=xhat[0], P=cov[0], cache=cache)
+        return out, EstimatorState(k=state.k + 1, xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
 
     def run(self, measurements) -> FilterRun:
         """Filter a whole measurement array of shape (K+1, p)."""
@@ -298,15 +274,12 @@ class EventTriggeredFilter:
 
 
 def prior_cache(
-    model: LinearGaussianModel,
-    trigger: TriggerConfig,
-    quad_tol: float = 1e-8,
-    joseph: bool = True,
+    model: LinearGaussianModel, trigger: TriggerConfig, quad_tol: float = 1e-8
 ) -> StepCache:
-    """Time-0 cache (send-branch covariance, ball moments, whitened gain).
+    """Time-0 cache: both branch posteriors and the silence probability.
 
     Entirely data independent: it depends on the model prior and the trigger
     only, which is what lets the rate bootstrap run before any measurement.
     """
-    filt = EventTriggeredFilter(model, trigger, quad_tol=quad_tol, joseph=joseph)
-    return _take(filt._cache(model.x0_cov[None])[3], 0)
+    _check_inputs(model, trigger, quad_tol)
+    return _take(_cache(model, trigger, model.x0_cov[None], quad_tol)[1], 0)

@@ -75,7 +75,6 @@ class ExperimentConfig:
     rate_trial_index: int = 40
     output_dir: str | None = None
     nbar: NDArray | None = None
-    joseph: bool = True
     quad_tol: float = 1e-8
     jobs: int = 1
 
@@ -105,8 +104,8 @@ class ExperimentSummary:
 
 def _chunk_worker(payload):
     """Simulate the chunk's trials, one generator each, then filter them as one batch."""
-    (model, trigger, quad_tol, joseph, steps, seed, lo, hi, designated, e0, e1, true_x0) = payload
-    filt = EventTriggeredFilter(model, trigger, quad_tol=quad_tol, joseph=joseph)
+    (model, trigger, quad_tol, steps, seed, lo, hi, designated, e0, e1, true_x0) = payload
+    filt = EventTriggeredFilter(model, trigger, quad_tol=quad_tol)
     rngs = (np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(lo, hi))
     trajs = [simulate(model, steps - 1, rng, x0=true_x0) for rng in rngs]
     run, caches = filt._run_batch(np.stack([t.measurements for t in trajs]))
@@ -192,7 +191,6 @@ def run_monte_carlo(
             model,
             trigger,
             config.quad_tol,
-            config.joseph,
             config.steps,
             config.seed,
             lo,

@@ -436,16 +436,17 @@ def ball_moments(n, radius2: float, tol: float = 1e-8) -> BallMoments:
         Raw mass/m1/m2 plus the normalized ball probability.
     """
     stack, single = _as_stack(n)
-    bm, _ = _ball_full(stack, radius2, tol)
+    bm, _, _ = _ball_full(stack, radius2, tol)
     return _first_row(bm) if single else bm
 
 
-def _ball_full(n: NDArray, radius2: float, tol: float) -> tuple[BallMoments, NDArray]:
-    """Ball moments of a (B, p, p) stack plus the fused conditional second moments m2/mass.
+def _ball_full(n: NDArray, radius2: float, tol: float) -> tuple[BallMoments, NDArray, NDArray]:
+    """Ball moments of a (B, p, p) stack plus the conditional first and second
+    moments m1/mass and m2/mass.
 
-    Every field has a leading axis of length B.  The conditional moment is
-    assembled from the normalized eigenframe quantities (d_i / prob), so it
-    stays finite even when the raw mass over- or underflows double precision.
+    Every field has a leading axis of length B.  The conditional moments are
+    assembled from the normalized eigenframe quantities (d_i / prob), so they
+    stay finite even when the raw mass over- or underflows double precision.
     """
     if n.ndim != 3 or n.shape[1] != n.shape[2]:
         raise ValueError(f"n must be a square matrix or a stack of them, got shape {n.shape}")
@@ -476,7 +477,7 @@ def _ball_full(n: NDArray, radius2: float, tol: float) -> tuple[BallMoments, NDA
             m1=np.zeros((rows, p)),
             m2=m * norm_const[:, None, None],
         )
-        return bm, m
+        return bm, bm.m1, m
     moments = _moments_diag if p <= 3 else _moments_qmc
     prob, d, m1_diag, _ = moments(lam, radius2, tol)
 
@@ -485,7 +486,8 @@ def _ball_full(n: NDArray, radius2: float, tol: float) -> tuple[BallMoments, NDA
     conditional = symmetrize((vec * (d / safe[:, None])[:, None, :]) @ vec.swapaxes(1, 2))
     m2 = conditional * (safe * norm_const)[:, None, None]
     m1 = (vec @ (m1_diag * norm_const[:, None])[:, :, None])[:, :, 0]
-    return BallMoments(mass=prob * norm_const, prob=prob, m1=m1, m2=m2), conditional
+    first = (vec @ (m1_diag / safe[:, None])[:, :, None])[:, :, 0]
+    return BallMoments(mass=prob * norm_const, prob=prob, m1=m1, m2=m2), first, conditional
 
 
 def truncated_second_moment(n, radius2: float, tol: float = 1e-8) -> NDArray:
@@ -494,7 +496,7 @@ def truncated_second_moment(n, radius2: float, tol: float = 1e-8) -> NDArray:
     ``n`` may also be a (B, p, p) stack; the result then is one as well.
     """
     stack, single = _as_stack(n)
-    bm, conditional = _ball_full(stack, radius2, tol)
+    bm, _, conditional = _ball_full(stack, radius2, tol)
     if not (bm.prob > 0.0).all():
         raise ValueError("ball probability underflowed; radius2 is degenerate for this covariance")
     trace = np.trace(conditional, axis1=1, axis2=2)

@@ -5,10 +5,9 @@ Two predictors for the probability that step k stays silent:
 * one-step: conditions on everything up to k-1; the silence probability is
   already in the cache (``prob0``), so prediction is just its complement.
 * two-step: conditions on everything up to k-2 by marginalizing over whether
-  step k-1 transmitted.  Both branch covariances follow from the k-1 cache:
-  the send branch propagates the send-branch posterior, the silent branch adds
-  the fused ball correction before propagating, and the branch probabilities
-  mix through the cached one-step silence probability of step k-1.
+  step k-1 transmitted.  The k-1 cache holds both branch posteriors; each is
+  propagated one step, and the branch probabilities mix through the cached
+  one-step silence probability of step k-1.
 
 A bootstrap provides the expected rates at the first two steps, where no
 filtering history exists yet; it is built purely from the model prior.
@@ -72,10 +71,7 @@ def rate_two_step(state: RateState) -> RatePrediction:
     model = state.model
     trigger = state.trigger
     a = model.A
-    h = np.asarray(cache.h)[..., None, None]
-    correction = cache.K @ (cache.Psi / h) @ np.swapaxes(cache.K, -1, -2)
-    branches = np.stack([cache.P_z, cache.P_z + correction])
-    cov = symmetrize(a @ branches @ a.T + model.Q)
+    cov = symmetrize(a @ np.stack([cache.P_z, cache.P_silent]) @ a.T + model.Q)
     s = symmetrize(model.C @ cov @ model.C.T + model.R)
     n_z = symmetrize(trigger.phi @ s @ trigger.phi.T)
     p = trigger.p

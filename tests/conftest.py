@@ -5,26 +5,7 @@ import numpy as np
 import pytest
 
 from etfilter.harness import CASE_BOUNDS, ExperimentConfig, ExperimentSummary, run_monte_carlo
-from etfilter.model import LinearGaussianModel
-
-
-def random_spd(rng: np.random.Generator, dim: int, jitter: float = 0.1) -> np.ndarray:
-    base = rng.normal(size=(dim, dim))
-    return base @ base.T + jitter * np.eye(dim)
-
-
-def random_model(rng: np.random.Generator, n: int, p: int) -> LinearGaussianModel:
-    """Random stable observable-ish model for equivalence tests."""
-    a = rng.normal(size=(n, n))
-    a *= 0.9 / max(np.abs(np.linalg.eigvals(a)).max(), 1e-9)
-    return LinearGaussianModel(
-        A=a,
-        C=rng.normal(size=(p, n)),
-        Q=random_spd(rng, n),
-        R=random_spd(rng, p),
-        x0_mean=rng.normal(size=n),
-        x0_cov=random_spd(rng, n),
-    )
+from etfilter.model import LinearGaussianModel, tracking_preset
 
 
 @dataclass(frozen=True)
@@ -54,4 +35,18 @@ def benchmark_results() -> BenchmarkResults:
         summaries=summaries,
         trials=trials,
         rate_band=0.02 if trials >= 5000 else 0.035,
+    )
+
+
+@pytest.fixture
+def three_output_model() -> LinearGaussianModel:
+    """The tracking dynamics observed in all three state components."""
+    preset = tracking_preset()
+    return LinearGaussianModel(
+        A=preset.A,
+        C=np.eye(3),
+        Q=preset.Q,
+        R=np.diag([60.0, 5.0, 10.0]),
+        x0_mean=preset.x0_mean,
+        x0_cov=preset.x0_cov,
     )

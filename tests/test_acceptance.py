@@ -14,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import oracles
-from conftest import random_model, random_spd
+from etfilter import _oracles as oracles
+from etfilter._oracles import random_model, random_spd
 from etfilter.estimator import EventTriggeredFilter
 from etfilter.harness import (
     TABLE1_REFERENCE,
@@ -35,7 +35,8 @@ CASE1 = np.array([[50.0, 4.0], [4.0, 8.0]])
 # stream) lands on the same values, while the bundled reference row sits about
 # 0.03 lower; cases 1 and 2 reproduce their reference rows within sampling
 # error.  The mismatch is recorded as an expected failure pinned to these
-# values so any regression in the filter still surfaces as a hard failure.
+# values (within PIN_TOL at 5000 trials) so any regression in the filter still
+# surfaces as a hard failure.
 REPRODUCED_CASE3 = (0.3106, 0.2989, 0.2993)
 
 # Average rates (empirical, one-step, two-step) of cases 1 and 2 at 5000
@@ -71,6 +72,7 @@ def _verdict(num: int, desc: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_average_rates_match_reference(benchmark_results):
     band = benchmark_results.rate_band
+    pinned = benchmark_results.trials == 5000
     bad = []
     bad_cases = set()
     for case, ref in TABLE1_REFERENCE.items():
@@ -79,31 +81,32 @@ def test_criterion_1_average_rates_match_reference(benchmark_results):
             if abs(g - r) > band:
                 bad.append(f"{case} {name}: {g:.4f} vs {r:.4f}")
                 bad_cases.add(case)
-    if benchmark_results.trials == 5000:
-        for case, pinned in REPRODUCED.items():
+    if pinned:
+        for case, want in REPRODUCED.items():
             got = benchmark_results.summaries[case].avg_rates
-            for name, g, r in zip(("empirical", "alg1", "alg2"), got, pinned):
+            for name, g, r in zip(("empirical", "alg1", "alg2"), got, want):
                 if abs(g - r) > PIN_TOL:
                     bad.append(f"{case} {name}: {g:.6f} vs reproduced {r:.4f}")
                     bad_cases.add(case)
     ok = not bad
     desc = f"average transmission rates within {band} of the reference table"
-    if benchmark_results.trials == 5000:
+    if pinned:
         desc += ", cases 1 and 2 at their reproduced values"
     line = f"criterion 1 ({desc}): {'PASS' if ok else 'FAIL'}"
     _announce(line)
     if ok:
         return
     case3 = benchmark_results.summaries["case3"].avg_rates
+    case3_tol = PIN_TOL if pinned else band
     known = bad_cases == {"case3"} and all(
-        abs(g - r) <= band for g, r in zip(case3, REPRODUCED_CASE3)
+        abs(g - r) <= case3_tol for g, r in zip(case3, REPRODUCED_CASE3)
     )
     detail = "; ".join(bad)
     if known:
         pytest.xfail(
             "known reference mismatch confined to case 3: the documented "
-            f"parameters produce {tuple(round(v, 4) for v in case3)}, matching "
-            f"the cross-checked values {REPRODUCED_CASE3} -- {detail}"
+            f"parameters produce {tuple(round(v, 6) for v in case3)}, within "
+            f"{case3_tol} of the cross-checked values {REPRODUCED_CASE3} -- {detail}"
         )
     assert ok, f"{line} -- {detail}"
 

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import oracles
-from conftest import random_model, random_spd
+from etfilter import _oracles as oracles
+from etfilter._oracles import random_model, random_spd
 from etfilter.estimator import EventTriggeredFilter, prior_cache
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
 from etfilter.trigger import make_config
@@ -14,10 +14,10 @@ from etfilter.trigger import make_config
 CASE1 = np.array([[50.0, 4.0], [4.0, 8.0]])
 
 
-def _tracking_filter(alpha=0.05, **kwargs):
+def _tracking_filter(alpha=0.05):
     model = tracking_preset()
     trig = make_config(CASE1, alpha)
-    return model, trig, EventTriggeredFilter(model, trig, **kwargs)
+    return model, trig, EventTriggeredFilter(model, trig)
 
 
 class TestConstruction:
@@ -64,17 +64,6 @@ class TestAlwaysSendEquivalence:
             assert run.gamma.all()
             assert np.allclose(run.xhat, want_x, rtol=1e-11, atol=1e-11)
             assert np.allclose(run.P, want_p, rtol=1e-11, atol=1e-11)
-
-    def test_joseph_and_plain_forms_agree(self):
-        rng = np.random.default_rng(32)
-        model = random_model(rng, 3, 2)
-        trig = make_config(random_spd(rng, 2), 0.05)
-        ys = rng.normal(size=(40, 2)) * 2.0
-        run_j = EventTriggeredFilter(model, trig, joseph=True).run(ys)
-        run_p = EventTriggeredFilter(model, trig, joseph=False).run(ys)
-        assert np.array_equal(run_j.gamma, run_p.gamma)
-        assert np.allclose(run_j.P, run_p.P, rtol=1e-9, atol=1e-10)
-        assert np.allclose(run_j.xhat, run_p.xhat, rtol=1e-9, atol=1e-9)
 
 
 class TestNeverSend:
@@ -182,6 +171,21 @@ class TestHugeBound:
         assert state.cache.prob0 == pytest.approx(1.0, abs=1e-12)
         assert np.isfinite(state.P).all()
 
+    def test_underflowed_silence_mass_stays_finite(self, three_output_model):
+        """With nbar = 1e250 * I3 the raw silence mass underflows to 0 while
+        prob0 = 1 - 1.3e-14; the step must not divide by the raw mass."""
+        model = three_output_model
+        filt = EventTriggeredFilter(model, make_config(1e250 * np.eye(3), 0.05))
+        traj = simulate(model, 10, np.random.default_rng(13), x0=np.array(TRUE_INITIAL_STATE))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, state = filt.init(traj.measurements[0])
+            for k in range(1, 11):
+                out, state = filt.step(state, traj.measurements[k])
+                assert np.isfinite(out.first_moment_diag).all(), k
+                assert np.isfinite(out.P).all(), k
+        assert 0.0 < 1.0 - state.cache.prob0 < 1e-12
+
 
 class TestBatchedRecursion:
     """The harness filters a chunk of trials as one batch; every row must be
@@ -228,7 +232,7 @@ class TestRunBookkeeping:
             assert np.array_equal(run.xhat[k], out.xhat)
             assert np.array_equal(run.P[k], out.P)
             assert run.prob0[k] == state.cache.prob0
-            assert run.silence_mass[k] == state.cache.h
+            assert np.array_equal(out.P, state.cache.P_z if out.gamma else state.cache.P_silent)
 
     def test_raw_first_moment_stays_tiny(self):
         model, trig, filt = _tracking_filter()
@@ -253,14 +257,14 @@ class TestPriorCache:
         _, state = filt.init(np.zeros(2))
         assert np.array_equal(cache.P_z, state.cache.P_z)
         assert cache.prob0 == state.cache.prob0
-        assert cache.h == state.cache.h
+        assert np.array_equal(cache.P_silent, state.cache.P_silent)
 
     def test_data_independent(self):
         model, trig, filt = _tracking_filter()
         _, a = filt.init(np.array([0.0, 0.0]))
         _, b = filt.init(np.array([900.0, -50.0]))
         assert a.cache.prob0 == b.cache.prob0
-        assert np.array_equal(a.cache.N_z, b.cache.N_z)
+        assert np.array_equal(a.cache.P_silent, b.cache.P_silent)
 
 
 class TestStatisticalConsistency:

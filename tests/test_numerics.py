@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-import oracles
-from conftest import random_spd
+from etfilter import _oracles as oracles
+from etfilter._oracles import random_spd
 from etfilter.numerics import (
     ball_moments,
     chi_square_quantile,

@@ -1,0 +1,73 @@
+"""Property tests on random SPD kernels and random small models.
+
+The kernels have p <= 3 and condition numbers up to 1e6.  Examples are
+derandomized, so every run checks the same draws.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from etfilter._oracles import random_model, random_spd
+from etfilter.estimator import prior_cache
+from etfilter.numerics import ball_moments, truncated_second_moment
+from etfilter.trigger import make_config
+
+# Relative accuracy of the ball-moment quadrature at its default tolerance.
+TOL = 1e-8
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def _kernel(seed: int, p: int, log_cond: float, log_scale: float) -> np.ndarray:
+    """A random rotation of eigenvalues spread over ``log_cond`` decades."""
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    spread = np.r_[0.0, rng.uniform(size=max(p - 2, 0)), 1.0][:p]
+    n = (rot * 10.0 ** (log_scale + log_cond * spread)) @ rot.T
+    return 0.5 * (n + n.T)
+
+
+kernels = st.builds(
+    _kernel,
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 3),
+    log_cond=st.floats(0.0, 6.0),
+    log_scale=st.floats(-3.0, 3.0),
+)
+
+
+def _min_eig(a: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(a)[0])
+
+
+@PROPERTY
+@given(n=kernels, fractions=st.lists(st.floats(1e-2, 10.0), min_size=2, max_size=5))
+def test_prob_is_monotone_in_radius(n, fractions):
+    probs = np.array([ball_moments(n, f * np.trace(n)).prob for f in sorted(fractions)])
+    assert (np.diff(probs) >= -TOL * probs[1:]).all(), probs
+
+
+@PROPERTY
+@given(n=kernels, fraction=st.floats(1e-2, 10.0))
+def test_truncated_second_moment_below_kernel(n, fraction):
+    cond = truncated_second_moment(n, fraction * np.trace(n))
+    assert _min_eig(n - cond) >= -TOL * np.abs(n).max()
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    p=st.integers(1, 3),
+    log_bound=st.floats(-2.0, 2.0),
+    alpha=st.floats(0.01, 0.5),
+)
+def test_branch_posteriors_are_ordered(seed, n, p, log_bound, alpha):
+    """P_z <= P_silent <= the prior the measurement update starts from."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n, p)
+    cache = prior_cache(model, make_config(10.0**log_bound * random_spd(rng, p), alpha))
+    slack = TOL * np.abs(model.x0_cov).max()
+    assert _min_eig(cache.P_silent - cache.P_z) >= -slack
+    assert _min_eig(model.x0_cov - cache.P_silent) >= -slack

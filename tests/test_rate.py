@@ -1,10 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import oracles
+from etfilter import _oracles as oracles
 from etfilter.estimator import EventTriggeredFilter, prior_cache
 from etfilter.model import TRUE_INITIAL_STATE, simulate, tracking_preset
 from etfilter.rate import RateState, bootstrap_rates, rate_one_step, rate_two_step
@@ -122,6 +123,23 @@ class TestNeverSend:
             RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=never)
         )
         assert pred.gamma_hat == 0.0
+
+
+class TestHugeBound:
+    def test_underflowed_silence_mass_gives_finite_rates(self, three_output_model):
+        """nbar = 1e250 * I3: prob0 = 1 - 1.3e-14 while the raw silence mass
+        underflows to 0, so neither predictor may divide by the raw mass."""
+        model = three_output_model
+        trig = make_config(1e250 * np.eye(3), 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e0, e1 = bootstrap_rates(model, trig)
+            cache = prior_cache(model, trig)
+            two = rate_two_step(
+                RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=trig)
+            ).gamma_hat
+        for rate in (e0, e1, two):
+            assert 1e-15 < rate < 1e-13
 
 
 class TestBootstrap:

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import oracles
-from conftest import random_spd
+from etfilter import _oracles as oracles
+from etfilter._oracles import random_spd
 from etfilter.trigger import decide, make_config
 
 CASE1 = np.array([[50.0, 4.0], [4.0, 8.0]])
