@@ -38,7 +38,6 @@ from .numerics import (
     ball_moments,
     chi_square_quantile,
     factor_precision,
-    monte_carlo_ball_moments,
     truncated_second_moment,
 )
 from .rate import (
@@ -79,7 +78,6 @@ __all__ = [
     "emit_csv",
     "factor_precision",
     "make_config",
-    "monte_carlo_ball_moments",
     "prior_cache",
     "rate_one_step",
     "rate_two_step",

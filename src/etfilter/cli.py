@@ -23,7 +23,7 @@ _ENV_OUT = "ETFILTER_OUT_DIR"
 _FALLBACK_OUT = "etfilter-output"
 
 _INT_KEYS = {"trials", "steps", "seed", "trial_index", "jobs"}
-_FLOAT_KEYS = {"alpha", "quad_tol"}
+_FLOAT_KEYS = {"alpha"}
 _STR_KEYS = {"case", "out"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
@@ -82,7 +82,6 @@ def _experiment_config(args: argparse.Namespace, cfg: dict[str, str]) -> Experim
         seed=_pick(args, cfg, "seed", 1234),
         alpha=_pick(args, cfg, "alpha", 0.05),
         rate_trial_index=_pick(args, cfg, "trial_index", 40),
-        quad_tol=_pick(args, cfg, "quad_tol", 1e-8),
         jobs=_pick(args, cfg, "jobs", 1),
     )
 
@@ -121,7 +120,6 @@ def _cmd_table1(args: argparse.Namespace, cfg: dict[str, str]) -> int:
         output_dir=_output_dir(args, cfg),
         jobs=_pick(args, cfg, "jobs", 1),
         alpha=_pick(args, cfg, "alpha", 0.05),
-        quad_tol=_pick(args, cfg, "quad_tol", 1e-8),
     )
     return 0
 
@@ -140,7 +138,6 @@ def _add_common(sub: argparse.ArgumentParser, with_case: bool) -> None:
     sub.add_argument("--trials", type=int, help="Monte Carlo trials (default 5000)")
     sub.add_argument("--seed", type=int, help="master seed (default 1234)")
     sub.add_argument("--jobs", type=int, help="worker processes (default 1)")
-    sub.add_argument("--quad-tol", dest="quad_tol", type=float, help="quadrature tolerance")
     sub.add_argument("--out", help="output directory for csv files")
     # SUPPRESS keeps a --config given before the subcommand from being reset.
     sub.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)

@@ -103,17 +103,15 @@ def _finite(y, what: str) -> NDArray:
     return y
 
 
-def _check_inputs(model: LinearGaussianModel, trigger: TriggerConfig, quad_tol: float) -> None:
+def _check_inputs(model: LinearGaussianModel, trigger: TriggerConfig) -> None:
     if trigger.p != model.p:
         raise ValueError(
             f"trigger dimension {trigger.p} does not match measurement dimension {model.p}"
         )
     require_spd(model.R, "R")
-    if not 0.0 < quad_tol < 1.0:
-        raise ValueError(f"quad_tol must lie in (0, 1), got {quad_tol}")
 
 
-def _cache(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray, quad_tol: float):
+def _cache(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray):
     """Measurement geometry and silence-ball step from (B, n, n) prior covariances.
 
     Returns (gain, cache, raw first moment, conditional first moment) of the
@@ -131,7 +129,7 @@ def _cache(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray, qua
         zeros = np.zeros((cov.shape[0], trigger.p))
         return gain, StepCache(P_z=p_z, P_silent=p_z, prob0=np.zeros(cov.shape[0])), zeros, zeros
     n_z = symmetrize(trigger.phi @ s @ trigger.phi.T)
-    bm, first, conditional = _ball_full(n_z, trigger.threshold, quad_tol)
+    bm, first, conditional = _ball_full(n_z, trigger.threshold)
     k_w = gain @ trigger.phi_inv
     p_silent = symmetrize(p_z + k_w @ conditional @ k_w.swapaxes(1, 2))
     return gain, StepCache(P_z=p_z, P_silent=p_silent, prob0=bm.prob), bm.m1, first
@@ -153,15 +151,12 @@ class EventTriggeredFilter:
         the innovation covariance is inverted every step.
     trigger : TriggerConfig
         Whitener, threshold, and dimension (must match the model's p).
-    quad_tol : float
-        Relative tolerance handed to the ball-moment quadrature.
     """
 
-    def __init__(self, model: LinearGaussianModel, trigger: TriggerConfig, quad_tol: float = 1e-8):
-        _check_inputs(model, trigger, quad_tol)
+    def __init__(self, model: LinearGaussianModel, trigger: TriggerConfig):
+        _check_inputs(model, trigger)
         self.model = model
         self.trigger = trigger
-        self.quad_tol = float(quad_tol)
 
     # -- the batched recursion -------------------------------------------------
 
@@ -182,7 +177,7 @@ class EventTriggeredFilter:
             xhat, cov = self._predict(xhat, cov)
         innovation = ys - xhat @ self.model.C.T
         gamma = decide(self.trigger, innovation).gamma
-        gain, cache, m1, first = _cache(self.model, self.trigger, cov, self.quad_tol)
+        gain, cache, m1, first = _cache(self.model, self.trigger, cov)
         sent = gamma.astype(bool)
         if not (sent | (cache.prob0 >= _PROB_FLOOR)).all():
             raise ValueError(
@@ -273,13 +268,11 @@ class EventTriggeredFilter:
         return _take(run, 0)
 
 
-def prior_cache(
-    model: LinearGaussianModel, trigger: TriggerConfig, quad_tol: float = 1e-8
-) -> StepCache:
+def prior_cache(model: LinearGaussianModel, trigger: TriggerConfig) -> StepCache:
     """Time-0 cache: both branch posteriors and the silence probability.
 
     Entirely data independent: it depends on the model prior and the trigger
     only, which is what lets the rate bootstrap run before any measurement.
     """
-    _check_inputs(model, trigger, quad_tol)
-    return _take(_cache(model, trigger, model.x0_cov[None], quad_tol)[1], 0)
+    _check_inputs(model, trigger)
+    return _take(_cache(model, trigger, model.x0_cov[None])[1], 0)

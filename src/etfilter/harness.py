@@ -73,9 +73,7 @@ class ExperimentConfig:
     seed: int = 1234
     alpha: float = 0.05
     rate_trial_index: int = 40
-    output_dir: str | None = None
     nbar: NDArray | None = None
-    quad_tol: float = 1e-8
     jobs: int = 1
 
 
@@ -104,8 +102,8 @@ class ExperimentSummary:
 
 def _chunk_worker(payload):
     """Simulate the chunk's trials, one generator each, then filter them as one batch."""
-    (model, trigger, quad_tol, steps, seed, lo, hi, designated, e0, e1, true_x0) = payload
-    filt = EventTriggeredFilter(model, trigger, quad_tol=quad_tol)
+    (model, trigger, steps, seed, lo, hi, designated, e0, e1, true_x0) = payload
+    filt = EventTriggeredFilter(model, trigger)
     rngs = (np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(lo, hi))
     trajs = [simulate(model, steps - 1, rng, x0=true_x0) for rng in rngs]
     run, caches = filt._run_batch(np.stack([t.measurements for t in trajs]))
@@ -125,13 +123,7 @@ def _chunk_worker(payload):
                 }
             )
             alg2[2:] = rate_two_step(
-                RateState(
-                    prob0_prev=prev.prob0,
-                    cache_prev=prev,
-                    model=model,
-                    trigger=trigger,
-                    quad_tol=quad_tol,
-                )
+                RateState(prob0_prev=prev.prob0, cache_prev=prev, model=model, trigger=trigger)
             ).gamma_hat
         rates = (1.0 - run.prob0[row], alg2)
     return run.gamma.sum(axis=0), (err * err).sum(axis=0), float(run.first_moment_max.max()), rates
@@ -183,14 +175,13 @@ def run_monte_carlo(
 
     case_label, nbar = _resolve_nbar(config)
     trigger = make_config(nbar, config.alpha)
-    e0, e1 = bootstrap_rates(model, trigger, config.quad_tol)
+    e0, e1 = bootstrap_rates(model, trigger)
     designated = min(config.rate_trial_index, config.trials - 1)
 
     payloads = [
         (
             model,
             trigger,
-            config.quad_tol,
             config.steps,
             config.seed,
             lo,
@@ -319,7 +310,6 @@ def table1(
     output_dir=None,
     jobs: int = 1,
     alpha: float = 0.05,
-    quad_tol: float = 1e-8,
 ) -> dict[str, ExperimentSummary]:
     """Run all three benchmark cases and print average rates next to the references.
 
@@ -330,9 +320,7 @@ def table1(
     summaries: dict[str, ExperimentSummary] = {}
     rows = []
     for case in sorted(CASE_BOUNDS):
-        cfg = ExperimentConfig(
-            case=case, trials=trials, seed=seed, jobs=jobs, alpha=alpha, quad_tol=quad_tol
-        )
+        cfg = ExperimentConfig(case=case, trials=trials, seed=seed, jobs=jobs, alpha=alpha)
         summary = run_monte_carlo(cfg)
         summaries[case] = summary
         ref = TABLE1_REFERENCE[case]

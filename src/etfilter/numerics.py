@@ -29,7 +29,6 @@ __all__ = [
     "ball_moments",
     "chi_square_quantile",
     "factor_precision",
-    "monte_carlo_ball_moments",
     "psd_sqrt",
     "symmetrize",
     "truncated_second_moment",
@@ -38,17 +37,21 @@ __all__ = [
 # Validated dense symmetric positive (semi)definite matrix.
 SpdMatrix = NDArray[np.float64]
 
+# Relative accuracy of the ball probability and second moments (p <= 3): a
+# kernel is accepted once two successive quadrature orders agree to it.
+_TOL = 1e-8
+
 # Per-eigendirection Gaussian tail clip, in standard deviations.  The discarded
-# tail mass is below 8e-24 relative, far under every tolerance used here.  The
-# clip keeps the finite-radius kernels from forming inf - inf on wide balls; it
-# does not make radius2 = inf exact, which _ball_full handles in closed form.
+# tail mass is below 8e-24 relative, far under _TOL.  The clip keeps the
+# finite-radius kernels from forming inf - inf on wide balls; it does not make
+# radius2 = inf exact, which _ball_full handles in closed form.
 _TAIL_CLIP = 10.0
 
 _MAX_ORDER = {1: 4096, 2: 4096, 3: 1024}
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the moment quadrature cannot reach the requested tolerance."""
+    """Raised when the moment quadrature cannot reach its accuracy ``_TOL``."""
 
     def __init__(self, message: str, achieved: float = math.nan):
         super().__init__(message)
@@ -325,13 +328,13 @@ def _order_error(cur: NDArray, prev: NDArray) -> NDArray:
     return (np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-300)).max(axis=0)
 
 
-def _moments_diag(lam: NDArray, radius2: float, tol: float):
+def _moments_diag(lam: NDArray, radius2: float):
     """Normalized ball moments for (B, p) diagonal covariances, with order doubling.
 
     Returns (prob, diag second moments, first moments, achieved error) per
     row, all normalized by the full Gaussian constant.  A row is accepted at
     the first order whose probability and second moments differ from the
-    previous order's by at most ``tol`` relative; the integrands are analytic
+    previous order's by at most ``_TOL`` relative; the integrands are analytic
     after the sine substitution, so the comparison is a sound (conservative)
     estimate.  One pass evaluates the orders 16 to ``_FUSED_ORDER``, and
     doubling continues only for the rows that still need it.
@@ -340,7 +343,7 @@ def _moments_diag(lam: NDArray, radius2: float, tol: float):
     order = _FUSED_ORDER[p]
     sums = _evaluate(lam, radius2, order, order.bit_length() - 4)  # from order 16 up
     err = _order_error(sums[: p + 1, :, 1:], sums[: p + 1, :, :-1])
-    passed = err <= tol
+    passed = err <= _TOL
     level = passed.argmax(axis=1)
     rows = np.arange(lam.shape[0])
     out = sums[:, rows, level + 1]
@@ -353,13 +356,13 @@ def _moments_diag(lam: NDArray, radius2: float, tol: float):
         err = _order_error(cur[: p + 1], prev)
         out[:, pending] = cur
         achieved[pending] = err
-        keep = ~(err <= tol)
+        keep = ~(err <= _TOL)
         pending, prev = pending[keep], cur[: p + 1, keep]
     if pending.size:
         worst = float(np.max(achieved[pending]))
         raise QuadratureError(
             f"ball moment quadrature stalled at order {_MAX_ORDER[p]} with error "
-            f"{worst:.3e} > tol {tol:.3e}",
+            f"{worst:.3e} > {_TOL:.0e}",
             achieved=worst,
         )
     m1 = np.zeros((lam.shape[0], p))
@@ -367,10 +370,10 @@ def _moments_diag(lam: NDArray, radius2: float, tol: float):
     return out[0], out[1 : p + 1].T, m1, achieved
 
 
-def _moments_qmc(lam: NDArray, radius2: float, tol: float):
+def _moments_qmc(lam: NDArray, radius2: float):
     """Randomized quasi-Monte-Carlo fallback for p > 3, one row of ``lam`` at a time.
 
-    Accuracy is sampling limited; if the replicate spread exceeds tol the
+    Accuracy is sampling limited; if the replicate spread exceeds ``_TOL`` the
     achieved error is reported through a warning rather than an exception.
     """
     from scipy.stats import qmc
@@ -391,9 +394,9 @@ def _moments_qmc(lam: NDArray, radius2: float, tol: float):
             diags.append((zin * zin).sum(axis=0) / m)
             firsts.append(zin.sum(axis=0) / m)
         err = 3.0 * float(np.std(probs)) / math.sqrt(len(probs))
-        if err > tol:
+        if err > _TOL:
             warnings.warn(
-                f"QMC ball moments (p={p}) achieved error ~{err:.2e} above tol {tol:.2e}",
+                f"QMC ball moments (p={p}) achieved error ~{err:.2e} above {_TOL:.0e}",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -411,7 +414,7 @@ def _first_row(bm: BallMoments) -> BallMoments:
     return BallMoments(mass=float(bm.mass[0]), prob=float(bm.prob[0]), m1=bm.m1[0], m2=bm.m2[0])
 
 
-def ball_moments(n, radius2: float, tol: float = 1e-8) -> BallMoments:
+def ball_moments(n, radius2: float) -> BallMoments:
     """Moments of the Gaussian kernel of covariance ``n`` over a centered ball.
 
     Parameters
@@ -425,22 +428,23 @@ def ball_moments(n, radius2: float, tol: float = 1e-8) -> BallMoments:
         space in closed form for every p, the p > 3 sampling path included:
         prob is exactly 1, m1 is zero, m2 is ``n * (2 pi)^(p/2) |n|^(1/2)``
         and the conditional second moment is ``n`` itself.
-    tol : float
-        Relative tolerance for the mass and second-moment quadrature; the
-        first moment is exactly zero by symmetry, so only cancellation
-        roundoff remains there.
 
     Returns
     -------
     BallMoments
-        Raw mass/m1/m2 plus the normalized ball probability.
+        Raw mass/m1/m2 plus the normalized ball probability.  For p <= 3 the
+        probability and the second moments are accurate to 1e-8 relative;
+        the first moment is exactly zero by symmetry, so only cancellation
+        roundoff remains there.  For p > 3 at a finite radius the accuracy
+        is that of the sampling fallback, and a ``RuntimeWarning`` reports
+        the achieved error.
     """
     stack, single = _as_stack(n)
-    bm, _, _ = _ball_full(stack, radius2, tol)
+    bm, _, _ = _ball_full(stack, radius2)
     return _first_row(bm) if single else bm
 
 
-def _ball_full(n: NDArray, radius2: float, tol: float) -> tuple[BallMoments, NDArray, NDArray]:
+def _ball_full(n: NDArray, radius2: float) -> tuple[BallMoments, NDArray, NDArray]:
     """Ball moments of a (B, p, p) stack plus the conditional first and second
     moments m1/mass and m2/mass.
 
@@ -460,8 +464,6 @@ def _ball_full(n: NDArray, radius2: float, tol: float) -> tuple[BallMoments, NDA
     radius2 = float(radius2)
     if not radius2 > 0.0:
         raise ValueError(f"radius2 must be positive, got {radius2}")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
     lam, vec = np.linalg.eigh(n)
     if not (lam[:, 0] > 0.0).all():
@@ -479,7 +481,7 @@ def _ball_full(n: NDArray, radius2: float, tol: float) -> tuple[BallMoments, NDA
         )
         return bm, bm.m1, m
     moments = _moments_diag if p <= 3 else _moments_qmc
-    prob, d, m1_diag, _ = moments(lam, radius2, tol)
+    prob, d, m1_diag, _ = moments(lam, radius2)
 
     prob = np.minimum(prob, 1.0)
     safe = np.maximum(prob, 1e-300)
@@ -490,39 +492,19 @@ def _ball_full(n: NDArray, radius2: float, tol: float) -> tuple[BallMoments, NDA
     return BallMoments(mass=prob * norm_const, prob=prob, m1=m1, m2=m2), first, conditional
 
 
-def truncated_second_moment(n, radius2: float, tol: float = 1e-8) -> NDArray:
+def truncated_second_moment(n, radius2: float) -> NDArray:
     """Conditional second moment E[z z' | z'z <= radius2] for z ~ N(0, n).
 
     ``n`` may also be a (B, p, p) stack; the result then is one as well.
     """
     stack, single = _as_stack(n)
-    bm, _, conditional = _ball_full(stack, radius2, tol)
+    bm, _, conditional = _ball_full(stack, radius2)
     if not (bm.prob > 0.0).all():
         raise ValueError("ball probability underflowed; radius2 is degenerate for this covariance")
     trace = np.trace(conditional, axis1=1, axis2=2)
-    if (trace > np.trace(stack, axis1=1, axis2=2) + tol).any():
+    if (trace > (1.0 + _TOL) * np.trace(stack, axis1=1, axis2=2)).any():
         raise RuntimeError(
             "truncated second moment exceeded the untruncated trace; quadrature is inconsistent"
         )
     return conditional[0] if single else conditional
 
-
-def monte_carlo_ball_moments(
-    n, radius2: float, samples: int, rng: np.random.Generator
-) -> tuple[float, NDArray, int]:
-    """Sampling estimate of the ball probability and conditional second moment.
-
-    Deliberately simple (rejection counting on exact Gaussian draws) so it can
-    serve as an oracle for the quadrature path.  Returns (probability,
-    conditional second moment, number of accepted samples).
-    """
-    root = psd_sqrt(n)
-    p = root.shape[0]
-    z = rng.standard_normal((int(samples), p)) @ root.T
-    inside = (z * z).sum(axis=1) <= radius2
-    count = int(inside.sum())
-    prob = count / float(samples)
-    if count == 0:
-        return prob, np.zeros((p, p)), 0
-    zin = z[inside]
-    return prob, (zin.T @ zin) / count, count

@@ -49,7 +49,6 @@ class RateState:
     cache_prev: StepCache
     model: LinearGaussianModel
     trigger: TriggerConfig
-    quad_tol: float = 1e-8
 
 
 def rate_one_step(cache: StepCache) -> RatePrediction:
@@ -61,9 +60,13 @@ def rate_two_step(state: RateState) -> RatePrediction:
     """Expected transmission indicator for step k given information to k-2.
 
     The send- and silent-branch covariances of every step are evaluated as
-    one batch of ball moments.
+    one batch of ball moments.  An always-send trigger (threshold 0) has no
+    silence ball, so every step transmits.
     """
     cache = state.cache_prev
+    if state.trigger.threshold <= 0.0:
+        prob0 = 0.0 if np.ndim(cache.prob0) == 0 else np.zeros(np.shape(cache.prob0))
+        return RatePrediction(gamma_hat=1.0 - prob0, prob0=prob0, which="two-step")
     if not np.all(np.asarray(cache.prob0) >= _PROB_FLOOR):
         raise ValueError(
             "cache has a degenerate silence probability; two-step prediction undefined"
@@ -75,7 +78,7 @@ def rate_two_step(state: RateState) -> RatePrediction:
     s = symmetrize(model.C @ cov @ model.C.T + model.R)
     n_z = symmetrize(trigger.phi @ s @ trigger.phi.T)
     p = trigger.p
-    probs = ball_moments(n_z.reshape(-1, p, p), trigger.threshold, state.quad_tol).prob
+    probs = ball_moments(n_z.reshape(-1, p, p), trigger.threshold).prob
     p_sent, p_silent = probs.reshape(2, -1)
     prob0 = p_sent + state.prob0_prev * (p_silent - p_sent)
     if np.ndim(cache.prob0) == 0:
@@ -83,24 +86,16 @@ def rate_two_step(state: RateState) -> RatePrediction:
     return RatePrediction(gamma_hat=1.0 - prob0, prob0=prob0, which="two-step")
 
 
-def bootstrap_rates(
-    model: LinearGaussianModel, trigger: TriggerConfig, quad_tol: float = 1e-8
-) -> tuple[float, float]:
+def bootstrap_rates(model: LinearGaussianModel, trigger: TriggerConfig) -> tuple[float, float]:
     """Expected transmission rates at steps 0 and 1, before any data arrives.
 
     Step 0 uses the prior innovation covariance directly; step 1 is the
     two-step predictor seeded with the prior cache (there is nothing to
     condition on yet, so the prediction is unconditional).
     """
-    cache0 = prior_cache(model, trigger, quad_tol=quad_tol)
+    cache0 = prior_cache(model, trigger)
     e0 = 1.0 - cache0.prob0
     e1 = rate_two_step(
-        RateState(
-            prob0_prev=cache0.prob0,
-            cache_prev=cache0,
-            model=model,
-            trigger=trigger,
-            quad_tol=quad_tol,
-        )
+        RateState(prob0_prev=cache0.prob0, cache_prev=cache0, model=model, trigger=trigger)
     ).gamma_hat
     return e0, e1

@@ -39,12 +39,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             EventTriggeredFilter(model, make_config(np.eye(1)))
 
-    @pytest.mark.parametrize("tol", [0.0, 1.0, -1e-3])
-    def test_rejects_bad_quadrature_tolerance(self, tol):
-        model, trig, _ = _tracking_filter()
-        with pytest.raises(ValueError):
-            EventTriggeredFilter(model, trig, quad_tol=tol)
-
 
 class TestAlwaysSendEquivalence:
     """With a zero threshold every step transmits and the recursion must

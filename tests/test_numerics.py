@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from etfilter import _oracles as oracles
+from etfilter import numerics
 from etfilter._oracles import random_spd
 from etfilter.numerics import (
     ball_moments,
     chi_square_quantile,
     factor_precision,
-    monte_carlo_ball_moments,
     psd_sqrt,
     truncated_second_moment,
 )
@@ -220,9 +220,29 @@ class TestBallMomentsGeneral:
         with pytest.raises(ValueError):
             ball_moments(np.array([[1.0, 3.0], [3.0, 1.0]]), 2.0)
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            ball_moments(np.eye(2), 1.0, tol=0.0)
+    @pytest.mark.parametrize("scale, radius2", [(1e-12, 1e-10), (1.0, 100.0)])
+    def test_inconsistent_quadrature_raises_at_any_scale(self, monkeypatch, scale, radius2):
+        """The trace guard is relative: second moments inflated by half must
+        trip it on a tiny kernel as well as on a unit one."""
+        exact = numerics._moments_diag
+
+        def inflated(lam, r2):
+            prob, d, m1, err = exact(lam, r2)
+            return prob, 1.5 * d, m1, err
+
+        monkeypatch.setattr(numerics, "_moments_diag", inflated)
+        with pytest.raises(RuntimeError, match="untruncated trace"):
+            truncated_second_moment(scale * np.eye(2), radius2)
+
+    def test_sampling_path_at_finite_radius(self):
+        """p > 3 falls back to quasi-Monte Carlo: sampling accuracy, with a
+        warning that reports the achieved error."""
+        lam, dim, r2 = 1.9, 4, 6.5
+        prob, cond = oracles.isotropic_ball_stats(lam, dim, r2)
+        with pytest.warns(RuntimeWarning, match="achieved error"):
+            bm = ball_moments(lam * np.eye(dim), r2)
+        assert bm.prob == pytest.approx(prob, rel=3e-3)
+        assert np.allclose(bm.m2 / bm.mass, cond * np.eye(dim), rtol=3e-3, atol=3e-3 * cond)
 
 
 class TestBatchedBallMoments:
@@ -267,27 +287,6 @@ class TestBatchedBallMoments:
         assert np.array_equal(bm.prob, np.ones(2))
         assert not bm.m1.any()
         assert np.array_equal(truncated_second_moment(stack, math.inf), stack)
-
-
-class TestMonteCarloBallMoments:
-    def test_tracks_quadrature(self):
-        rng = np.random.default_rng(123)
-        n = np.array([[2.0, 0.5], [0.5, 1.5]])
-        r2 = 4.0
-        prob, cond, count = monte_carlo_ball_moments(n, r2, 200_000, rng)
-        bm = ball_moments(n, r2)
-        se = math.sqrt(bm.prob * (1 - bm.prob) / 200_000)
-        assert abs(prob - bm.prob) < 4.0 * se
-        assert count == round(prob * 200_000)
-        assert np.trace(cond) == pytest.approx(
-            np.trace(truncated_second_moment(n, r2)), rel=0.03
-        )
-
-    def test_empty_region(self):
-        rng = np.random.default_rng(1)
-        prob, cond, count = monte_carlo_ball_moments(np.eye(2) * 1e6, 1e-12, 100, rng)
-        assert prob == 0.0 and count == 0
-        assert np.all(cond == 0.0)
 
 
 class TestPsdSqrt:

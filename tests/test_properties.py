@@ -4,16 +4,18 @@ The kernels have p <= 3 and condition numbers up to 1e6.  Examples are
 derandomized, so every run checks the same draws.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etfilter._oracles import random_model, random_spd
+from etfilter._oracles import mc_ball_stats, random_model, random_spd
 from etfilter.estimator import prior_cache
 from etfilter.numerics import ball_moments, truncated_second_moment
 from etfilter.trigger import make_config
 
-# Relative accuracy of the ball-moment quadrature at its default tolerance.
+# Relative accuracy of the ball-moment quadrature.
 TOL = 1e-8
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -53,6 +55,20 @@ def test_prob_is_monotone_in_radius(n, fractions):
 def test_truncated_second_moment_below_kernel(n, fraction):
     cond = truncated_second_moment(n, fraction * np.trace(n))
     assert _min_eig(n - cond) >= -TOL * np.abs(n).max()
+
+
+@settings(PROPERTY, max_examples=30)
+@given(n=kernels, fraction=st.floats(0.5, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_quadrature_matches_sampling(n, fraction, seed):
+    """Probability within 4 standard errors and conditional trace within 2%
+    of the rejection-sampling oracle."""
+    samples = 200_000
+    radius2 = fraction * np.trace(n)
+    prob = ball_moments(n, radius2).prob
+    prob_mc, m2_mc, _ = mc_ball_stats(n, radius2, samples, np.random.default_rng(seed))
+    assert abs(prob - prob_mc) <= 4.0 * math.sqrt(prob * (1.0 - prob) / samples)
+    trace = np.trace(truncated_second_moment(n, radius2))
+    assert abs(trace - np.trace(m2_mc)) <= 0.02 * trace
 
 
 @PROPERTY

@@ -1,12 +1,12 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from etfilter import _oracles as oracles
-from etfilter.estimator import EventTriggeredFilter, prior_cache
+from etfilter.estimator import EventTriggeredFilter, StepCache, prior_cache
 from etfilter.model import TRUE_INITIAL_STATE, simulate, tracking_preset
 from etfilter.rate import RateState, bootstrap_rates, rate_one_step, rate_two_step
 from etfilter.trigger import make_config
@@ -123,6 +123,29 @@ class TestNeverSend:
             RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=never)
         )
         assert pred.gamma_hat == 0.0
+
+
+class TestAlwaysSend:
+    def test_all_predictors_give_exactly_one(self):
+        """A zero threshold has no silence ball: every predictor reads 1, for
+        a single cache and for a stack of steps."""
+        model, trig, _ = _setup()
+        always = replace(trig, threshold=0.0)
+        assert bootstrap_rates(model, always) == (1.0, 1.0)
+        cache = prior_cache(model, always)
+        assert rate_one_step(cache).gamma_hat == 1.0
+        pred = rate_two_step(
+            RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=always)
+        )
+        assert pred.gamma_hat == 1.0
+        stacked = StepCache(
+            **{f.name: np.stack([getattr(cache, f.name)] * 3) for f in fields(StepCache)}
+        )
+        pred = rate_two_step(
+            RateState(prob0_prev=stacked.prob0, cache_prev=stacked, model=model, trigger=always)
+        )
+        assert pred.gamma_hat.shape == (3,)
+        assert np.all(pred.gamma_hat == 1.0)
 
 
 class TestHugeBound:
