@@ -34,7 +34,6 @@ from .model import (
 )
 from .numerics import (
     BallMoments,
-    QuadratureError,
     ball_moments,
     chi_square_quantile,
     factor_precision,
@@ -61,7 +60,6 @@ __all__ = [
     "ExperimentSummary",
     "FilterRun",
     "LinearGaussianModel",
-    "QuadratureError",
     "RatePrediction",
     "RateState",
     "StepCache",

@@ -38,10 +38,16 @@ def random_model(rng: np.random.Generator, n: int, p: int) -> LinearGaussianMode
 
 def reg_lower_gamma(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) via series / continued fraction."""
-    if x < 0 or a <= 0:
-        raise ValueError("bad arguments")
-    if x == 0.0:
+    if x == 0.0 and a > 0:
         return 0.0
+    return math.exp(log_reg_lower_gamma(a, x))
+
+
+def log_reg_lower_gamma(a: float, x: float) -> float:
+    """log P(a, x) for x > 0; the series stays in log space, so it is finite
+    where P(a, x) itself underflows."""
+    if x <= 0 or a <= 0:
+        raise ValueError("bad arguments")
     log_pref = a * math.log(x) - x - math.lgamma(a)
     if x < a + 1.0:
         term = 1.0 / a
@@ -53,7 +59,7 @@ def reg_lower_gamma(a: float, x: float) -> float:
             total += term
             if abs(term) < abs(total) * 1e-17:
                 break
-        return min(total * math.exp(log_pref), 1.0)
+        return min(log_pref + math.log(total), 0.0)
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -71,7 +77,7 @@ def reg_lower_gamma(a: float, x: float) -> float:
         frac *= delta
         if abs(delta - 1.0) < 1e-17:
             break
-    return 1.0 - math.exp(log_pref) * frac
+    return math.log1p(-math.exp(log_pref) * frac)
 
 
 def chi2_cdf(x: float, dof: int) -> float:
@@ -139,13 +145,56 @@ def isotropic_ball_stats(lam: float, dim: int, radius2: float) -> tuple[float, f
 
     Uses the chi-square identity E[u; u <= t] = dim * P(chi2_{dim+2} <= t) for
     u ~ chi2_dim, so each axis has conditional second moment
-    lam * P_{dim+2}(t) / P_dim(t) with t = radius2 / lam.
+    lam * P_{dim+2}(t) / P_dim(t) with t = radius2 / lam.  The ratio is taken
+    in log space: it stays exact where the probability underflows to 0.
     """
-    t = radius2 / lam
-    p_low = chi2_cdf(t, dim)
-    if p_low == 0.0:
-        raise ValueError("empty region")
-    return p_low, lam * chi2_cdf(t, dim + 2) / p_low
+    half_t = 0.5 * radius2 / lam
+    log_p = log_reg_lower_gamma(0.5 * dim, half_t)
+    return math.exp(log_p), lam * math.exp(log_reg_lower_gamma(0.5 * dim + 1.0, half_t) - log_p)
+
+
+def imhof_cdf(lams, dofs, x: float) -> float:
+    """P(sum_j lams_j chi2_{dofs_j} <= x) by Imhof's real-axis integral
+    (Biometrika 48, 1961): 1/2 - (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du
+    with theta(u) = sum_j dofs_j atan(lams_j u) / 2 - x u / 2 and
+    rho(u) = prod_j (1 + lams_j^2 u^2)^(dofs_j / 4).
+
+    Adaptive quadrature covers the first four periods of x u / 2; the tail
+    runs through QUADPACK's Fourier-integral rule.  Accurate while no lams_j
+    greatly exceeds x (the probability is then small and cancels in 1/2 - ...).
+    """
+    from scipy.integrate import quad
+
+    terms = list(zip(lams, dofs))
+
+    def phase(u):
+        return 0.5 * sum(h * math.atan(lam * u) for lam, h in terms)
+
+    def amp(u):
+        return u * math.exp(sum(0.25 * h * math.log1p((lam * u) ** 2) for lam, h in terms))
+
+    w = 0.5 * x
+    split = 8.0 * math.pi / w
+    head = quad(lambda u: math.sin(phase(u) - w * u) / amp(u), 0.0, split, epsabs=1e-14,
+                epsrel=1e-12, limit=1000)[0]
+    # sin(phase - w u) = sin(phase) cos(w u) - cos(phase) sin(w u)
+    tail = [
+        quad(lambda u, f=f: f(phase(u)) / amp(u), split, math.inf, weight=weight, wvar=w,
+             epsabs=1e-14, limlst=200)[0]
+        for f, weight in ((math.sin, "cos"), (math.cos, "sin"))
+    ]
+    return 0.5 - (head + tail[0] - tail[1]) / math.pi
+
+
+def imhof_ball_stats(lams, radius2: float):
+    """(probability, conditional second moments along each axis) for
+    N(0, diag(lams)) on the ball, from Imhof's integral: the moment along
+    axis i is lams_i times the ball probability with that axis's chi2_1
+    replaced by a chi2_3."""
+    p = len(lams)
+    prob = imhof_cdf(lams, [1] * p, radius2)
+    dofs = [[1] * i + [3] + [1] * (p - 1 - i) for i in range(p)]
+    return prob, [lam * imhof_cdf(lams, h, radius2) / prob for lam, h in zip(lams, dofs)]
 
 
 def ball_stats_2d(lam1: float, lam2: float, radius2: float):
@@ -187,8 +236,32 @@ def ball_stats_2d(lam1: float, lam2: float, radius2: float):
     return prob, m2_1 / prob, m2_2 / prob
 
 
+def axisymmetric_ball_stats(a: float, b: float, radius2: float):
+    """(probability, conditional second moment along the a axis and along each
+    b axis) for N(0, diag(a, b, b)) on the ball.
+
+    At x = y sqrt(a) along the a axis the (b, b) plane meets a disc, whose
+    probability and second moment are the chi2_2 and chi2_4 CDFs; the y
+    integral runs by adaptive quadrature.
+    """
+    from scipy.integrate import quad
+    from scipy.special import gammainc
+
+    def integral(f):
+        def g(y):
+            t = max(radius2 - a * y * y, 0.0) / (2.0 * b)
+            return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * y * y) * f(y, t)
+
+        return quad(g, 0.0, min(math.sqrt(radius2 / a), 40.0), epsabs=0.0, epsrel=1e-13)[0]
+
+    prob = integral(lambda y, t: gammainc(1.0, t))
+    cond_a = a * integral(lambda y, t: y * y * gammainc(1.0, t)) / prob
+    return prob, cond_a, b * integral(lambda y, t: gammainc(2.0, t)) / prob
+
+
 def mc_ball_stats(cov: np.ndarray, radius2: float, samples: int, rng):
-    """Rejection-sampling estimate of (probability, conditional second moment)."""
+    """Rejection-sampling estimate of (probability, conditional first moment,
+    conditional second moment, number of draws inside)."""
     cov = np.asarray(cov, dtype=float)
     dim = cov.shape[0]
     z = rng.standard_normal((samples, dim)) @ sym_sqrt(cov).T
@@ -196,9 +269,9 @@ def mc_ball_stats(cov: np.ndarray, radius2: float, samples: int, rng):
     count = int(inside.sum())
     prob = count / samples
     if count == 0:
-        return prob, np.zeros((dim, dim)), 0
+        return prob, np.zeros(dim), np.zeros((dim, dim)), 0
     zin = z[inside]
-    return prob, (zin.T @ zin) / count, count
+    return prob, zin.mean(axis=0), (zin.T @ zin) / count, count
 
 
 def _innovation_stat(innov: np.ndarray, nbar: np.ndarray) -> np.ndarray:

@@ -71,7 +71,7 @@ def _check_quadrature_vs_mc():
         cov = base @ base.T + 0.3 * np.eye(p)
         r2 = 1.5 * float(np.trace(cov))
         bm = ball_moments(cov, r2)
-        mc_prob, mc_m2, count = oracles.mc_ball_stats(cov, r2, 200_000, rng)
+        mc_prob, _, mc_m2, count = oracles.mc_ball_stats(cov, r2, 200_000, rng)
         se = math.sqrt(max(mc_prob * (1 - mc_prob), 1e-12) / 200_000)
         ok &= abs(bm.prob - mc_prob) < 4.0 * se + 1e-4
         if count:

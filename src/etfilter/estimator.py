@@ -73,27 +73,23 @@ class EstimatorState:
 
 @dataclass(frozen=True)
 class StepOutput:
-    """Per-step result: decision, posterior, innovation, and the normalized
-    first moment of the silence ball (a diagnostic that must sit at zero)."""
+    """Per-step result: decision, posterior, and innovation."""
 
     gamma: int
     xhat: NDArray
     P: NDArray
     innovation: NDArray
-    first_moment_diag: NDArray
 
 
 @dataclass(frozen=True)
 class FilterRun:
-    """Per-step results of a whole run; ``first_moment_max`` is the largest
-    raw silence-ball first moment over steps 1..K."""
+    """Per-step results of a whole run."""
 
     gamma: NDArray
     xhat: NDArray
     P: NDArray
     innovation: NDArray
     prob0: NDArray
-    first_moment_max: float
 
 
 def _finite(y, what: str) -> NDArray:
@@ -114,8 +110,7 @@ def _check_inputs(model: LinearGaussianModel, trigger: TriggerConfig) -> None:
 def _cache(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray):
     """Measurement geometry and silence-ball step from (B, n, n) prior covariances.
 
-    Returns (gain, cache, raw first moment, conditional first moment) of the
-    silence ball; none of them depends on the measurements.  The send branch
+    Returns (gain, cache); neither depends on the measurements.  The send branch
     takes the Joseph-stabilized update; the silent branch adds the ball's
     conditional second moment mapped through the whitened gain.
     """
@@ -126,13 +121,12 @@ def _cache(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray):
     p_z = symmetrize(a @ cov @ a.swapaxes(1, 2) + gain @ model.R @ gain.swapaxes(1, 2))
     if trigger.threshold <= 0.0:
         # Always send: there is no silence ball and no silent branch.
-        zeros = np.zeros((cov.shape[0], trigger.p))
-        return gain, StepCache(P_z=p_z, P_silent=p_z, prob0=np.zeros(cov.shape[0])), zeros, zeros
+        return gain, StepCache(P_z=p_z, P_silent=p_z, prob0=np.zeros(cov.shape[0]))
     n_z = symmetrize(trigger.phi @ s @ trigger.phi.T)
-    bm, first, conditional = _ball_full(n_z, trigger.threshold)
+    bm, conditional = _ball_full(n_z, trigger.threshold)
     k_w = gain @ trigger.phi_inv
     p_silent = symmetrize(p_z + k_w @ conditional @ k_w.swapaxes(1, 2))
-    return gain, StepCache(P_z=p_z, P_silent=p_silent, prob0=bm.prob), bm.m1, first
+    return gain, StepCache(P_z=p_z, P_silent=p_silent, prob0=bm.prob)
 
 
 class EventTriggeredFilter:
@@ -170,14 +164,14 @@ class EventTriggeredFilter:
         With ``predict`` off, ``xhat``/``cov`` already are the prior of this
         step (time 0).  Received steps take the Kalman update; silent steps
         keep the predicted mean and take the silent-branch covariance.
-        Returns (gamma, xhat, P, innovation, cache, raw and conditional first
-        moments of the silence ball), each with a leading trial axis.
+        Returns (gamma, xhat, P, innovation, cache), each with a leading
+        trial axis.
         """
         if predict:
             xhat, cov = self._predict(xhat, cov)
         innovation = ys - xhat @ self.model.C.T
         gamma = decide(self.trigger, innovation).gamma
-        gain, cache, m1, first = _cache(self.model, self.trigger, cov)
+        gain, cache = _cache(self.model, self.trigger, cov)
         sent = gamma.astype(bool)
         if not (sent | (cache.prob0 >= _PROB_FLOOR)).all():
             raise ValueError(
@@ -186,14 +180,13 @@ class EventTriggeredFilter:
             )
         xhat = np.where(sent[:, None], xhat + (gain @ innovation[:, :, None])[:, :, 0], xhat)
         cov = np.where(sent[:, None, None], cache.P_z, cache.P_silent)
-        return gamma, xhat, cov, innovation, cache, m1, first
+        return gamma, xhat, cov, innovation, cache
 
     def _run_batch(self, measurements) -> tuple[FilterRun, list[StepCache]]:
         """Filter B trials of shape (B, K+1, p) together, one step per pass.
 
-        Returns a FilterRun whose fields gain a leading trial axis
-        (``first_moment_max`` is per trial) and the batched cache of every
-        step.
+        Returns a FilterRun whose fields gain a leading trial axis and the
+        batched cache of every step.
         """
         ys = _finite(measurements, "measurements")
         m = self.model
@@ -205,25 +198,15 @@ class EventTriggeredFilter:
         cov = np.zeros((rows, total, m.n, m.n))
         innovation = np.zeros((rows, total, p))
         prob0 = np.zeros((rows, total))
-        fm_max = np.zeros(rows)
         caches = []
         x = np.broadcast_to(m.x0_mean, (rows, m.n))
         c = np.broadcast_to(m.x0_cov, (rows, m.n, m.n))
         for k in range(total):
-            g, x, c, innov, cache, m1, _ = self._advance(x, c, ys[:, k], predict=k > 0)
+            g, x, c, innov, cache = self._advance(x, c, ys[:, k], predict=k > 0)
             gamma[:, k], xhat[:, k], cov[:, k], innovation[:, k] = g, x, c, innov
             prob0[:, k] = cache.prob0
-            if k > 0:
-                fm_max = np.maximum(fm_max, np.abs(m1).max(axis=1))
             caches.append(cache)
-        run = FilterRun(
-            gamma=gamma,
-            xhat=xhat,
-            P=cov,
-            innovation=innovation,
-            prob0=prob0,
-            first_moment_max=fm_max,
-        )
+        run = FilterRun(gamma=gamma, xhat=xhat, P=cov, innovation=innovation, prob0=prob0)
         return run, caches
 
     # -- public recursion: batches of one ----------------------------------------
@@ -237,7 +220,7 @@ class EventTriggeredFilter:
     def init(self, y0) -> tuple[int, EstimatorState]:
         """Consume the time-0 measurement against the model prior."""
         m = self.model
-        gamma, xhat, cov, _, cache, _, _ = self._advance(
+        gamma, xhat, cov, _, cache = self._advance(
             m.x0_mean[None], m.x0_cov[None], self._one(y0), predict=False
         )
         return int(gamma[0]), EstimatorState(k=0, xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
@@ -249,16 +232,10 @@ class EventTriggeredFilter:
 
     def step(self, state: EstimatorState, y) -> tuple[StepOutput, EstimatorState]:
         """Advance one step with measurement ``y`` taken at time state.k + 1."""
-        gamma, xhat, cov, innovation, cache, _, first = self._advance(
+        gamma, xhat, cov, innovation, cache = self._advance(
             state.xhat[None], state.P[None], self._one(y)
         )
-        out = StepOutput(
-            gamma=int(gamma[0]),
-            xhat=xhat[0],
-            P=cov[0],
-            innovation=innovation[0],
-            first_moment_diag=first[0],
-        )
+        out = StepOutput(gamma=int(gamma[0]), xhat=xhat[0], P=cov[0], innovation=innovation[0])
         return out, EstimatorState(k=state.k + 1, xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
 
     def run(self, measurements) -> FilterRun:

@@ -97,7 +97,6 @@ class ExperimentSummary:
     rate_alg1: NDArray
     rate_alg2: NDArray
     avg_rates: NDArray
-    max_first_moment: float
 
 
 def _chunk_worker(payload):
@@ -126,7 +125,7 @@ def _chunk_worker(payload):
                 RateState(prob0_prev=prev.prob0, cache_prev=prev, model=model, trigger=trigger)
             ).gamma_hat
         rates = (1.0 - run.prob0[row], alg2)
-    return run.gamma.sum(axis=0), (err * err).sum(axis=0), float(run.first_moment_max.max()), rates
+    return run.gamma.sum(axis=0), (err * err).sum(axis=0), rates
 
 
 def _resolve_nbar(config: ExperimentConfig) -> tuple[str, NDArray]:
@@ -201,13 +200,10 @@ def run_monte_carlo(
 
     counts = np.zeros(config.steps, dtype=np.int64)
     sq_sum = np.zeros((config.steps, model.n))
-    fm_max = 0.0
     rates = None
-    for c, s, fm, r in results:
+    for c, s, r in results:
         counts += c
         sq_sum += s
-        if fm > fm_max:
-            fm_max = fm
         if r is not None:
             rates = r
     alg1, alg2 = rates
@@ -227,7 +223,6 @@ def run_monte_carlo(
         rate_alg1=alg1,
         rate_alg2=alg2,
         avg_rates=avg,
-        max_first_moment=fm_max,
     )
 
 

@@ -18,6 +18,7 @@ from etfilter import _oracles as oracles
 from etfilter._oracles import random_model, random_spd
 from etfilter.estimator import EventTriggeredFilter
 from etfilter.harness import (
+    CASE_BOUNDS,
     TABLE1_REFERENCE,
     ExperimentConfig,
     emit_csv,
@@ -179,13 +180,35 @@ def test_criterion_4_quadrature_matches_sampling():
     )
 
 
-def test_criterion_5_first_moment_vanishes(benchmark_results):
-    worst = max(s.max_first_moment for s in benchmark_results.summaries.values())
+def test_criterion_5_first_moment_vanishes():
+    """Silent steps keep the predicted mean because the silence ball's first
+    moment vanishes.  The moment kernel assumes it, so it is sampled here, by
+    an oracle that assumes no symmetry, on the N_z kernels the three benchmark
+    cases visit along the rate-designated trial (40 of seed 1234)."""
+    model = tracking_preset()
+    traj = simulate(
+        model,
+        100,
+        np.random.default_rng(np.random.SeedSequence([1234, 40])),
+        x0=np.array(TRUE_INITIAL_STATE),
+    )
+    rng = np.random.default_rng(5555)
+    samples = 200_000
+    worst = 0.0
+    for nbar in CASE_BOUNDS.values():
+        trig = make_config(nbar, 0.05)
+        run = EventTriggeredFilter(model, trig).run(traj.measurements)
+        for k in (0, 1, 2, 5, 10, 25, 50, 100):
+            prior = model.x0_cov if k == 0 else model.A @ run.P[k - 1] @ model.A.T + model.Q
+            n_z = trig.phi @ (model.C @ prior @ model.C.T + model.R) @ trig.phi.T
+            n_z = 0.5 * (n_z + n_z.T)
+            _, m1, m2, count = oracles.mc_ball_stats(n_z, trig.threshold, samples, rng)
+            worst = max(worst, float(np.max(np.abs(m1) / np.sqrt(np.diag(m2) / count))))
     _verdict(
         5,
-        "raw silence-region first moment stays below 1e-7 across all runs",
-        worst <= 1e-7,
-        f"max {worst:.3e}",
+        "sampled silence-ball first moment within 4 standard errors of 0 on 24 benchmark kernels",
+        worst <= 4.0,
+        f"max {worst:.2f} standard errors",
     )
 
 

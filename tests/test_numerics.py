@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from etfilter import _oracles as oracles
 from etfilter import numerics
 from etfilter._oracles import random_spd
+from etfilter.estimator import EventTriggeredFilter, prior_cache
+from etfilter.model import LinearGaussianModel, simulate
 from etfilter.numerics import (
     ball_moments,
     chi_square_quantile,
@@ -13,6 +16,7 @@ from etfilter.numerics import (
     psd_sqrt,
     truncated_second_moment,
 )
+from etfilter.trigger import make_config
 
 
 class TestChiSquareQuantile:
@@ -150,7 +154,7 @@ class TestBallMoments3d:
             n = random_spd(rng, 3, jitter=0.3)
             r2 = float(np.trace(n)) * rng.uniform(0.5, 1.5)
             bm = ball_moments(n, r2)
-            prob_mc, m2_mc, count = oracles.mc_ball_stats(n, r2, 400_000, rng)
+            prob_mc, _, m2_mc, count = oracles.mc_ball_stats(n, r2, 400_000, rng)
             se = math.sqrt(prob_mc * (1.0 - prob_mc) / 400_000)
             assert abs(bm.prob - prob_mc) < 4.0 * se + 1e-6, trial
             cond = truncated_second_moment(n, r2)
@@ -175,20 +179,19 @@ class TestBallMomentsGeneral:
             assert bm.prob == 1.0
             assert np.allclose(truncated_second_moment(n, math.inf), n, rtol=1e-9)
 
-    def test_infinite_radius_is_exact_on_sampling_path(self):
-        # p > 3 takes the QMC path for finite radii; the whole space must not.
+    def test_infinite_radius_is_exact_for_p4(self):
         n = random_spd(np.random.default_rng(9), 4)
-        bm = ball_moments(n, math.inf)
-        assert bm.prob == 1.0
-        assert not bm.m1.any()
+        assert ball_moments(n, math.inf).prob == 1.0
         assert np.array_equal(truncated_second_moment(n, math.inf), n)
 
     def test_first_moment_vanishes(self):
+        """The kernel returns no first moment: a sampled one, which assumes no
+        symmetry, sits within 4 standard errors of zero."""
         rng = np.random.default_rng(6)
         for dim in (1, 2, 3):
             n = random_spd(rng, dim)
-            bm = ball_moments(n, float(np.trace(n)))
-            assert np.abs(bm.m1).max() < 1e-12 * bm.mass * math.sqrt(np.trace(n))
+            _, m1, m2, count = oracles.mc_ball_stats(n, float(np.trace(n)), 200_000, rng)
+            assert (np.abs(m1) <= 4.0 * np.sqrt(np.diag(m2) / count)).all(), dim
 
     def test_raw_second_moment_consistent_with_conditional(self):
         n = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -224,25 +227,47 @@ class TestBallMomentsGeneral:
     def test_inconsistent_quadrature_raises_at_any_scale(self, monkeypatch, scale, radius2):
         """The trace guard is relative: second moments inflated by half must
         trip it on a tiny kernel as well as on a unit one."""
-        exact = numerics._moments_diag
+        exact = numerics._contour_moments
 
         def inflated(lam, r2):
-            prob, d, m1, err = exact(lam, r2)
-            return prob, 1.5 * d, m1, err
+            prob, d = exact(lam, r2)
+            return prob, 1.5 * d
 
-        monkeypatch.setattr(numerics, "_moments_diag", inflated)
+        monkeypatch.setattr(numerics, "_contour_moments", inflated)
         with pytest.raises(RuntimeError, match="untruncated trace"):
             truncated_second_moment(scale * np.eye(2), radius2)
 
-    def test_sampling_path_at_finite_radius(self):
-        """p > 3 falls back to quasi-Monte Carlo: sampling accuracy, with a
-        warning that reports the achieved error."""
-        lam, dim, r2 = 1.9, 4, 6.5
-        prob, cond = oracles.isotropic_ball_stats(lam, dim, r2)
-        with pytest.warns(RuntimeWarning, match="achieved error"):
-            bm = ball_moments(lam * np.eye(dim), r2)
-        assert bm.prob == pytest.approx(prob, rel=3e-3)
-        assert np.allclose(bm.m2 / bm.mass, cond * np.eye(dim), rtol=3e-3, atol=3e-3 * cond)
+    def test_four_output_filter_matches_isotropic_oracle(self):
+        """A p = 4 model whose whitened innovation kernel is isotropic: the
+        silence probability and the silent-branch correction of the filter
+        equal the chi-square oracle, with no warning."""
+        rng = np.random.default_rng(10)
+        model = LinearGaussianModel(
+            A=0.9 * np.eye(4),
+            C=np.eye(4),
+            Q=random_spd(rng, 4),
+            R=random_spd(rng, 4),
+            x0_mean=np.zeros(4),
+            x0_cov=random_spd(rng, 4),
+        )
+        lam = 1.9
+        # nbar = S / lam makes the whitened kernel lam * I at time 0.
+        trig = make_config((model.x0_cov + model.R) / lam, 0.05)
+        prob, cond = oracles.isotropic_ball_stats(lam, 4, trig.threshold)
+        filt = EventTriggeredFilter(model, trig)
+        ys = simulate(model, 5, rng).measurements
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = prior_cache(model, trig)
+            _, state = filt.init(ys[0])
+            for y in ys[1:]:
+                _, state = filt.step(state, y)
+        assert cache.prob0 == pytest.approx(prob, rel=1e-9)
+        gain = model.x0_cov @ np.linalg.inv(model.x0_cov + model.R)
+        k_w = gain @ trig.phi_inv
+        want = cache.P_z + cond * (k_w @ k_w.T)
+        assert np.abs(cache.P_silent - want).max() <= 1e-9 * np.abs(want).max()
+        assert np.isfinite(state.P).all()
 
 
 class TestBatchedBallMoments:
@@ -270,7 +295,6 @@ class TestBatchedBallMoments:
                 (conditional[i], truncated_second_moment(n, r2)),
             ):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (i, p)
-            assert np.abs(batch.m1[i] - one.m1).max() <= 1e-12 * one.mass * math.sqrt(np.trace(n))
 
     def test_validates_every_row(self):
         good = np.eye(2)
@@ -285,8 +309,60 @@ class TestBatchedBallMoments:
         stack = np.array([np.eye(3), np.diag([1e-4, 2.0, 9.0])])
         bm = ball_moments(stack, math.inf)
         assert np.array_equal(bm.prob, np.ones(2))
-        assert not bm.m1.any()
         assert np.array_equal(truncated_second_moment(stack, math.inf), stack)
+
+
+def _quiet(call, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call(*args)
+
+
+class TestContourKernel:
+    """One fixed contour for every p, checked with warnings as errors against
+    oracles that share no code with it, on tiny and stiff kernels."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_isotropic_oracle_over_radius_range(self, p):
+        lam = 1.7
+        for ratio in 10.0 ** np.arange(-200.0, 3.5, 0.5):
+            prob, cond = oracles.isotropic_ball_stats(lam, p, ratio * lam)
+            bm, got = _quiet(numerics._ball_full, lam * np.eye(p)[None], ratio * lam)
+            assert bm.prob[0] == pytest.approx(prob, rel=1e-10, abs=1e-310), ratio
+            assert np.abs(got[0] - cond * np.eye(p)).max() <= 1e-10 * cond, ratio
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("ratio", [1.0, 1e2, 1e6, 1e12])
+    def test_anisotropic_against_imhof(self, p, ratio):
+        lams = ratio ** (np.arange(p) / (p - 1) - 1.0)  # from 1 / ratio up to 1
+        for r2 in (0.3, 2.0, 7.8):
+            prob, cond = oracles.imhof_ball_stats(list(lams), r2)
+            bm = _quiet(ball_moments, np.diag(lams), r2)
+            got = _quiet(truncated_second_moment, np.diag(lams), r2)
+            assert bm.prob == pytest.approx(prob, rel=1e-10), r2
+            assert np.diag(got) == pytest.approx(cond, rel=1e-10), r2
+
+    def test_stiff_p2_kernel_against_bessel_oracle(self):
+        """Eigenvalue ratio 1e12 with the ball set by the small eigenvalue."""
+        n, r2 = np.diag([1.0, 1e12]), 5.0
+        prob, c1, c2 = oracles.ball_stats_2d(1.0, 1e12, r2)
+        assert _quiet(ball_moments, n, r2).prob == pytest.approx(prob, rel=1e-10)
+        got = np.diag(_quiet(truncated_second_moment, n, r2))
+        assert got == pytest.approx([c1, c2], rel=1e-10)
+
+    @pytest.mark.parametrize("a, b, r2", [(1e12, 1.0, 0.3), (1e12, 1.0, 5.0), (1.0, 1e12, 5.0)])
+    def test_stiff_p3_kernel_against_axisymmetric_oracle(self, a, b, r2):
+        """Eigenvalue ratio 1e12: the ball cuts the wide directions hard."""
+        n = np.diag([b, a, b])
+        prob, cond_a, cond_b = oracles.axisymmetric_ball_stats(a, b, r2)
+        assert _quiet(ball_moments, n, r2).prob == pytest.approx(prob, rel=1e-10)
+        got = np.diag(_quiet(truncated_second_moment, n, r2))
+        assert got == pytest.approx([cond_b, cond_a, cond_b], rel=1e-10)
+
+    def test_tiny_ball_keeps_conditional_moment(self):
+        bm, cond = _quiet(numerics._ball_full, np.eye(2)[None], 1e-200)
+        assert bm.prob[0] == pytest.approx(0.5e-200, rel=1e-12)
+        assert np.diag(cond[0]) == pytest.approx([2.5e-201, 2.5e-201], rel=1e-12)
 
 
 class TestPsdSqrt:

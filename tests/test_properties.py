@@ -5,6 +5,7 @@ derandomized, so every run checks the same draws.
 """
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -65,7 +66,7 @@ def test_quadrature_matches_sampling(n, fraction, seed):
     samples = 200_000
     radius2 = fraction * np.trace(n)
     prob = ball_moments(n, radius2).prob
-    prob_mc, m2_mc, _ = mc_ball_stats(n, radius2, samples, np.random.default_rng(seed))
+    prob_mc, _, m2_mc, _ = mc_ball_stats(n, radius2, samples, np.random.default_rng(seed))
     assert abs(prob - prob_mc) <= 4.0 * math.sqrt(prob * (1.0 - prob) / samples)
     trace = np.trace(truncated_second_moment(n, radius2))
     assert abs(trace - np.trace(m2_mc)) <= 0.02 * trace
@@ -87,3 +88,19 @@ def test_branch_posteriors_are_ordered(seed, n, p, log_bound, alpha):
     slack = TOL * np.abs(model.x0_cov).max()
     assert _min_eig(cache.P_silent - cache.P_z) >= -slack
     assert _min_eig(model.x0_cov - cache.P_silent) >= -slack
+
+
+@PROPERTY
+@given(n=kernels, fraction=st.floats(1e-2, 10.0), log_c=st.floats(-200.0, 200.0))
+def test_kernel_is_unit_free(n, fraction, log_c):
+    """Scaling the kernel and the squared radius by c keeps the probability
+    within 1e-12 relative and scales the conditional moment by c."""
+    c = 10.0**log_c
+    radius2 = fraction * np.trace(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prob = ball_moments(c * n, c * radius2).prob
+        cond = truncated_second_moment(c * n, c * radius2)
+    assert abs(prob - ball_moments(n, radius2).prob) <= 1e-12 * prob
+    want = c * truncated_second_moment(n, radius2)
+    assert np.abs(cond - want).max() <= 1e-12 * np.abs(want).max()
