@@ -37,7 +37,6 @@ from .numerics import (
     ball_moments,
     chi_square_quantile,
     factor_precision,
-    truncated_second_moment,
 )
 from .rate import (
     RatePrediction,
@@ -83,5 +82,4 @@ __all__ = [
     "simulate",
     "table1",
     "tracking_preset",
-    "truncated_second_moment",
 ]

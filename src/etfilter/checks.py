@@ -21,13 +21,7 @@ from . import _oracles as oracles
 from .estimator import EventTriggeredFilter
 from .harness import CASE_BOUNDS, ExperimentConfig, emit_csv, run_monte_carlo
 from .model import TRUE_INITIAL_STATE, simulate, tracking_preset
-from .numerics import (
-    ball_moments,
-    chi_square_quantile,
-    factor_precision,
-    psd_sqrt,
-    truncated_second_moment,
-)
+from .numerics import ball_moments, chi_square_quantile, factor_precision, psd_sqrt
 from .rate import rate_one_step
 from .trigger import make_config
 
@@ -75,7 +69,7 @@ def _check_quadrature_vs_mc():
         se = math.sqrt(max(mc_prob * (1 - mc_prob), 1e-12) / 200_000)
         ok &= abs(bm.prob - mc_prob) < 4.0 * se + 1e-4
         if count:
-            tr_quad = float(np.trace(truncated_second_moment(cov, r2)))
+            tr_quad = float(np.trace(bm.conditional))
             tr_mc = float(np.trace(mc_m2))
             ok &= abs(tr_quad - tr_mc) < 0.03 * tr_mc
         details.append(f"p={p} |dprob|={abs(bm.prob - mc_prob):.1e}")

@@ -123,9 +123,9 @@ def _cache(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray):
         # Always send: there is no silence ball and no silent branch.
         return gain, StepCache(P_z=p_z, P_silent=p_z, prob0=np.zeros(cov.shape[0]))
     n_z = symmetrize(trigger.phi @ s @ trigger.phi.T)
-    bm, conditional = _ball_full(n_z, trigger.threshold)
+    bm = _ball_full(n_z, trigger.threshold)
     k_w = gain @ trigger.phi_inv
-    p_silent = symmetrize(p_z + k_w @ conditional @ k_w.swapaxes(1, 2))
+    p_silent = symmetrize(p_z + k_w @ bm.conditional @ k_w.swapaxes(1, 2))
     return gain, StepCache(P_z=p_z, P_silent=p_silent, prob0=bm.prob)
 
 

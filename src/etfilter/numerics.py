@@ -29,7 +29,6 @@ __all__ = [
     "factor_precision",
     "psd_sqrt",
     "symmetrize",
-    "truncated_second_moment",
 ]
 
 # Validated dense symmetric positive (semi)definite matrix.
@@ -146,18 +145,17 @@ def factor_precision(nbar) -> NDArray:
 
 @dataclass(frozen=True)
 class BallMoments:
-    """Moments of exp(-0.5 z' inv(n) z) over the ball z'z <= radius2.
+    """Moments of z ~ N(0, n) over the ball z'z <= radius2.
 
-    mass : raw zeroth moment (integral of the unnormalized kernel)
-    prob : mass / ((2 pi)^(p/2) |n|^(1/2)), the N(0, n) ball probability
-    m2   : raw second moment matrix
+    prob        : P(z'z <= radius2)
+    conditional : E[z z' | z'z <= radius2]
 
-    The first moment vanishes by symmetry, so it is not computed.
+    The first moment vanishes by symmetry, so it is not computed.  Both
+    fields are normalised, so neither depends on the Gaussian normaliser.
     """
 
-    mass: float
     prob: float
-    m2: NDArray
+    conditional: NDArray
 
 
 # -- Talbot-contour kernel ----------------------------------------------------
@@ -233,46 +231,42 @@ def _as_stack(n) -> tuple[NDArray, bool]:
 
 
 def ball_moments(n, radius2: float) -> BallMoments:
-    """Moments of the Gaussian kernel of covariance ``n`` over a centered ball.
+    """Probability and conditional second moment of ``N(0, n)`` over a centered ball.
 
     Parameters
     ----------
     n : SPD matrix (p, p), or a stack (B, p, p) of them
         Kernel covariance (the kernel runs in its eigenframe).  A stack is
-        evaluated in one vectorised pass, and every field of the result
-        gains a leading axis of length B.
+        evaluated in one vectorised pass, and both fields of the result
+        gain a leading axis of length B.
     radius2 : float
         Squared ball radius, > 0.  ``inf`` is allowed and recovers the whole
-        space in closed form: prob is exactly 1, m2 is
-        ``n * (2 pi)^(p/2) |n|^(1/2)`` and the conditional second moment is
-        ``n`` itself.
+        space in closed form: prob is exactly 1 and the conditional second
+        moment is ``n`` itself.
 
     Returns
     -------
     BallMoments
-        Raw mass/m2 plus the normalized ball probability.  Every p runs the
-        same 32-node contour sum; its roundoff floor is about
-        exp(0.171 * 32) eps ~ 5e-14, so the probability and the second
-        moments are accurate to about 1e-13 relative (a few 1e-12 at p = 6).
-        The raw fields read inf (nan where an exact zero meets inf) when the
-        Gaussian normaliser exceeds double range; prob and the conditional
-        moments do not depend on it.
+        ``prob`` and ``conditional``.  Every p runs the same 32-node contour
+        sum; its roundoff floor is about exp(0.171 * 32) eps ~ 5e-14, so both
+        are accurate to about 1e-13 relative (a few 1e-12 for the second
+        moments at p = 6).  The conditional moment stays exact where the
+        probability underflows to 0.
     """
     stack, single = _as_stack(n)
-    bm, _ = _ball_full(stack, radius2)
-    return BallMoments(float(bm.mass[0]), float(bm.prob[0]), bm.m2[0]) if single else bm
+    bm = _ball_full(stack, radius2)
+    return BallMoments(float(bm.prob[0]), bm.conditional[0]) if single else bm
 
 
-def _ball_full(n: NDArray, radius2: float) -> tuple[BallMoments, NDArray]:
-    """Ball moments of a (B, p, p) stack plus the conditional second moment m2/mass.
+def _ball_full(n: NDArray, radius2: float) -> BallMoments:
+    """Ball moments of a (B, p, p) stack; both fields have a leading axis of length B.
 
-    Every field has a leading axis of length B.  The conditional moment comes
-    from the normalized eigenframe quantities, so it stays finite when the
-    raw mass or the probability over- or underflows double precision.
+    Raises RuntimeError if a row's conditional second moment exceeds its
+    untruncated trace, which only an inconsistent contour sum can produce.
     """
     if n.ndim != 3 or n.shape[1] != n.shape[2]:
         raise ValueError(f"n must be a square matrix or a stack of them, got shape {n.shape}")
-    rows, p = n.shape[:2]
+    rows = n.shape[0]
     scale = np.abs(n).reshape(rows, -1).max(axis=1, initial=0.0)
     if not np.isfinite(scale).all():
         raise ValueError("n has non-finite entries")
@@ -289,31 +283,11 @@ def _ball_full(n: NDArray, radius2: float) -> tuple[BallMoments, NDArray]:
     if radius2 == math.inf:
         # The whole space in closed form: the contour would rebuild n from its
         # eigenframe and round.
-        prob, conditional = np.ones(rows), symmetrize(n)
-    else:
-        prob, d = _contour_moments(lam, radius2)
-        prob = np.minimum(prob, 1.0)
-        conditional = symmetrize((vec * d[:, None, :]) @ vec.swapaxes(1, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # A product of roots: the product of tiny eigenvalues alone could underflow.
-        mass = prob * (2.0 * math.pi) ** (0.5 * p) * np.sqrt(lam).prod(axis=1)
-        m2 = conditional * mass[:, None, None]
-    return BallMoments(mass=mass, prob=prob, m2=m2), conditional
-
-
-def truncated_second_moment(n, radius2: float) -> NDArray:
-    """Conditional second moment E[z z' | z'z <= radius2] for z ~ N(0, n).
-
-    ``n`` may also be a (B, p, p) stack; the result then is one as well.
-    """
-    stack, single = _as_stack(n)
-    bm, conditional = _ball_full(stack, radius2)
-    if not (bm.prob > 0.0).all():
-        raise ValueError("ball probability underflowed; radius2 is degenerate for this covariance")
-    trace = np.trace(conditional, axis1=1, axis2=2)
-    if (trace > (1.0 + _TOL) * np.trace(stack, axis1=1, axis2=2)).any():
+        return BallMoments(prob=np.ones(rows), conditional=symmetrize(n))
+    prob, d = _contour_moments(lam, radius2)
+    if (d.sum(axis=1) > (1.0 + _TOL) * lam.sum(axis=1)).any():
         raise RuntimeError(
-            "truncated second moment exceeded the untruncated trace; quadrature is inconsistent"
+            "truncated second moment exceeded the untruncated trace; contour sum is inconsistent"
         )
-    return conditional[0] if single else conditional
-
+    conditional = symmetrize((vec * d[:, None, :]) @ vec.swapaxes(1, 2))
+    return BallMoments(prob=np.minimum(prob, 1.0), conditional=conditional)

@@ -25,7 +25,7 @@ from etfilter.harness import (
     run_monte_carlo,
 )
 from etfilter.model import TRUE_INITIAL_STATE, simulate, tracking_preset
-from etfilter.numerics import ball_moments, chi_square_quantile, truncated_second_moment
+from etfilter.numerics import ball_moments, chi_square_quantile
 from etfilter.rate import RateState, rate_one_step, rate_two_step
 from etfilter.trigger import make_config
 
@@ -169,7 +169,7 @@ def test_criterion_4_quadrature_matches_sampling():
         zin = z[inside]
         if len(zin) >= 10_000:
             mc_trace = float(np.einsum("ij,ij->", zin, zin)) / len(zin)
-            tr = float(np.trace(truncated_second_moment(n, radius2)))
+            tr = float(np.trace(bm.conditional))
             if abs(tr - mc_trace) > 0.01 * mc_trace:
                 bad.append(f"draw {i}: trace {tr:.5f} vs {mc_trace:.5f}")
     _verdict(

@@ -9,6 +9,7 @@ from etfilter import _oracles as oracles
 from etfilter._oracles import random_model, random_spd
 from etfilter.estimator import EventTriggeredFilter, prior_cache
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
+from etfilter.numerics import ball_moments
 from etfilter.trigger import make_config
 
 CASE1 = np.array([[50.0, 4.0], [4.0, 8.0]])
@@ -166,9 +167,9 @@ class TestHugeBound:
         assert np.isfinite(state.P).all()
 
     def test_underflowed_silence_mass_stays_finite(self, three_output_model):
-        """With nbar = 1e250 * I3 the raw silence mass underflows to 0 while
-        prob0 is 1 in double precision; the step must not divide by the raw
-        mass."""
+        """With nbar = 1e250 * I3 the Gaussian normaliser of the silence mass
+        overflows while prob0 is 1 in double precision; neither the step nor
+        the ball moments at that scale may depend on it."""
         model = three_output_model
         filt = EventTriggeredFilter(model, make_config(1e250 * np.eye(3), 0.05))
         traj = simulate(model, 10, np.random.default_rng(13), x0=np.array(TRUE_INITIAL_STATE))
@@ -178,7 +179,12 @@ class TestHugeBound:
             for k in range(1, 11):
                 out, state = filt.step(state, traj.measurements[k])
                 assert np.isfinite(out.P).all(), k
+            huge = ball_moments(np.diag([1e250] * 3), 1e250)
         assert 1.0 - state.cache.prob0 <= 1e-15
+        unit = ball_moments(np.eye(3), 1.0)
+        assert huge.prob == pytest.approx(unit.prob, rel=1e-12)
+        want = 1e250 * unit.conditional
+        assert np.abs(huge.conditional - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestBatchedRecursion:

@@ -8,14 +8,9 @@ from etfilter import _oracles as oracles
 from etfilter import numerics
 from etfilter._oracles import random_spd
 from etfilter.estimator import EventTriggeredFilter, prior_cache
-from etfilter.model import LinearGaussianModel, simulate
-from etfilter.numerics import (
-    ball_moments,
-    chi_square_quantile,
-    factor_precision,
-    psd_sqrt,
-    truncated_second_moment,
-)
+from etfilter.harness import CASE_BOUNDS
+from etfilter.model import LinearGaussianModel, simulate, tracking_preset
+from etfilter.numerics import ball_moments, chi_square_quantile, factor_precision, psd_sqrt
 from etfilter.trigger import make_config
 
 
@@ -81,14 +76,7 @@ class TestBallMoments1d:
             bm = ball_moments(np.array([[lam]]), r2)
             prob, cond_m2 = oracles.ball_stats_1d(lam, r2)
             assert bm.prob == pytest.approx(prob, rel=1e-10)
-            assert truncated_second_moment(np.array([[lam]]), r2)[0, 0] == pytest.approx(
-                cond_m2, rel=1e-10
-            )
-
-    def test_mass_is_prob_times_normalizer(self):
-        lam, r2 = 1.7, 4.0
-        bm = ball_moments(np.array([[lam]]), r2)
-        assert bm.mass == pytest.approx(bm.prob * math.sqrt(2.0 * math.pi * lam), rel=1e-12)
+            assert bm.conditional[0, 0] == pytest.approx(cond_m2, rel=1e-10)
 
 
 class TestBallMoments2d:
@@ -103,7 +91,7 @@ class TestBallMoments2d:
             n = np.diag([lam1, lam2])
             prob, c1, c2 = oracles.ball_stats_2d(lam1, lam2, r2)
             bm = ball_moments(n, r2)
-            cond = truncated_second_moment(n, r2)
+            cond = bm.conditional
             assert bm.prob == pytest.approx(prob, rel=1e-9)
             assert cond[0, 0] == pytest.approx(c1, rel=1e-8)
             assert cond[1, 1] == pytest.approx(c2, rel=1e-8)
@@ -116,12 +104,12 @@ class TestBallMoments2d:
         )
         diag = np.diag([3.0, 0.4])
         r2 = 5.0
-        cond_diag = truncated_second_moment(diag, r2)
-        cond_rot = truncated_second_moment(rot @ diag @ rot.T, r2)
-        assert np.allclose(rot @ cond_diag @ rot.T, cond_rot, rtol=1e-8, atol=1e-12)
-        assert ball_moments(rot @ diag @ rot.T, r2).prob == pytest.approx(
-            ball_moments(diag, r2).prob, rel=1e-10
+        bm_diag = ball_moments(diag, r2)
+        bm_rot = ball_moments(rot @ diag @ rot.T, r2)
+        assert np.allclose(
+            rot @ bm_diag.conditional @ rot.T, bm_rot.conditional, rtol=1e-8, atol=1e-12
         )
+        assert bm_rot.prob == pytest.approx(bm_diag.prob, rel=1e-10)
 
     def test_benchmark_bound_matrix(self):
         nbar = np.array([[50.0, 4.0], [4.0, 8.0]])
@@ -143,8 +131,7 @@ class TestBallMomentsIsotropic:
         n = lam * np.eye(dim)
         bm = ball_moments(n, r2)
         assert bm.prob == pytest.approx(prob, rel=1e-9)
-        got = truncated_second_moment(n, r2)
-        assert np.allclose(got, cond * np.eye(dim), rtol=1e-8)
+        assert np.allclose(bm.conditional, cond * np.eye(dim), rtol=1e-8)
 
 
 class TestBallMoments3d:
@@ -157,15 +144,14 @@ class TestBallMoments3d:
             prob_mc, _, m2_mc, count = oracles.mc_ball_stats(n, r2, 400_000, rng)
             se = math.sqrt(prob_mc * (1.0 - prob_mc) / 400_000)
             assert abs(bm.prob - prob_mc) < 4.0 * se + 1e-6, trial
-            cond = truncated_second_moment(n, r2)
-            assert np.trace(cond) == pytest.approx(np.trace(m2_mc), rel=0.02)
+            assert np.trace(bm.conditional) == pytest.approx(np.trace(m2_mc), rel=0.02)
 
     def test_anisotropic_extreme_scales(self):
         n = np.diag([1e-6, 1.0, 1e6])
         r2 = 2e6
         bm = ball_moments(n, r2)
         assert 0.0 < bm.prob < 1.0
-        cond = truncated_second_moment(n, r2)
+        cond = bm.conditional
         assert cond[0, 0] == pytest.approx(1e-6, rel=1e-6)
         assert cond[2, 2] < 1e6
 
@@ -177,12 +163,13 @@ class TestBallMomentsGeneral:
             n = random_spd(rng, dim)
             bm = ball_moments(n, math.inf)
             assert bm.prob == 1.0
-            assert np.allclose(truncated_second_moment(n, math.inf), n, rtol=1e-9)
+            assert np.allclose(bm.conditional, n, rtol=1e-9)
 
     def test_infinite_radius_is_exact_for_p4(self):
         n = random_spd(np.random.default_rng(9), 4)
-        assert ball_moments(n, math.inf).prob == 1.0
-        assert np.array_equal(truncated_second_moment(n, math.inf), n)
+        bm = ball_moments(n, math.inf)
+        assert bm.prob == 1.0
+        assert np.array_equal(bm.conditional, n)
 
     def test_first_moment_vanishes(self):
         """The kernel returns no first moment: a sampled one, which assumes no
@@ -193,18 +180,11 @@ class TestBallMomentsGeneral:
             _, m1, m2, count = oracles.mc_ball_stats(n, float(np.trace(n)), 200_000, rng)
             assert (np.abs(m1) <= 4.0 * np.sqrt(np.diag(m2) / count)).all(), dim
 
-    def test_raw_second_moment_consistent_with_conditional(self):
-        n = np.array([[2.0, 0.3], [0.3, 1.0]])
-        r2 = 3.0
-        bm = ball_moments(n, r2)
-        cond = truncated_second_moment(n, r2)
-        assert np.allclose(bm.m2, cond * bm.mass, rtol=1e-12)
-
     def test_truncation_shrinks_second_moment(self):
         rng = np.random.default_rng(8)
         for dim in (1, 2, 3):
             n = random_spd(rng, dim)
-            cond = truncated_second_moment(n, 0.8 * float(np.trace(n)))
+            cond = ball_moments(n, 0.8 * float(np.trace(n))).conditional
             assert np.trace(cond) < np.trace(n)
             assert np.linalg.eigvalsh(cond)[0] > 0.0
 
@@ -223,19 +203,29 @@ class TestBallMomentsGeneral:
         with pytest.raises(ValueError):
             ball_moments(np.array([[1.0, 3.0], [3.0, 1.0]]), 2.0)
 
-    @pytest.mark.parametrize("scale, radius2", [(1e-12, 1e-10), (1.0, 100.0)])
-    def test_inconsistent_quadrature_raises_at_any_scale(self, monkeypatch, scale, radius2):
-        """The trace guard is relative: second moments inflated by half must
-        trip it on a tiny kernel as well as on a unit one."""
+    @pytest.mark.parametrize(
+        "moments",
+        [
+            pytest.param(lambda: ball_moments(1e-12 * np.eye(2), 1e-10), id="1e-12-1e-10"),
+            pytest.param(lambda: ball_moments(np.eye(2), 100.0), id="1.0-100.0"),
+            pytest.param(
+                lambda: prior_cache(tracking_preset(), make_config(CASE_BOUNDS["case1"])),
+                id="prior_cache-case1",
+            ),
+        ],
+    )
+    def test_inconsistent_quadrature_raises_at_any_scale(self, monkeypatch, moments):
+        """The trace guard is relative: second moments half again the
+        untruncated ones must trip it on a tiny kernel as well as on a unit
+        one, and on the filter's own path."""
         exact = numerics._contour_moments
 
         def inflated(lam, r2):
-            prob, d = exact(lam, r2)
-            return prob, 1.5 * d
+            return exact(lam, r2)[0], 1.5 * lam
 
         monkeypatch.setattr(numerics, "_contour_moments", inflated)
         with pytest.raises(RuntimeError, match="untruncated trace"):
-            truncated_second_moment(scale * np.eye(2), radius2)
+            moments()
 
     def test_four_output_filter_matches_isotropic_oracle(self):
         """A p = 4 model whose whitened innovation kernel is isotropic: the
@@ -284,16 +274,10 @@ class TestBatchedBallMoments:
                 stack.append(0.5 * (n + n.T))
         stack = np.array(stack)
         batch = ball_moments(stack, r2)
-        conditional = truncated_second_moment(stack, r2)
         assert batch.prob.shape == (len(stack),)
         for i, n in enumerate(stack):
             one = ball_moments(n, r2)
-            for got, want in (
-                (batch.prob[i], one.prob),
-                (batch.mass[i], one.mass),
-                (batch.m2[i], one.m2),
-                (conditional[i], truncated_second_moment(n, r2)),
-            ):
+            for got, want in ((batch.prob[i], one.prob), (batch.conditional[i], one.conditional)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (i, p)
 
     def test_validates_every_row(self):
@@ -309,7 +293,7 @@ class TestBatchedBallMoments:
         stack = np.array([np.eye(3), np.diag([1e-4, 2.0, 9.0])])
         bm = ball_moments(stack, math.inf)
         assert np.array_equal(bm.prob, np.ones(2))
-        assert np.array_equal(truncated_second_moment(stack, math.inf), stack)
+        assert np.array_equal(bm.conditional, stack)
 
 
 def _quiet(call, *args):
@@ -327,9 +311,9 @@ class TestContourKernel:
         lam = 1.7
         for ratio in 10.0 ** np.arange(-200.0, 3.5, 0.5):
             prob, cond = oracles.isotropic_ball_stats(lam, p, ratio * lam)
-            bm, got = _quiet(numerics._ball_full, lam * np.eye(p)[None], ratio * lam)
+            bm = _quiet(numerics._ball_full, lam * np.eye(p)[None], ratio * lam)
             assert bm.prob[0] == pytest.approx(prob, rel=1e-10, abs=1e-310), ratio
-            assert np.abs(got[0] - cond * np.eye(p)).max() <= 1e-10 * cond, ratio
+            assert np.abs(bm.conditional[0] - cond * np.eye(p)).max() <= 1e-10 * cond, ratio
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("ratio", [1.0, 1e2, 1e6, 1e12])
@@ -338,31 +322,35 @@ class TestContourKernel:
         for r2 in (0.3, 2.0, 7.8):
             prob, cond = oracles.imhof_ball_stats(list(lams), r2)
             bm = _quiet(ball_moments, np.diag(lams), r2)
-            got = _quiet(truncated_second_moment, np.diag(lams), r2)
             assert bm.prob == pytest.approx(prob, rel=1e-10), r2
-            assert np.diag(got) == pytest.approx(cond, rel=1e-10), r2
+            assert np.diag(bm.conditional) == pytest.approx(cond, rel=1e-10), r2
 
     def test_stiff_p2_kernel_against_bessel_oracle(self):
         """Eigenvalue ratio 1e12 with the ball set by the small eigenvalue."""
         n, r2 = np.diag([1.0, 1e12]), 5.0
         prob, c1, c2 = oracles.ball_stats_2d(1.0, 1e12, r2)
-        assert _quiet(ball_moments, n, r2).prob == pytest.approx(prob, rel=1e-10)
-        got = np.diag(_quiet(truncated_second_moment, n, r2))
-        assert got == pytest.approx([c1, c2], rel=1e-10)
+        bm = _quiet(ball_moments, n, r2)
+        assert bm.prob == pytest.approx(prob, rel=1e-10)
+        assert np.diag(bm.conditional) == pytest.approx([c1, c2], rel=1e-10)
 
     @pytest.mark.parametrize("a, b, r2", [(1e12, 1.0, 0.3), (1e12, 1.0, 5.0), (1.0, 1e12, 5.0)])
     def test_stiff_p3_kernel_against_axisymmetric_oracle(self, a, b, r2):
         """Eigenvalue ratio 1e12: the ball cuts the wide directions hard."""
         n = np.diag([b, a, b])
         prob, cond_a, cond_b = oracles.axisymmetric_ball_stats(a, b, r2)
-        assert _quiet(ball_moments, n, r2).prob == pytest.approx(prob, rel=1e-10)
-        got = np.diag(_quiet(truncated_second_moment, n, r2))
-        assert got == pytest.approx([cond_b, cond_a, cond_b], rel=1e-10)
+        bm = _quiet(ball_moments, n, r2)
+        assert bm.prob == pytest.approx(prob, rel=1e-10)
+        assert np.diag(bm.conditional) == pytest.approx([cond_b, cond_a, cond_b], rel=1e-10)
 
     def test_tiny_ball_keeps_conditional_moment(self):
-        bm, cond = _quiet(numerics._ball_full, np.eye(2)[None], 1e-200)
-        assert bm.prob[0] == pytest.approx(0.5e-200, rel=1e-12)
-        assert np.diag(cond[0]) == pytest.approx([2.5e-201, 2.5e-201], rel=1e-12)
+        """On the unit kernel the ball z'z <= 1e-200 has probability
+        P(chi2_p <= 1e-200), which underflows to 0 at p = 6, and conditional
+        moment I * 1e-200 / (p + 2) to first order, which does not.  The
+        moments carry the contour's few-1e-12 error at p = 6."""
+        for p, prob, cond, rel in ((2, 0.5e-200, 2.5e-201, 1e-12), (6, 0.0, 1.25e-201, 1e-11)):
+            bm = _quiet(ball_moments, np.eye(p), 1e-200)
+            assert bm.prob == pytest.approx(prob, rel=1e-12, abs=0.0), p
+            assert np.abs(bm.conditional - cond * np.eye(p)).max() <= rel * cond, p
 
 
 class TestPsdSqrt:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from etfilter._oracles import mc_ball_stats, random_model, random_spd
 from etfilter.estimator import prior_cache
-from etfilter.numerics import ball_moments, truncated_second_moment
+from etfilter.numerics import ball_moments
 from etfilter.trigger import make_config
 
 # Relative accuracy of the ball-moment quadrature.
@@ -53,8 +53,8 @@ def test_prob_is_monotone_in_radius(n, fractions):
 
 @PROPERTY
 @given(n=kernels, fraction=st.floats(1e-2, 10.0))
-def test_truncated_second_moment_below_kernel(n, fraction):
-    cond = truncated_second_moment(n, fraction * np.trace(n))
+def test_conditional_second_moment_below_kernel(n, fraction):
+    cond = ball_moments(n, fraction * np.trace(n)).conditional
     assert _min_eig(n - cond) >= -TOL * np.abs(n).max()
 
 
@@ -65,10 +65,11 @@ def test_quadrature_matches_sampling(n, fraction, seed):
     of the rejection-sampling oracle."""
     samples = 200_000
     radius2 = fraction * np.trace(n)
-    prob = ball_moments(n, radius2).prob
+    bm = ball_moments(n, radius2)
+    prob = bm.prob
     prob_mc, _, m2_mc, _ = mc_ball_stats(n, radius2, samples, np.random.default_rng(seed))
     assert abs(prob - prob_mc) <= 4.0 * math.sqrt(prob * (1.0 - prob) / samples)
-    trace = np.trace(truncated_second_moment(n, radius2))
+    trace = np.trace(bm.conditional)
     assert abs(trace - np.trace(m2_mc)) <= 0.02 * trace
 
 
@@ -99,8 +100,8 @@ def test_kernel_is_unit_free(n, fraction, log_c):
     radius2 = fraction * np.trace(n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        prob = ball_moments(c * n, c * radius2).prob
-        cond = truncated_second_moment(c * n, c * radius2)
-    assert abs(prob - ball_moments(n, radius2).prob) <= 1e-12 * prob
-    want = c * truncated_second_moment(n, radius2)
-    assert np.abs(cond - want).max() <= 1e-12 * np.abs(want).max()
+        scaled = ball_moments(c * n, c * radius2)
+    unit = ball_moments(n, radius2)
+    assert abs(scaled.prob - unit.prob) <= 1e-12 * scaled.prob
+    want = c * unit.conditional
+    assert np.abs(scaled.conditional - want).max() <= 1e-12 * np.abs(want).max()
