@@ -48,7 +48,6 @@ def log_reg_lower_gamma(a: float, x: float) -> float:
     where P(a, x) itself underflows."""
     if x <= 0 or a <= 0:
         raise ValueError("bad arguments")
-    log_pref = a * math.log(x) - x - math.lgamma(a)
     if x < a + 1.0:
         term = 1.0 / a
         total = term
@@ -59,7 +58,12 @@ def log_reg_lower_gamma(a: float, x: float) -> float:
             total += term
             if abs(term) < abs(total) * 1e-17:
                 break
-        return min(log_pref + math.log(total), 0.0)
+        return min(a * math.log(x) - x - math.lgamma(a) + math.log(total), 0.0)
+    return math.log1p(-_upper_gamma_fraction(a, x))
+
+
+def _upper_gamma_fraction(a: float, x: float) -> float:
+    """Q(a, x) = 1 - P(a, x) by Lentz's continued fraction, for x >= a + 1."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -77,7 +81,16 @@ def log_reg_lower_gamma(a: float, x: float) -> float:
         frac *= delta
         if abs(delta - 1.0) < 1e-17:
             break
-    return math.log1p(-math.exp(log_pref) * frac)
+    return math.exp(a * math.log(x) - x - math.lgamma(a)) * frac
+
+
+def reg_upper_gamma(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x); the continued fraction
+    keeps its relative accuracy deep in the tail, where 1 - P(a, x) rounds
+    to 0."""
+    if x < a + 1.0:
+        return -math.expm1(log_reg_lower_gamma(a, x)) if x > 0.0 else 1.0
+    return _upper_gamma_fraction(a, x)
 
 
 def chi2_cdf(x: float, dof: int) -> float:
@@ -85,20 +98,30 @@ def chi2_cdf(x: float, dof: int) -> float:
 
 
 def chi2_quantile(alpha: float, dof: int) -> float:
-    """Upper alpha quantile by pure bisection on the hand-rolled CDF."""
-    target = 1.0 - alpha
+    """Upper alpha quantile by pure bisection on the hand-rolled upper tail."""
     lo, hi = 0.0, 1.0
-    while chi2_cdf(hi, dof) < target:
+    while reg_upper_gamma(0.5 * dof, 0.5 * hi) > alpha:
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("bracket failure")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if chi2_cdf(mid, dof) < target:
+        if reg_upper_gamma(0.5 * dof, 0.5 * mid) > alpha:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _quad(f, a: float, b: float, **kwargs) -> float:
+    """scipy's adaptive quadrature, raising where QUADPACK reports that it did
+    not converge instead of returning its last estimate with a warning."""
+    from scipy.integrate import quad
+
+    value, _, _, *failure = quad(f, a, b, full_output=1, **kwargs)
+    if failure:
+        raise RuntimeError(f"quadrature did not converge on [{a}, {b}]: {failure[0]}")
+    return value
 
 
 def sym_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -161,10 +184,9 @@ def imhof_cdf(lams, dofs, x: float) -> float:
 
     Adaptive quadrature covers the first four periods of x u / 2; the tail
     runs through QUADPACK's Fourier-integral rule.  Accurate while no lams_j
-    greatly exceeds x (the probability is then small and cancels in 1/2 - ...).
+    greatly exceeds x (the probability is then small and cancels in 1/2 - ...);
+    a quadrature that does not converge raises RuntimeError.
     """
-    from scipy.integrate import quad
-
     terms = list(zip(lams, dofs))
 
     def phase(u):
@@ -175,12 +197,12 @@ def imhof_cdf(lams, dofs, x: float) -> float:
 
     w = 0.5 * x
     split = 8.0 * math.pi / w
-    head = quad(lambda u: math.sin(phase(u) - w * u) / amp(u), 0.0, split, epsabs=1e-14,
-                epsrel=1e-12, limit=1000)[0]
+    head = _quad(lambda u: math.sin(phase(u) - w * u) / amp(u), 0.0, split, epsabs=1e-14,
+                 epsrel=1e-12, limit=1000)
     # sin(phase - w u) = sin(phase) cos(w u) - cos(phase) sin(w u)
     tail = [
-        quad(lambda u, f=f: f(phase(u)) / amp(u), split, math.inf, weight=weight, wvar=w,
-             epsabs=1e-14, limlst=200)[0]
+        _quad(lambda u, f=f: f(phase(u)) / amp(u), split, math.inf, weight=weight, wvar=w,
+              epsabs=1e-14, limlst=200)
         for f, weight in ((math.sin, "cos"), (math.cos, "sin"))
     ]
     return 0.5 - (head + tail[0] - tail[1]) / math.pi
@@ -204,7 +226,6 @@ def ball_stats_2d(lam1: float, lam2: float, radius2: float):
     the radial integral is done with adaptive quadrature.  Entirely different
     machinery from a cartesian product rule.
     """
-    from scipy.integrate import quad
     from scipy.special import ive
 
     c = math.sqrt(radius2)
@@ -228,9 +249,9 @@ def ball_stats_2d(lam1: float, lam2: float, radius2: float):
         i0, i1 = parts(r)
         return r**3 * (i0 - i1) / (2.0 * root)
 
-    prob = quad(f_prob, 0.0, c, epsabs=1e-13, epsrel=1e-12, limit=300)[0]
-    m2_1 = quad(f_m2_1, 0.0, c, epsabs=1e-13, epsrel=1e-12, limit=300)[0]
-    m2_2 = quad(f_m2_2, 0.0, c, epsabs=1e-13, epsrel=1e-12, limit=300)[0]
+    prob = _quad(f_prob, 0.0, c, epsabs=1e-13, epsrel=1e-12, limit=300)
+    m2_1 = _quad(f_m2_1, 0.0, c, epsabs=1e-13, epsrel=1e-12, limit=300)
+    m2_2 = _quad(f_m2_2, 0.0, c, epsabs=1e-13, epsrel=1e-12, limit=300)
     if prob <= 0.0:
         raise ValueError("empty region")
     return prob, m2_1 / prob, m2_2 / prob
@@ -244,7 +265,6 @@ def axisymmetric_ball_stats(a: float, b: float, radius2: float):
     probability and second moment are the chi2_2 and chi2_4 CDFs; the y
     integral runs by adaptive quadrature.
     """
-    from scipy.integrate import quad
     from scipy.special import gammainc
 
     def integral(f):
@@ -252,7 +272,7 @@ def axisymmetric_ball_stats(a: float, b: float, radius2: float):
             t = max(radius2 - a * y * y, 0.0) / (2.0 * b)
             return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * y * y) * f(y, t)
 
-        return quad(g, 0.0, min(math.sqrt(radius2 / a), 40.0), epsabs=0.0, epsrel=1e-13)[0]
+        return _quad(g, 0.0, min(math.sqrt(radius2 / a), 40.0), epsabs=0.0, epsrel=1e-13)
 
     prob = integral(lambda y, t: gammainc(1.0, t))
     cond_a = a * integral(lambda y, t: y * y * gammainc(1.0, t)) / prob

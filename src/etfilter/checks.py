@@ -36,8 +36,13 @@ def _check_chi_square():
     for alpha, dof in ((0.05, 1), (0.05, 2), (0.01, 3), (0.5, 4)):
         worst = max(worst, abs(chi_square_quantile(alpha, dof) - oracles.chi2_quantile(alpha, dof)))
     tabled = abs(chi_square_quantile(0.05, 2) - 5.991)
-    ok = worst < 1e-9 and tabled < 5e-4
-    return ok, f"max |quantile - bisection oracle| = {worst:.2e}, |q(0.05,2) - 5.991| = {tabled:.1e}"
+    # dof 2 has the closed form -2 ln(alpha); a tiny alpha shows any upper-tail rounding.
+    closed = abs(chi_square_quantile(1e-12, 2) / (-2.0 * math.log(1e-12)) - 1.0)
+    ok = worst < 1e-9 and tabled < 5e-4 and closed <= 1e-12
+    return ok, (
+        f"max |quantile - bisection oracle| = {worst:.2e}, |q(0.05,2) - 5.991| = {tabled:.1e}, "
+        f"q(1e-12,2) vs -2 ln(alpha) relative {closed:.1e}"
+    )
 
 
 def _check_identity_ball():

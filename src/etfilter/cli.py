@@ -5,9 +5,13 @@ Subcommands:
   table1     run all three cases, print average rates next to the references
   rates      run one case and write only the per-step rate comparison
 
-Options may also come from a flat key=value config file (--config); explicit
-command line flags win.  The output directory falls back to the
-ETFILTER_OUT_DIR environment variable, then to ./etfilter-output.
+Every subcommand takes the run settings as flags (table1 all but --case);
+ExperimentConfig supplies each setting that is not given.  The same settings
+may come from a flat key=value config file (--config), keyed by the flag name
+without its dashes (--trial-index is trial_index); explicit command line flags
+win, and a key the subcommand does not take is an error.  The output
+directory falls back to the ETFILTER_OUT_DIR environment variable, then to
+./etfilter-output.
 """
 
 from __future__ import annotations
@@ -15,23 +19,23 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
-from .harness import ExperimentConfig, emit_csv, run_monte_carlo, table1
+from .harness import CASE_BOUNDS, ExperimentConfig, emit_csv, run_monte_carlo, table1
 
 _ENV_OUT = "ETFILTER_OUT_DIR"
 _FALLBACK_OUT = "etfilter-output"
 
-_INT_KEYS = {"trials", "steps", "seed", "trial_index", "jobs"}
-_FLOAT_KEYS = {"alpha"}
-_STR_KEYS = {"case", "out"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-
 __all__ = ["main"]
 
 
-def _read_config(path: str) -> dict[str, str]:
-    """Parse a flat key=value file; blank lines and # comments are skipped."""
+def _read_config(path: str, options: dict[str, argparse.Action], command: str) -> dict:
+    """Parse a flat key=value file into settings keyed by option dest.
+
+    Blank lines and # comments are skipped; each value is converted by its
+    flag's own ``type``.
+    """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -41,49 +45,34 @@ def _read_config(path: str) -> dict[str, str]:
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         values[key.strip()] = val.strip()
-    unknown = sorted(set(values) - _ALL_KEYS)
+    unknown = sorted(set(values) - set(options))
     if unknown:
-        raise ValueError(f"{path}: unknown option(s) {unknown}; known: {sorted(_ALL_KEYS)}")
-    return values
-
-
-def _pick(args: argparse.Namespace, cfg: dict[str, str], key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in cfg:
-        raw = cfg[key]
+        raise ValueError(
+            f"{path}: unknown option(s) {unknown} for {command}; known: {sorted(options)}"
+        )
+    settings = {}
+    for key, raw in values.items():
+        action = options[key]
         try:
-            if key in _INT_KEYS:
-                return int(raw)
-            if key in _FLOAT_KEYS:
-                return float(raw)
+            settings[action.dest] = action.type(raw) if action.type else raw
         except ValueError:
             raise ValueError(f"config option {key}={raw!r} is not a number") from None
-        return raw
-    return default
+    return settings
 
 
-def _normalize_case(value: str) -> str:
-    text = str(value).strip().lower()
-    return f"case{text}" if text in {"1", "2", "3"} else text
+def _case(value: str) -> str:
+    text = value.strip().lower()
+    return f"case{text}" if f"case{text}" in CASE_BOUNDS else text
 
 
-def _output_dir(args: argparse.Namespace, cfg: dict[str, str]) -> Path:
-    out = getattr(args, "out", None) or cfg.get("out") or os.environ.get(_ENV_OUT)
-    return Path(out or _FALLBACK_OUT)
-
-
-def _experiment_config(args: argparse.Namespace, cfg: dict[str, str]) -> ExperimentConfig:
-    return ExperimentConfig(
-        case=_normalize_case(_pick(args, cfg, "case", "case1")),
-        trials=_pick(args, cfg, "trials", 5000),
-        steps=_pick(args, cfg, "steps", 101),
-        seed=_pick(args, cfg, "seed", 1234),
-        alpha=_pick(args, cfg, "alpha", 0.05),
-        rate_trial_index=_pick(args, cfg, "trial_index", 40),
-        jobs=_pick(args, cfg, "jobs", 1),
+def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
+    """Merge the given flags over the config file; ExperimentConfig fills in the rest."""
+    given = _read_config(args.config, args.options, args.command) if args.config else {}
+    given.update(
+        (a.dest, getattr(args, a.dest)) for a in args.options.values() if hasattr(args, a.dest)
     )
+    out = given.pop("out", None) or os.environ.get(_ENV_OUT) or _FALLBACK_OUT
+    return ExperimentConfig(**given), Path(out)
 
 
 def _report(summary, paths: dict[str, Path]) -> None:
@@ -101,46 +90,41 @@ def _report(summary, paths: dict[str, Path]) -> None:
         print(f"wrote {path}")
 
 
-def _cmd_simulate(args: argparse.Namespace, cfg: dict[str, str]) -> int:
-    summary = run_monte_carlo(_experiment_config(args, cfg))
-    _report(summary, emit_csv(summary, _output_dir(args, cfg)))
-    return 0
+def _run_case(config: ExperimentConfig, out: Path, which: tuple[str, ...]) -> None:
+    summary = run_monte_carlo(config)
+    _report(summary, emit_csv(summary, out, which=which))
 
 
-def _cmd_rates(args: argparse.Namespace, cfg: dict[str, str]) -> int:
-    summary = run_monte_carlo(_experiment_config(args, cfg))
-    _report(summary, emit_csv(summary, _output_dir(args, cfg), which=("rates",)))
-    return 0
+def _add_subcommand(subs, name: str, text: str, run, with_case: bool = True) -> None:
+    """A subcommand parser whose run flags default to absent, so that only the
+    settings actually given reach ExperimentConfig."""
+    sub = subs.add_parser(name, help=text)
+    defaults = ExperimentConfig()
+    options: dict[str, argparse.Action] = {}
 
-
-def _cmd_table1(args: argparse.Namespace, cfg: dict[str, str]) -> int:
-    table1(
-        trials=_pick(args, cfg, "trials", 5000),
-        seed=_pick(args, cfg, "seed", 1234),
-        output_dir=_output_dir(args, cfg),
-        jobs=_pick(args, cfg, "jobs", 1),
-        alpha=_pick(args, cfg, "alpha", 0.05),
-    )
-    return 0
-
-
-def _add_common(sub: argparse.ArgumentParser, with_case: bool) -> None:
-    if with_case:
-        sub.add_argument("--case", help="benchmark case: 1, 2, 3 (or case1..case3)")
-        sub.add_argument("--steps", type=int, help="time steps per trial (default 101)")
-        sub.add_argument("--alpha", type=float, help="trigger confidence level (default 0.05)")
-        sub.add_argument(
-            "--trial-index",
-            dest="trial_index",
-            type=int,
-            help="trial whose rate predictions go to rates.csv (default 40)",
+    def add(flag: str, **kwargs) -> None:
+        key = flag.replace("-", "_")
+        options[key] = sub.add_argument(
+            f"--{flag}", default=argparse.SUPPRESS, metavar=key.upper(), **kwargs
         )
-    sub.add_argument("--trials", type=int, help="Monte Carlo trials (default 5000)")
-    sub.add_argument("--seed", type=int, help="master seed (default 1234)")
-    sub.add_argument("--jobs", type=int, help="worker processes (default 1)")
-    sub.add_argument("--out", help="output directory for csv files")
+
+    if with_case:
+        add("case", type=_case, help="benchmark case: 1, 2, 3 (or case1..case3)")
+    add("trials", type=int, help=f"Monte Carlo trials (default {defaults.trials})")
+    add("steps", type=int, help=f"time steps per trial (default {defaults.steps})")
+    add("seed", type=int, help=f"master seed (default {defaults.seed})")
+    add("alpha", type=float, help=f"trigger confidence level (default {defaults.alpha})")
+    add(
+        "trial-index",
+        dest="rate_trial_index",
+        type=int,
+        help=f"trial whose rate predictions go to rates.csv (default {defaults.rate_trial_index})",
+    )
+    add("jobs", type=int, help=f"worker processes (default {defaults.jobs})")
+    add("out", help="output directory for csv files")
     # SUPPRESS keeps a --config given before the subcommand from being reset.
     sub.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    sub.set_defaults(run=run, options=options)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,15 +139,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="flat key=value options file; flags override it")
     subs = parser.add_subparsers(dest="command")
-
-    sim = subs.add_parser("simulate", help="run one case and write all csv outputs")
-    _add_common(sim, with_case=True)
-
-    tab = subs.add_parser("table1", help="run all cases and compare average rates")
-    _add_common(tab, with_case=False)
-
-    rat = subs.add_parser("rates", help="run one case and write only rates.csv")
-    _add_common(rat, with_case=True)
+    _add_subcommand(
+        subs,
+        "simulate",
+        "run one case and write all csv outputs",
+        partial(_run_case, which=("rms", "rates", "summary")),
+    )
+    _add_subcommand(
+        subs, "table1", "run all cases and compare average rates", table1, with_case=False
+    )
+    _add_subcommand(
+        subs, "rates", "run one case and write only rates.csv", partial(_run_case, which=("rates",))
+    )
     return parser
 
 
@@ -177,13 +164,8 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.error("a subcommand is required unless --check is given")
     try:
-        cfg = _read_config(args.config) if args.config else {}
-        handler = {
-            "simulate": _cmd_simulate,
-            "table1": _cmd_table1,
-            "rates": _cmd_rates,
-        }[args.command]
-        return handler(args, cfg)
+        args.run(*_resolve(args))
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

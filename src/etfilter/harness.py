@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ from numpy.typing import NDArray
 
 from .estimator import EventTriggeredFilter, StepCache
 from .model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
-from .rate import RateState, bootstrap_rates, rate_two_step
-from .trigger import make_config
+from .rate import RateState, rate_two_step
+from .trigger import TriggerConfig, make_config
 
 __all__ = [
     "CASE_BOUNDS",
@@ -42,13 +43,14 @@ CASE_BOUNDS: dict[str, NDArray] = {
     "case3": np.array([[60.0, 10.0], [10.0, 20.0]]),
 }
 
-# Reference average communication rates for the benchmark cases at 5000 trials:
-# (empirical, one-step predicted, two-step predicted).
+# Reference average communication rates for the benchmark cases at
+# _REFERENCE_TRIALS trials: (empirical, one-step predicted, two-step predicted).
 TABLE1_REFERENCE: dict[str, tuple[float, float, float]] = {
     "case1": (0.3812, 0.3730, 0.3761),
     "case2": (0.5684, 0.5696, 0.5678),
     "case3": (0.2798, 0.2750, 0.2712),
 }
+_REFERENCE_TRIALS = 5000
 
 # Trials per aggregation chunk; fixed (never derived from the worker count) so
 # that floating-point reduction order is reproducible across thread counts.
@@ -59,22 +61,44 @@ _UNSET = object()
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Benchmark run parameters.
+    """Benchmark run parameters; the defaults are the reference Table-1 run.
 
     ``case`` picks a bound from CASE_BOUNDS unless ``nbar`` overrides it with a
     custom SPD matrix.  ``rate_trial_index`` designates the trial whose cache
     feeds the rate predictors (clamped to trials-1).  ``jobs`` only changes how
-    chunks are scheduled, never the numbers.
+    chunks are scheduled, never the numbers.  An out-of-range setting or an
+    unknown case raises ValueError on construction.
     """
 
     case: str = "case1"
-    trials: int = 5000
+    trials: int = _REFERENCE_TRIALS
     steps: int = 101
     seed: int = 1234
     alpha: float = 0.05
     rate_trial_index: int = 40
     nbar: NDArray | None = None
     jobs: int = 1
+
+    def __post_init__(self):
+        minima = {"trials": 1, "steps": 2, "seed": 0, "rate_trial_index": 0, "jobs": 1}
+        for name, low in minima.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
+        self.bound()
+
+    def bound(self) -> tuple[str, NDArray]:
+        """(case label, trigger bound nbar) of this run."""
+        if self.nbar is not None:
+            label = self.case if self.case not in CASE_BOUNDS else "custom"
+            return label, np.asarray(self.nbar, dtype=float)
+        try:
+            return self.case, CASE_BOUNDS[self.case]
+        except KeyError:
+            raise ValueError(
+                f"unknown case {self.case!r}; expected one of {sorted(CASE_BOUNDS)} "
+                "or a custom nbar"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -99,47 +123,38 @@ class ExperimentSummary:
     avg_rates: NDArray
 
 
-def _chunk_worker(payload):
-    """Simulate the chunk's trials, one generator each, then filter them as one batch."""
-    (model, trigger, steps, seed, lo, hi, designated, e0, e1, true_x0) = payload
+def _chunk_worker(
+    config: ExperimentConfig,
+    model: LinearGaussianModel,
+    trigger: TriggerConfig,
+    true_x0: NDArray | None,
+    lo: int,
+):
+    """Simulate the trials of the chunk starting at ``lo``, one generator each,
+    then filter them as one batch."""
+    hi = min(lo + _CHUNK, config.trials)
     filt = EventTriggeredFilter(model, trigger)
-    rngs = (np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(lo, hi))
-    trajs = [simulate(model, steps - 1, rng, x0=true_x0) for rng in rngs]
+    rngs = (np.random.default_rng(np.random.SeedSequence([config.seed, i])) for i in range(lo, hi))
+    trajs = [simulate(model, config.steps - 1, rng, x0=true_x0) for rng in rngs]
     run, caches = filt._run_batch(np.stack([t.measurements for t in trajs]))
     err = run.xhat - np.stack([t.states for t in trajs])
     rates = None
-    if lo <= designated < hi:
-        row = designated - lo
-        alg2 = np.empty(steps)
-        alg2[0] = e0
-        alg2[1] = e1
-        if steps > 2:
-            # Step k's two-step prediction reads the cache of step k-1.
-            prev = StepCache(
-                **{
-                    f.name: np.stack([getattr(c, f.name)[row] for c in caches[1:-1]])
-                    for f in fields(StepCache)
-                }
-            )
-            alg2[2:] = rate_two_step(
-                RateState(prob0_prev=prev.prob0, cache_prev=prev, model=model, trigger=trigger)
-            ).gamma_hat
-        rates = (1.0 - run.prob0[row], alg2)
-    return run.gamma.sum(axis=0), (err * err).sum(axis=0), rates
-
-
-def _resolve_nbar(config: ExperimentConfig) -> tuple[str, NDArray]:
-    if config.nbar is not None:
-        return config.case if config.case not in CASE_BOUNDS else "custom", np.asarray(
-            config.nbar, dtype=float
+    row = min(config.rate_trial_index, config.trials - 1) - lo
+    if 0 <= row < hi - lo:
+        alg1 = 1.0 - run.prob0[row]
+        # Step k's two-step prediction reads the cache of step k-1; at step 0
+        # there is no history and both predictors read the prior cache.
+        prev = StepCache(
+            **{
+                f.name: np.stack([getattr(c, f.name)[row] for c in caches[:-1]])
+                for f in fields(StepCache)
+            }
         )
-    try:
-        return config.case, CASE_BOUNDS[config.case]
-    except KeyError:
-        raise ValueError(
-            f"unknown case {config.case!r}; expected one of {sorted(CASE_BOUNDS)} "
-            "or a custom nbar"
-        ) from None
+        two_step = rate_two_step(
+            RateState(prob0_prev=prev.prob0, cache_prev=prev, model=model, trigger=trigger)
+        ).gamma_hat
+        rates = (alg1, np.concatenate([alg1[:1], two_step]))
+    return run.gamma.sum(axis=0), (err * err).sum(axis=0), rates
 
 
 def run_monte_carlo(
@@ -154,17 +169,6 @@ def run_monte_carlo(
     deliberately offset).  A custom model draws its initial state from the
     model prior unless ``true_x0`` pins it.
     """
-    if config.steps < 2:
-        raise ValueError(f"steps must be at least 2, got {config.steps}")
-    if config.trials < 1:
-        raise ValueError(f"trials must be positive, got {config.trials}")
-    if config.seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {config.seed}")
-    if config.rate_trial_index < 0:
-        raise ValueError(f"rate_trial_index must be nonnegative, got {config.rate_trial_index}")
-    if config.jobs < 1:
-        raise ValueError(f"jobs must be positive, got {config.jobs}")
-
     if model is None:
         model = tracking_preset()
         if true_x0 is _UNSET:
@@ -172,31 +176,14 @@ def run_monte_carlo(
     elif true_x0 is _UNSET:
         true_x0 = None
 
-    case_label, nbar = _resolve_nbar(config)
-    trigger = make_config(nbar, config.alpha)
-    e0, e1 = bootstrap_rates(model, trigger)
-    designated = min(config.rate_trial_index, config.trials - 1)
-
-    payloads = [
-        (
-            model,
-            trigger,
-            config.steps,
-            config.seed,
-            lo,
-            min(lo + _CHUNK, config.trials),
-            designated,
-            e0,
-            e1,
-            true_x0,
-        )
-        for lo in range(0, config.trials, _CHUNK)
-    ]
+    case_label, nbar = config.bound()
+    chunk = partial(_chunk_worker, config, model, make_config(nbar, config.alpha), true_x0)
+    starts = range(0, config.trials, _CHUNK)
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_chunk_worker, payloads))
+            results = list(pool.map(chunk, starts))
     else:
-        results = [_chunk_worker(p) for p in payloads]
+        results = [chunk(lo) for lo in starts]
 
     counts = np.zeros(config.steps, dtype=np.int64)
     sq_sum = np.zeros((config.steps, model.n))
@@ -236,6 +223,14 @@ def _write_csv(path: Path, header: str, rows) -> None:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
+
+
+def _write_summary(path: Path, summaries) -> None:
+    _write_csv(
+        path,
+        "case,avg_empirical,avg_alg1,avg_alg2",
+        ([s.case, *(_fmt(v) for v in s.avg_rates)] for s in summaries),
+    )
 
 
 def emit_csv(
@@ -291,64 +286,46 @@ def emit_csv(
 
     if "summary" in which:
         paths["summary"] = out / "summary.csv"
-        _write_csv(
-            paths["summary"],
-            "case,avg_empirical,avg_alg1,avg_alg2",
-            [[summary.case, *(_fmt(v) for v in summary.avg_rates)]],
-        )
+        _write_summary(paths["summary"], [summary])
     return paths
 
 
 def table1(
-    trials: int = 5000,
-    seed: int = 1234,
-    output_dir=None,
-    jobs: int = 1,
-    alpha: float = 0.05,
+    config: ExperimentConfig = ExperimentConfig(), output_dir=None
 ) -> dict[str, ExperimentSummary]:
     """Run all three benchmark cases and print average rates next to the references.
 
-    Returns the per-case summaries.  When ``output_dir`` is given, per-case CSV
-    files land in ``<output_dir>/<case>/`` and a combined summary.csv at the
-    top level.
+    Every case runs ``config`` with its ``case`` replaced; a custom ``nbar``
+    has no reference row and is rejected.  Returns the per-case summaries.
+    When ``output_dir`` is given, per-case CSV files land in
+    ``<output_dir>/<case>/`` and a combined summary.csv at the top level.
     """
-    summaries: dict[str, ExperimentSummary] = {}
-    rows = []
-    for case in sorted(CASE_BOUNDS):
-        cfg = ExperimentConfig(case=case, trials=trials, seed=seed, jobs=jobs, alpha=alpha)
-        summary = run_monte_carlo(cfg)
-        summaries[case] = summary
-        ref = TABLE1_REFERENCE[case]
-        delta = max(abs(summary.avg_rates[i] - ref[i]) for i in range(3))
-        rows.append((case, summary.avg_rates, ref, delta))
+    if config.nbar is not None:
+        raise ValueError("table1 runs the registered cases; a custom nbar has no reference row")
+    summaries = {case: run_monte_carlo(replace(config, case=case)) for case in sorted(CASE_BOUNDS)}
 
     print(
         f"{'case':<8}{'empirical':>11}{'alg1':>9}{'alg2':>9}"
         f"{'ref_emp':>10}{'ref_alg1':>10}{'ref_alg2':>10}{'max|diff|':>11}"
     )
-    for case, avg, ref, delta in rows:
+    for case, summary in summaries.items():
+        avg, ref = summary.avg_rates, TABLE1_REFERENCE[case]
+        delta = max(abs(avg[i] - ref[i]) for i in range(3))
         print(
             f"{case:<8}{avg[0]:>11.4f}{avg[1]:>9.4f}{avg[2]:>9.4f}"
             f"{ref[0]:>10.4f}{ref[1]:>10.4f}{ref[2]:>10.4f}{delta:>11.4f}"
         )
-    if trials != 5000:
-        widened = 0.02 * math.sqrt(5000.0 / max(trials, 1))
+    if config.trials != _REFERENCE_TRIALS:
+        widened = 0.02 * math.sqrt(_REFERENCE_TRIALS / config.trials)
         print(
-            f"note: references were produced at 5000 trials; at {trials} trials the "
-            f"Monte Carlo comparison band widens to roughly +/-{widened:.3f}"
+            f"note: references were produced at {_REFERENCE_TRIALS} trials; at "
+            f"{config.trials} trials the Monte Carlo comparison band widens to roughly "
+            f"+/-{widened:.3f}"
         )
 
     if output_dir is not None:
         out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         for case, summary in summaries.items():
             emit_csv(summary, out / case)
-        _write_csv(
-            out / "summary.csv",
-            "case,avg_empirical,avg_alg1,avg_alg2",
-            [
-                [case, *(_fmt(v) for v in summaries[case].avg_rates)]
-                for case in sorted(summaries)
-            ],
-        )
+        _write_summary(out / "summary.csv", summaries.values())
     return summaries

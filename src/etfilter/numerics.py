@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import gammainc, ndtri
+from scipy.special import gammainccinv
 
 __all__ = [
     "BallMoments",
@@ -90,46 +90,16 @@ def psd_sqrt(a, name: str = "covariance") -> NDArray:
 def chi_square_quantile(alpha: float, dof: int) -> float:
     """Upper-tail chi-square quantile: the c with P(X > c) = alpha, X ~ chi2(dof).
 
-    Newton iteration on the regularized incomplete gamma CDF, seeded by the
-    Wilson-Hilferty cube approximation and safeguarded by a bracketing bisection
-    step whenever Newton would leave the current bracket.
+    Inverts the regularized upper incomplete gamma function directly, so small
+    alpha keeps full relative accuracy (a root of the lower CDF at 1 - alpha
+    would round the upper tail away).
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     if int(dof) != dof or dof < 1:
         raise ValueError(f"dof must be a positive integer, got {dof}")
-    dof = int(dof)
-
-    target = 1.0 - alpha
-    half = 0.5 * dof
-    z = float(ndtri(target))
-    seed = dof * (1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))) ** 3
-    c = seed if seed > 0.0 else 0.5 * alpha * dof
-    c = max(c, 1e-300)
-
-    lo, hi = 0.0, max(c, float(dof))
-    while gammainc(half, 0.5 * hi) < target:
-        hi *= 2.0
-    log_norm = half * math.log(2.0) + math.lgamma(half)
-    for _ in range(200):
-        f = float(gammainc(half, 0.5 * c)) - target
-        if f >= 0.0:
-            hi = min(hi, c)
-        else:
-            lo = max(lo, c)
-        with np.errstate(over="ignore"):
-            pdf = math.exp((half - 1.0) * math.log(c) - 0.5 * c - log_norm)
-        if pdf > 0.0 and math.isfinite(pdf):
-            nxt = c - f / pdf
-            if not lo < nxt < hi:
-                nxt = 0.5 * (lo + hi)
-        else:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - c) <= 1e-14 * max(nxt, 1.0):
-            return nxt
-        c = nxt
-    return c
+    return 2.0 * float(gammainccinv(0.5 * int(dof), alpha))
 
 
 def factor_precision(nbar) -> NDArray:

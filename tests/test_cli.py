@@ -71,6 +71,39 @@ class TestTable1Command:
         assert (tmp_path / "summary.csv").exists()
 
 
+class TestTable1Settings:
+    def test_config_file_steps_reach_every_case(self, tmp_path):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"trials=4\nsteps=9\ntrial_index=2\nout={tmp_path / 'o'}\n")
+        assert _run(["--config", cfg, "table1"]) == 0
+        for case in ("case1", "case2", "case3"):
+            rows = list(csv.reader((tmp_path / "o" / case / "rms.csv").open()))
+            assert len(rows) == 10  # header + steps
+
+    def test_alpha_flag_equals_config_file(self, tmp_path):
+        flags = ["table1", "--trials", 4, "--steps", 6]
+        assert _run([*flags, "--alpha", 0.1, "--out", tmp_path / "f"]) == 0
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"trials=4\nsteps=6\nalpha=0.1\nout={tmp_path / 'c'}\n")
+        assert _run(["--config", cfg, "table1"]) == 0
+        default = tmp_path / "d"
+        assert _run([*flags, "--out", default]) == 0
+        files = sorted(p.relative_to(tmp_path / "f") for p in (tmp_path / "f").rglob("*.csv"))
+        assert len(files) == 10
+        for name in files:
+            assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+        alpha_summary = (tmp_path / "f" / "summary.csv").read_bytes()
+        assert alpha_summary != (default / "summary.csv").read_bytes()
+
+    def test_case_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"case=2\ntrials=4\nout={tmp_path / 'o'}\n")
+        assert _run(["--config", cfg, "table1"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown option(s) ['case'] for table1" in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestConfigFile:
     def test_values_read_from_file(self, tmp_path):
         cfg = tmp_path / "opts.cfg"

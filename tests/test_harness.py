@@ -191,7 +191,7 @@ class TestCsvOutput:
 
 class TestTable1:
     def test_runs_all_cases_and_writes_outputs(self, tmp_path, capsys):
-        summaries = table1(trials=20, seed=9, output_dir=tmp_path)
+        summaries = table1(ExperimentConfig(trials=20, seed=9), output_dir=tmp_path)
         assert sorted(summaries) == ["case1", "case2", "case3"]
         printed = capsys.readouterr().out
         assert "case1" in printed and "ref_emp" in printed
@@ -201,3 +201,7 @@ class TestTable1:
         combined = list(csv.reader((Path(tmp_path) / "summary.csv").open()))
         assert len(combined) == 4
         assert [row[0] for row in combined[1:]] == ["case1", "case2", "case3"]
+
+    def test_rejects_custom_bound(self):
+        with pytest.raises(ValueError, match="custom nbar"):
+            table1(ExperimentConfig(nbar=np.eye(2), trials=2, steps=3))

@@ -31,6 +31,11 @@ class TestChiSquareQuantile:
         tiny = chi_square_quantile(1e-12, 2)
         assert tiny == pytest.approx(oracles.chi2_quantile(1e-12, 2), rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.05, 1e-6, 1e-12, 1e-100])
+    def test_dof2_closed_form(self, alpha):
+        # P(chi2_2 > c) = exp(-c / 2), so c = -2 ln(alpha) exactly.
+        assert chi_square_quantile(alpha, 2) == pytest.approx(-2.0 * math.log(alpha), rel=1e-14)
+
     def test_round_trip_through_cdf(self):
         for alpha, dof in ((0.05, 2), (0.3, 5)):
             c = chi_square_quantile(alpha, dof)
@@ -324,6 +329,14 @@ class TestContourKernel:
             bm = _quiet(ball_moments, np.diag(lams), r2)
             assert bm.prob == pytest.approx(prob, rel=1e-10), r2
             assert np.diag(bm.conditional) == pytest.approx(cond, rel=1e-10), r2
+
+    def test_imhof_oracle_raises_where_quadrature_fails(self):
+        """Where an eigenvalue far exceeds x the real-axis integral does not
+        converge; the oracle must raise rather than return about 0.5 + p."""
+        prob = oracles.axisymmetric_ball_stats(1.0, 1e-12, 1e-9)[0]
+        assert prob == pytest.approx(2.5206e-5, rel=1e-4)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            oracles.imhof_cdf([1.0, 1e-12, 1e-12], [1, 1, 1], 1e-9)
 
     def test_stiff_p2_kernel_against_bessel_oracle(self):
         """Eigenvalue ratio 1e12 with the ball set by the small eigenvalue."""
