@@ -120,7 +120,7 @@ def _add_subcommand(subs, name: str, text: str, run, with_case: bool = True) -> 
         type=int,
         help=f"trial whose rate predictions go to rates.csv (default {defaults.rate_trial_index})",
     )
-    add("jobs", type=int, help=f"worker processes (default {defaults.jobs})")
+    add("jobs", type=int, help=f"worker processes, one per chunk at most (default {defaults.jobs})")
     add("out", help="output directory for csv files")
     # SUPPRESS keeps a --config given before the subcommand from being reset.
     sub.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)

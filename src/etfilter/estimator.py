@@ -49,7 +49,8 @@ class StepCache:
     P_silent : posterior covariance of the silent branch
     prob0    : probability of silence at this step given the previous info set
 
-    Inside the batched recursion every field carries a leading trial axis.
+    Inside the batched recursion every field carries a leading trial axis, and
+    in ``FilterRun.cache`` a step axis.
     """
 
     P_z: NDArray
@@ -58,8 +59,8 @@ class StepCache:
 
 
 def _take(batched, index):
-    """The trials ``index`` selects from a batched StepCache or FilterRun
-    (an int drops the trial axis)."""
+    """The trials ``index`` selects from a batched StepCache (an int drops the
+    trial axis)."""
     return type(batched)(**{f.name: getattr(batched, f.name)[index] for f in fields(batched)})
 
 
@@ -83,13 +84,15 @@ class StepOutput:
 
 @dataclass(frozen=True)
 class FilterRun:
-    """Per-step results of a whole run."""
+    """Per-step results of a whole run: one entry per time step, and a leading
+    trial axis when a stack of trials was filtered.  ``cache`` holds every
+    step's StepCache, its fields stacked the same way."""
 
     gamma: NDArray
     xhat: NDArray
     P: NDArray
     innovation: NDArray
-    prob0: NDArray
+    cache: StepCache
 
 
 def _finite(y, what: str) -> NDArray:
@@ -133,8 +136,8 @@ class EventTriggeredFilter:
     """Filter a measurement stream under a fixed model and trigger.
 
     One recursion (``_advance``) moves a stack of B independent trials one
-    step forward; ``init``, ``step`` and ``run`` drive it as a batch of one
-    and the Monte Carlo harness as a batch of many.  The covariance recursion
+    step forward; ``init`` and ``step`` drive it as a batch of one, and
+    ``run`` as a batch of one or of many.  The covariance recursion
     depends on the data only through the send decisions, so the trials share
     every operation but their own small matrices.
 
@@ -182,34 +185,7 @@ class EventTriggeredFilter:
         cov = np.where(sent[:, None, None], cache.P_z, cache.P_silent)
         return gamma, xhat, cov, innovation, cache
 
-    def _run_batch(self, measurements) -> tuple[FilterRun, list[StepCache]]:
-        """Filter B trials of shape (B, K+1, p) together, one step per pass.
-
-        Returns a FilterRun whose fields gain a leading trial axis and the
-        batched cache of every step.
-        """
-        ys = _finite(measurements, "measurements")
-        m = self.model
-        rows, total, p = ys.shape
-        if p != m.p:
-            raise ValueError(f"measurements must have {m.p} columns, got {p}")
-        gamma = np.zeros((rows, total), dtype=np.int64)
-        xhat = np.zeros((rows, total, m.n))
-        cov = np.zeros((rows, total, m.n, m.n))
-        innovation = np.zeros((rows, total, p))
-        prob0 = np.zeros((rows, total))
-        caches = []
-        x = np.broadcast_to(m.x0_mean, (rows, m.n))
-        c = np.broadcast_to(m.x0_cov, (rows, m.n, m.n))
-        for k in range(total):
-            g, x, c, innov, cache = self._advance(x, c, ys[:, k], predict=k > 0)
-            gamma[:, k], xhat[:, k], cov[:, k], innovation[:, k] = g, x, c, innov
-            prob0[:, k] = cache.prob0
-            caches.append(cache)
-        run = FilterRun(gamma=gamma, xhat=xhat, P=cov, innovation=innovation, prob0=prob0)
-        return run, caches
-
-    # -- public recursion: batches of one ----------------------------------------
+    # -- public recursion ------------------------------------------------------
 
     def _one(self, y) -> NDArray:
         y = _finite(y, "measurements")
@@ -239,10 +215,27 @@ class EventTriggeredFilter:
         return out, EstimatorState(k=state.k + 1, xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
 
     def run(self, measurements) -> FilterRun:
-        """Filter a whole measurement array of shape (K+1, p)."""
-        ys = np.atleast_2d(np.asarray(measurements, dtype=float))
-        run, _ = self._run_batch(ys[None])
-        return _take(run, 0)
+        """Filter a measurement array of shape (K+1, p), or a (B, K+1, p) stack
+        of independent trials advanced together, one step per pass."""
+        ys = _finite(measurements, "measurements")
+        m = self.model
+        if ys.ndim not in (2, 3) or ys.shape[-1] != m.p or ys.size == 0:
+            raise ValueError(
+                f"measurements must have shape (K+1, {m.p}) or (B, K+1, {m.p}), got {ys.shape}"
+            )
+        batch = ys if ys.ndim == 3 else ys[None]
+        x = np.broadcast_to(m.x0_mean, (len(batch), m.n))
+        c = np.broadcast_to(m.x0_cov, (len(batch), m.n, m.n))
+        steps = []
+        for k in range(batch.shape[1]):
+            g, x, c, innov, cache = self._advance(x, c, batch[:, k], predict=k > 0)
+            steps.append((g, x, c, innov, cache.P_z, cache.P_silent, cache.prob0))
+        out = [np.stack(field, axis=1) for field in zip(*steps)]
+        if ys.ndim == 2:
+            out = [field[0] for field in out]
+        gamma, xhat, cov, innovation, p_z, p_silent, prob0 = out
+        cache = StepCache(P_z=p_z, P_silent=p_silent, prob0=prob0)
+        return FilterRun(gamma=gamma, xhat=xhat, P=cov, innovation=innovation, cache=cache)
 
 
 def prior_cache(model: LinearGaussianModel, trigger: TriggerConfig) -> StepCache:

@@ -3,16 +3,16 @@
 Trials are mutually independent: trial ``i`` gets its own generator derived
 from ``SeedSequence([seed, i])``, so any execution order (or process pool)
 produces the same per-trial results.  Each fixed-size chunk of consecutive
-trials is filtered as one batch through the estimator's batched recursion,
-and chunks are combined in chunk order, which makes every reduction bitwise
-identical no matter how many workers are used.
+trials is simulated as one stack and filtered as one stack, and chunks are
+combined in chunk order, which makes every reduction bitwise identical no
+matter how many workers are used.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -65,9 +65,9 @@ class ExperimentConfig:
 
     ``case`` picks a bound from CASE_BOUNDS unless ``nbar`` overrides it with a
     custom SPD matrix.  ``rate_trial_index`` designates the trial whose cache
-    feeds the rate predictors (clamped to trials-1).  ``jobs`` only changes how
-    chunks are scheduled, never the numbers.  An out-of-range setting or an
-    unknown case raises ValueError on construction.
+    feeds the rate predictors (clamped to trials-1).  ``jobs`` caps the worker
+    processes (at most one per chunk) and never changes the numbers.  An
+    out-of-range setting or an unknown case raises ValueError on construction.
     """
 
     case: str = "case1"
@@ -85,7 +85,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value < low:
                 raise ValueError(f"{name} must be at least {low}, got {value}")
-        self.bound()
+        make_config(self.bound()[1], self.alpha)
 
     def bound(self) -> tuple[str, NDArray]:
         """(case label, trigger bound nbar) of this run."""
@@ -131,24 +131,21 @@ def _chunk_worker(
     lo: int,
 ):
     """Simulate the trials of the chunk starting at ``lo``, one generator each,
-    then filter them as one batch."""
+    then filter them as one stack."""
     hi = min(lo + _CHUNK, config.trials)
-    filt = EventTriggeredFilter(model, trigger)
-    rngs = (np.random.default_rng(np.random.SeedSequence([config.seed, i])) for i in range(lo, hi))
-    trajs = [simulate(model, config.steps - 1, rng, x0=true_x0) for rng in rngs]
-    run, caches = filt._run_batch(np.stack([t.measurements for t in trajs]))
-    err = run.xhat - np.stack([t.states for t in trajs])
+    rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, i])) for i in range(lo, hi)]
+    traj = simulate(model, config.steps - 1, rngs, x0=true_x0)
+    run = EventTriggeredFilter(model, trigger).run(traj.measurements)
+    err = run.xhat - traj.states
     rates = None
     row = min(config.rate_trial_index, config.trials - 1) - lo
     if 0 <= row < hi - lo:
-        alg1 = 1.0 - run.prob0[row]
+        c = run.cache
+        alg1 = 1.0 - c.prob0[row]
         # Step k's two-step prediction reads the cache of step k-1; at step 0
         # there is no history and both predictors read the prior cache.
         prev = StepCache(
-            **{
-                f.name: np.stack([getattr(c, f.name)[row] for c in caches[:-1]])
-                for f in fields(StepCache)
-            }
+            P_z=c.P_z[row, :-1], P_silent=c.P_silent[row, :-1], prob0=c.prob0[row, :-1]
         )
         two_step = rate_two_step(
             RateState(prob0_prev=prev.prob0, cache_prev=prev, model=model, trigger=trigger)
@@ -179,25 +176,18 @@ def run_monte_carlo(
     case_label, nbar = config.bound()
     chunk = partial(_chunk_worker, config, model, make_config(nbar, config.alpha), true_x0)
     starts = range(0, config.trials, _CHUNK)
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, len(starts))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(chunk, starts))
     else:
         results = [chunk(lo) for lo in starts]
 
-    counts = np.zeros(config.steps, dtype=np.int64)
-    sq_sum = np.zeros((config.steps, model.n))
-    rates = None
-    for c, s, r in results:
-        counts += c
-        sq_sum += s
-        if r is not None:
-            rates = r
-    alg1, alg2 = rates
-
-    empirical = counts / float(config.trials)
+    counts, sq_sums, rates = zip(*results)
+    alg1, alg2 = next(r for r in rates if r is not None)
+    empirical = sum(counts) / float(config.trials)
     se = np.sqrt(empirical * (1.0 - empirical) / config.trials)
-    rms = np.sqrt(sq_sum / config.trials)
+    rms = np.sqrt(sum(sq_sums) / config.trials)
     avg = np.array([float(empirical.mean()), float(alg1.mean()), float(alg2.mean())])
     return ExperimentSummary(
         case=case_label,
@@ -315,7 +305,13 @@ def table1(
             f"{case:<8}{avg[0]:>11.4f}{avg[1]:>9.4f}{avg[2]:>9.4f}"
             f"{ref[0]:>10.4f}{ref[1]:>10.4f}{ref[2]:>10.4f}{delta:>11.4f}"
         )
-    if config.trials != _REFERENCE_TRIALS:
+    reference = ExperimentConfig()
+    if (config.alpha, config.steps) != (reference.alpha, reference.steps):
+        print(
+            f"note: the references were produced at alpha={reference.alpha} and "
+            f"{reference.steps} steps and do not apply to this run"
+        )
+    elif config.trials != _REFERENCE_TRIALS:
         widened = 0.02 * math.sqrt(_REFERENCE_TRIALS / config.trials)
         print(
             f"note: references were produced at {_REFERENCE_TRIALS} trials; at "

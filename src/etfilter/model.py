@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,8 @@ class LinearGaussianModel:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States x_0..x_K (shape (K+1, n)) and measurements y_0..y_K (shape (K+1, p))."""
+    """States x_0..x_K (shape (K+1, n)) and measurements y_0..y_K (shape (K+1, p)),
+    both with a leading trial axis for a stack of trials."""
 
     states: NDArray
     measurements: NDArray
@@ -81,34 +83,41 @@ class Trajectory:
 def simulate(
     model: LinearGaussianModel,
     steps: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     x0: NDArray | None = None,
 ) -> Trajectory:
-    """Sample one trajectory with K = ``steps`` transitions (K+1 time points).
+    """Sample one trajectory with K = ``steps`` transitions (K+1 time points),
+    or one per generator when ``rng`` is a sequence of them.
 
     The initial state is drawn from the model prior via an eigendecomposition
-    square root (so singular x0_cov is exact), unless ``x0`` pins it.  All
-    measurement noise is drawn first, then all process noise, so draw order is
-    reproducible for a given generator state.
+    square root (so singular x0_cov is exact), unless ``x0`` pins it.  Each
+    generator draws all of its trial's measurement noise first, then all
+    process noise, then the initial state, so a trial depends only on its own
+    generator; the trials of a stack then propagate together.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     n, p = model.n, model.p
-    meas_noise = rng.standard_normal((steps + 1, p)) @ psd_sqrt(model.R, "R").T
-    proc_noise = rng.standard_normal((steps, n)) @ psd_sqrt(model.Q, "Q").T
-    if x0 is None:
-        x0 = model.x0_mean + psd_sqrt(model.x0_cov, "x0_cov") @ rng.standard_normal(n)
-    else:
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (n,):
             raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
-
-    states = np.empty((steps + 1, n))
-    states[0] = x0
+    r_half, q_half, cov_half = (psd_sqrt(m) for m in (model.R, model.Q, model.x0_cov))
+    meas_noise = np.empty((len(rngs), steps + 1, p))
+    proc_noise = np.empty((len(rngs), steps, n))
+    states = np.empty((len(rngs), steps + 1, n))
+    for b, g in enumerate(rngs):
+        meas_noise[b] = g.standard_normal((steps + 1, p)) @ r_half.T
+        proc_noise[b] = g.standard_normal((steps, n)) @ q_half.T
+        states[b, 0] = model.x0_mean + cov_half @ g.standard_normal(n) if x0 is None else x0
     for k in range(steps):
-        states[k + 1] = model.A @ states[k] + proc_noise[k]
+        # A stack of matrix-vector products rounds every trial as a single
+        # trajectory would; a (B, n) @ A.T product rounds by batch size.
+        states[:, k + 1] = (model.A @ states[:, k, :, None])[:, :, 0] + proc_noise[:, k]
     measurements = states @ model.C.T + meas_noise
-    return Trajectory(states=states, measurements=measurements)
+    pick = 0 if isinstance(rng, np.random.Generator) else slice(None)
+    return Trajectory(states=states[pick], measurements=measurements[pick])
 
 
 # True initial target state used by the tracking benchmark: the simulated

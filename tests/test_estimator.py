@@ -79,7 +79,7 @@ class TestNeverSend:
             scale = max(np.abs(cov).max(), 1.0)
             assert np.allclose(run.xhat[k], x, rtol=1e-10, atol=1e-10)
             assert np.abs(run.P[k] - cov).max() < 1e-9 * scale, k
-        assert np.all(run.prob0 == 1.0)
+        assert np.all(run.cache.prob0 == 1.0)
 
 
 class TestSilenceCarriesInformation:
@@ -188,8 +188,8 @@ class TestHugeBound:
 
 
 class TestBatchedRecursion:
-    """The harness filters a chunk of trials as one batch; every row must be
-    the run of that trial alone."""
+    """``run`` filters a stack of trials together; every row must be the run
+    of that trial alone."""
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_rows_equal_single_runs(self, p):
@@ -202,19 +202,23 @@ class TestBatchedRecursion:
             trig = make_config(random_spd(rng, 3), 0.1)
             filt = EventTriggeredFilter(model, trig)
             x0 = None
-        trajs = [
-            simulate(model, 30, np.random.default_rng(np.random.SeedSequence([8, i])), x0=x0)
-            for i in range(9)
-        ]
-        batch, caches = filt._run_batch(np.stack([t.measurements for t in trajs]))
-        assert len(caches) == 31
+        rngs = [np.random.default_rng(np.random.SeedSequence([8, i])) for i in range(9)]
+        ys = simulate(model, 30, rngs, x0=x0).measurements
+        batch = filt.run(ys)
+        assert batch.cache.P_silent.shape == (9, 31, model.n, model.n)
+        assert batch.gamma.shape == batch.cache.prob0.shape == (9, 31)
         assert 0 < batch.gamma.mean() < 1
-        for i, traj in enumerate(trajs):
-            single = filt.run(traj.measurements)
+        for i in range(9):
+            single = filt.run(ys[i])
             assert np.array_equal(batch.gamma[i], single.gamma)
-            for got, want in ((batch.xhat[i], single.xhat), (batch.P[i], single.P)):
+            for got, want in (
+                (batch.xhat[i], single.xhat),
+                (batch.P[i], single.P),
+                (batch.cache.P_z[i], single.cache.P_z),
+                (batch.cache.P_silent[i], single.cache.P_silent),
+            ):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            assert np.allclose(batch.prob0[i], single.prob0, rtol=1e-12, atol=0.0)
+            assert np.allclose(batch.cache.prob0[i], single.cache.prob0, rtol=1e-12, atol=0.0)
 
 
 class TestRunBookkeeping:
@@ -231,8 +235,16 @@ class TestRunBookkeeping:
             assert run.gamma[k] == out.gamma
             assert np.array_equal(run.xhat[k], out.xhat)
             assert np.array_equal(run.P[k], out.P)
-            assert run.prob0[k] == state.cache.prob0
+            assert run.cache.prob0[k] == state.cache.prob0
+            assert np.array_equal(run.cache.P_z[k], state.cache.P_z)
+            assert np.array_equal(run.cache.P_silent[k], state.cache.P_silent)
             assert np.array_equal(out.P, state.cache.P_z if out.gamma else state.cache.P_silent)
+
+    @pytest.mark.parametrize("shape", [(11,), (2, 3, 11, 2), (0, 2), (4, 11, 3)])
+    def test_run_rejects_bad_shape(self, shape):
+        _, _, filt = _tracking_filter()
+        with pytest.raises(ValueError, match=r"shape \(K\+1, 2\) or \(B, K\+1, 2\)"):
+            filt.run(np.zeros(shape))
 
     def test_covariances_stay_symmetric_psd(self):
         model, trig, filt = _tracking_filter()

@@ -1,9 +1,11 @@
 import csv
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from etfilter import harness
 from etfilter.harness import (
     CASE_BOUNDS,
     TABLE1_REFERENCE,
@@ -26,11 +28,14 @@ class TestConfigValidation:
             dict(seed=-1),
             dict(rate_trial_index=-2),
             dict(jobs=0),
+            dict(alpha=2.0),
+            dict(alpha=0.0),
+            dict(nbar=-np.eye(2)),
         ],
     )
     def test_rejects_bad_numbers(self, bad):
         with pytest.raises(ValueError):
-            run_monte_carlo(ExperimentConfig(**{**SMALL, **bad}))
+            ExperimentConfig(**{**SMALL, **bad})
 
     def test_rejects_unknown_case(self):
         with pytest.raises(ValueError, match="unknown case"):
@@ -87,6 +92,20 @@ class TestDeterminism:
         assert np.array_equal(serial.rate_empirical, parallel.rate_empirical)
         assert np.array_equal(serial.rate_alg1, parallel.rate_alg1)
         assert np.array_equal(serial.rate_alg2, parallel.rate_alg2)
+
+    @pytest.mark.parametrize("trials, workers", [(10, []), (250, [2])])
+    def test_no_idle_workers(self, monkeypatch, trials, workers):
+        """At most one worker per 200-trial chunk; a single chunk runs in process."""
+        started = []
+
+        class SpyPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
+        run_monte_carlo(ExperimentConfig(trials=trials, steps=5, jobs=3))
+        assert started == workers
 
     def test_seed_changes_results(self):
         a = run_monte_carlo(ExperimentConfig(case="case1", **{**SMALL, "seed": 1}))
@@ -201,6 +220,12 @@ class TestTable1:
         combined = list(csv.reader((Path(tmp_path) / "summary.csv").open()))
         assert len(combined) == 4
         assert [row[0] for row in combined[1:]] == ["case1", "case2", "case3"]
+
+    def test_flags_references_of_other_conditions(self, capsys):
+        table1(ExperimentConfig(trials=20, steps=5, alpha=0.5, seed=9))
+        printed = capsys.readouterr().out
+        assert "do not apply" in printed
+        assert "widens" not in printed
 
     def test_rejects_custom_bound(self):
         with pytest.raises(ValueError, match="custom nbar"):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from etfilter._oracles import random_model
 from etfilter.model import (
     TRUE_INITIAL_STATE,
     LinearGaussianModel,
+    Trajectory,
     simulate,
     tracking_preset,
 )
+from etfilter.numerics import psd_sqrt
 
 
 def _model(n=2, p=1):
@@ -147,6 +150,45 @@ class TestSimulate:
         traj = simulate(model, 4, np.random.default_rng(0))
         assert np.allclose(traj.states[:, 0], 8.0 * 0.5 ** np.arange(5))
         assert np.allclose(traj.measurements[:, 0], 2.0 * traj.states[:, 0])
+
+
+def _one_trial(model, steps, seed, x0):
+    """Per-trial reference: measurement noise, process noise, then the initial
+    state from one generator, and one matrix-vector product per step."""
+    rng = np.random.default_rng(seed)
+    meas_noise = rng.standard_normal((steps + 1, model.p)) @ psd_sqrt(model.R).T
+    proc_noise = rng.standard_normal((steps, model.n)) @ psd_sqrt(model.Q).T
+    if x0 is None:
+        x0 = model.x0_mean + psd_sqrt(model.x0_cov) @ rng.standard_normal(model.n)
+    states = [x0]
+    for k in range(steps):
+        states.append(model.A @ states[-1] + proc_noise[k])
+    states = np.array(states)
+    return states, states @ model.C.T + meas_noise
+
+
+class TestSimulateStack:
+    """A sequence of generators simulates one trial each; every row equals
+    that generator's trajectory alone, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "p, trials", [(2, 10), (3, 10), (3, 1)], ids=["p2-pinned", "p3-prior", "one-element"]
+    )
+    def test_rows_equal_single_trajectories(self, p, trials):
+        if p == 2:
+            model, x0 = tracking_preset(), np.array(TRUE_INITIAL_STATE)
+        else:
+            model, x0 = random_model(np.random.default_rng(5), 4, 3), None
+        seeds = [np.random.SeedSequence([21, i]) for i in range(trials)]
+        stack = simulate(model, 40, [np.random.default_rng(s) for s in seeds], x0=x0)
+        assert stack.states.shape == (trials, 41, model.n)
+        assert stack.measurements.shape == (trials, 41, p)
+        for i, seed in enumerate(seeds):
+            single = simulate(model, 40, np.random.default_rng(seed), x0=x0)
+            want_states, want_measurements = _one_trial(model, 40, seed, x0)
+            for traj in (single, Trajectory(stack.states[i], stack.measurements[i])):
+                assert np.array_equal(traj.states, want_states)
+                assert np.array_equal(traj.measurements, want_measurements)
 
 
 class TestTrackingPreset:

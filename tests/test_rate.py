@@ -55,7 +55,7 @@ class TestRateOneStep:
         model, trig, filt = _setup()
         traj = simulate(model, 20, np.random.default_rng(51))
         run = filt.run(traj.measurements)
-        assert np.all(run.prob0 >= 0.0) and np.all(run.prob0 <= 1.0)
+        assert np.all(run.cache.prob0 >= 0.0) and np.all(run.cache.prob0 <= 1.0)
 
 
 class TestRateTwoStep:
