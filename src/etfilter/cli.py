@@ -76,11 +76,8 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
 
 
 def _report(summary, paths: dict[str, Path]) -> None:
-    avg = summary.avg_rates
-    print(
-        f"case={summary.case} trials={summary.trials} steps={summary.steps} "
-        f"seed={summary.seed}"
-    )
+    avg, cfg = summary.avg_rates, summary.config
+    print(f"case={cfg.case} trials={cfg.trials} steps={cfg.steps} seed={cfg.seed}")
     print(
         f"average rates: empirical={avg[0]:.4f} one-step={avg[1]:.4f} "
         f"two-step={avg[2]:.4f}"
@@ -99,7 +96,7 @@ def _add_subcommand(subs, name: str, text: str, run, with_case: bool = True) -> 
     """A subcommand parser whose run flags default to absent, so that only the
     settings actually given reach ExperimentConfig."""
     sub = subs.add_parser(name, help=text)
-    defaults = ExperimentConfig()
+    defaults = ExperimentConfig  # class attributes hold the field defaults
     options: dict[str, argparse.Action] = {}
 
     def add(flag: str, **kwargs) -> None:

@@ -11,16 +11,17 @@ matter how many workers are used.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .estimator import EventTriggeredFilter, StepCache
-from .model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
+from .model import TRUE_INITIAL_STATE, simulate, tracking_preset
 from .rate import RateState, rate_two_step
 from .trigger import TriggerConfig, make_config
 
@@ -56,18 +57,20 @@ _REFERENCE_TRIALS = 5000
 # that floating-point reduction order is reproducible across thread counts.
 _CHUNK = 200
 
-_UNSET = object()
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Benchmark run parameters; the defaults are the reference Table-1 run.
+    """Everything that determines a benchmark run; the defaults are the
+    reference Table-1 run.
 
-    ``case`` picks a bound from CASE_BOUNDS unless ``nbar`` overrides it with a
-    custom SPD matrix.  ``rate_trial_index`` designates the trial whose cache
-    feeds the rate predictors (clamped to trials-1).  ``jobs`` caps the worker
-    processes (at most one per chunk) and never changes the numbers.  An
-    out-of-range setting or an unknown case raises ValueError on construction.
+    Every run is the tracking preset started from TRUE_INITIAL_STATE (the
+    filter prior stays deliberately offset) under the trigger bound
+    ``CASE_BOUNDS[case]`` at confidence level ``alpha``.  ``rate_trial_index``
+    designates the trial whose cache feeds the rate predictors (clamped to
+    trials-1).  ``jobs`` caps the worker processes (at most one per chunk) and
+    never changes the numbers.  A non-integer count, an out-of-range setting or
+    an unknown case raises ValueError on construction, which also derives
+    ``trigger`` once.
     """
 
     case: str = "case1"
@@ -76,45 +79,41 @@ class ExperimentConfig:
     seed: int = 1234
     alpha: float = 0.05
     rate_trial_index: int = 40
-    nbar: NDArray | None = None
     jobs: int = 1
 
     def __post_init__(self):
         minima = {"trials": 1, "steps": 2, "seed": 0, "rate_trial_index": 0, "jobs": 1}
         for name, low in minima.items():
             value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be at least {low}, got {value}")
-        make_config(self.bound()[1], self.alpha)
+        self.trigger  # derived now, so a bad case or alpha fails on construction
 
-    def bound(self) -> tuple[str, NDArray]:
-        """(case label, trigger bound nbar) of this run."""
-        if self.nbar is not None:
-            label = self.case if self.case not in CASE_BOUNDS else "custom"
-            return label, np.asarray(self.nbar, dtype=float)
+    @cached_property
+    def trigger(self) -> TriggerConfig:
+        """The trigger of this run's case at its confidence level."""
         try:
-            return self.case, CASE_BOUNDS[self.case]
+            nbar = CASE_BOUNDS[self.case]
         except KeyError:
             raise ValueError(
-                f"unknown case {self.case!r}; expected one of {sorted(CASE_BOUNDS)} "
-                "or a custom nbar"
+                f"unknown case {self.case!r}; expected one of {sorted(CASE_BOUNDS)}"
             ) from None
+        return make_config(nbar, self.alpha)
 
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Aggregated benchmark results.
+    """Aggregated benchmark results of the run ``config``.
 
-    rms has one column per state component; the rate arrays hold per-step
-    transmission rates (empirical plus both predictors along the designated
-    trial) and avg_rates their time averages in the order
-    (empirical, one-step, two-step).
+    rms has one column per state of the tracking preset (position, velocity,
+    acceleration); the rate arrays hold per-step transmission rates
+    (empirical plus both predictors along the designated trial) and avg_rates
+    their time averages in the order (empirical, one-step, two-step).
     """
 
-    case: str
-    trials: int
-    steps: int
-    seed: int
+    config: ExperimentConfig
     rms: NDArray
     rate_empirical: NDArray
     rate_se: NDArray
@@ -123,18 +122,13 @@ class ExperimentSummary:
     avg_rates: NDArray
 
 
-def _chunk_worker(
-    config: ExperimentConfig,
-    model: LinearGaussianModel,
-    trigger: TriggerConfig,
-    true_x0: NDArray | None,
-    lo: int,
-):
+def _chunk_worker(config: ExperimentConfig, lo: int):
     """Simulate the trials of the chunk starting at ``lo``, one generator each,
     then filter them as one stack."""
+    model, trigger = tracking_preset(), config.trigger
     hi = min(lo + _CHUNK, config.trials)
     rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, i])) for i in range(lo, hi)]
-    traj = simulate(model, config.steps - 1, rngs, x0=true_x0)
+    traj = simulate(model, config.steps - 1, rngs, x0=TRUE_INITIAL_STATE)
     run = EventTriggeredFilter(model, trigger).run(traj.measurements)
     err = run.xhat - traj.states
     rates = None
@@ -154,27 +148,9 @@ def _chunk_worker(
     return run.gamma.sum(axis=0), (err * err).sum(axis=0), rates
 
 
-def run_monte_carlo(
-    config: ExperimentConfig,
-    model: LinearGaussianModel | None = None,
-    true_x0=_UNSET,
-) -> ExperimentSummary:
-    """Run the benchmark and aggregate RMS error and communication rates.
-
-    With no explicit model the tracking preset is used and every trial starts
-    from the benchmark's fixed true initial state (the filter prior stays
-    deliberately offset).  A custom model draws its initial state from the
-    model prior unless ``true_x0`` pins it.
-    """
-    if model is None:
-        model = tracking_preset()
-        if true_x0 is _UNSET:
-            true_x0 = np.array(TRUE_INITIAL_STATE)
-    elif true_x0 is _UNSET:
-        true_x0 = None
-
-    case_label, nbar = config.bound()
-    chunk = partial(_chunk_worker, config, model, make_config(nbar, config.alpha), true_x0)
+def run_monte_carlo(config: ExperimentConfig) -> ExperimentSummary:
+    """Run the benchmark ``config`` and aggregate RMS error and communication rates."""
+    chunk = partial(_chunk_worker, config)
     starts = range(0, config.trials, _CHUNK)
     workers = min(config.jobs, len(starts))
     if workers > 1:
@@ -190,10 +166,7 @@ def run_monte_carlo(
     rms = np.sqrt(sum(sq_sums) / config.trials)
     avg = np.array([float(empirical.mean()), float(alg1.mean()), float(alg2.mean())])
     return ExperimentSummary(
-        case=case_label,
-        trials=config.trials,
-        steps=config.steps,
-        seed=config.seed,
+        config=config,
         rms=rms,
         rate_empirical=empirical,
         rate_se=se,
@@ -219,7 +192,7 @@ def _write_summary(path: Path, summaries) -> None:
     _write_csv(
         path,
         "case,avg_empirical,avg_alg1,avg_alg2",
-        ([s.case, *(_fmt(v) for v in s.avg_rates)] for s in summaries),
+        ([s.config.case, *(_fmt(v) for v in s.avg_rates)] for s in summaries),
     )
 
 
@@ -242,19 +215,11 @@ def emit_csv(
     paths: dict[str, Path] = {}
 
     if "rms" in which:
-        n_comp = summary.rms.shape[1]
-        if n_comp == 3:
-            rms_names = ["rms_position", "rms_velocity", "rms_acceleration"]
-        else:
-            rms_names = [f"rms_state{i}" for i in range(n_comp)]
         paths["rms"] = out / "rms.csv"
         _write_csv(
             paths["rms"],
-            ",".join(["k", *rms_names]),
-            (
-                [str(k), *(_fmt(v) for v in summary.rms[k])]
-                for k in range(summary.steps)
-            ),
+            "k,rms_position,rms_velocity,rms_acceleration",
+            ([str(k), *(_fmt(v) for v in row)] for k, row in enumerate(summary.rms)),
         )
 
     if "rates" in which:
@@ -270,7 +235,7 @@ def emit_csv(
                     _fmt(summary.rate_alg2[k]),
                     _fmt(summary.rate_se[k]),
                 ]
-                for k in range(summary.steps)
+                for k in range(summary.config.steps)
             ),
         )
 
@@ -285,13 +250,11 @@ def table1(
 ) -> dict[str, ExperimentSummary]:
     """Run all three benchmark cases and print average rates next to the references.
 
-    Every case runs ``config`` with its ``case`` replaced; a custom ``nbar``
-    has no reference row and is rejected.  Returns the per-case summaries.
+    Every case runs ``config`` with its ``case`` replaced.  Returns the
+    per-case summaries.
     When ``output_dir`` is given, per-case CSV files land in
     ``<output_dir>/<case>/`` and a combined summary.csv at the top level.
     """
-    if config.nbar is not None:
-        raise ValueError("table1 runs the registered cases; a custom nbar has no reference row")
     summaries = {case: run_monte_carlo(replace(config, case=case)) for case in sorted(CASE_BOUNDS)}
 
     print(
@@ -305,7 +268,7 @@ def table1(
             f"{case:<8}{avg[0]:>11.4f}{avg[1]:>9.4f}{avg[2]:>9.4f}"
             f"{ref[0]:>10.4f}{ref[1]:>10.4f}{ref[2]:>10.4f}{delta:>11.4f}"
         )
-    reference = ExperimentConfig()
+    reference = ExperimentConfig  # class attributes hold the field defaults
     if (config.alpha, config.steps) != (reference.alpha, reference.steps):
         print(
             f"note: the references were produced at alpha={reference.alpha} and "

@@ -75,7 +75,8 @@ def decide(config: TriggerConfig, innovation) -> Decision:
 
     The statistic is computed as the squared norm of the whitened innovation,
     which equals innovation.T @ sigma @ innovation but stays nonnegative in
-    floats.  Ties on the boundary stay silent (gamma = 0).  For a stack,
+    floats.  Ties on the boundary stay silent (gamma = 0); a NaN or inf entry
+    raises ValueError instead of reading as silence.  For a stack,
     ``gamma`` and ``phi_stat`` are arrays with one entry per row.
     """
     y = np.asarray(innovation, dtype=float)
@@ -83,6 +84,8 @@ def decide(config: TriggerConfig, innovation) -> Decision:
         raise ValueError(
             f"innovation must have shape ({config.p},) or (B, {config.p}), got {y.shape}"
         )
+    if not np.isfinite(y).all():
+        raise ValueError("innovation contains NaN or inf; it cannot be judged silent")
     z = y @ config.phi.T
     stat = (z * z).sum(axis=-1)
     gamma = (stat > config.threshold).astype(np.int64)

@@ -14,7 +14,9 @@ from etfilter.harness import (
     run_monte_carlo,
     table1,
 )
-from etfilter.model import LinearGaussianModel
+from etfilter.estimator import EventTriggeredFilter
+from etfilter.model import LinearGaussianModel, simulate
+from etfilter.trigger import make_config
 
 SMALL = dict(trials=40, steps=30, seed=77, rate_trial_index=10)
 
@@ -30,7 +32,11 @@ class TestConfigValidation:
             dict(jobs=0),
             dict(alpha=2.0),
             dict(alpha=0.0),
-            dict(nbar=-np.eye(2)),
+            dict(trials=2.5),
+            dict(steps=10.5),
+            dict(seed=1.5),
+            dict(rate_trial_index=3.0),
+            dict(jobs=1.5),
         ],
     )
     def test_rejects_bad_numbers(self, bad):
@@ -46,15 +52,32 @@ class TestConfigValidation:
         assert np.array_equal(CASE_BOUNDS["case2"], 0.5 * CASE_BOUNDS["case1"])
         assert sorted(TABLE1_REFERENCE) == sorted(CASE_BOUNDS)
 
-    def test_custom_bound_labeled(self):
-        cfg = ExperimentConfig(nbar=40.0 * np.eye(2), **SMALL)
-        summary = run_monte_carlo(cfg)
-        assert summary.case == "custom"
+    def test_trigger_built_once_per_config(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return make_config(*args)
+
+        cfg = ExperimentConfig(case="case2", trials=3, steps=5)
+        monkeypatch.setattr(harness, "make_config", spy)
+        run_monte_carlo(cfg)
+        assert calls == []
+        table1(cfg)
+        assert len(calls) == len(CASE_BOUNDS)
 
     def test_trial_index_clamped(self):
         cfg = ExperimentConfig(case="case1", trials=3, steps=10, seed=1, rate_trial_index=999)
         summary = run_monte_carlo(cfg)
         assert np.isfinite(summary.rate_alg2).all()
+
+
+def _public_monte_carlo(model, nbar, trials, steps, seed, x0=None):
+    """Per-step send rate and RMS error of a stacked Monte Carlo on ``model``."""
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(trials)]
+    traj = simulate(model, steps - 1, rngs, x0=x0)
+    run = EventTriggeredFilter(model, make_config(nbar)).run(traj.measurements)
+    return run.gamma.mean(0), np.sqrt(((run.xhat - traj.states) ** 2).mean(0))
 
 
 class TestNonFiniteTrials:
@@ -68,10 +91,9 @@ class TestNonFiniteTrials:
             x0_mean=np.zeros(1),
             x0_cov=np.eye(1),
         )
-        cfg = ExperimentConfig(nbar=np.eye(1), trials=3, steps=6, seed=2)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="NaN or inf"):
-                run_monte_carlo(cfg, model=model, true_x0=np.array([1e308]))
+                _public_monte_carlo(model, np.eye(1), trials=3, steps=6, seed=2, x0=[1e308])
 
 
 class TestDeterminism:
@@ -124,14 +146,13 @@ class TestStatisticalOutputs:
             x0_cov=np.eye(1),
         )
         # A microscopic bound forces every step to transmit.
-        cfg = ExperimentConfig(nbar=1e-30 * np.eye(1), trials=30, steps=20, seed=3)
-        summary = run_monte_carlo(cfg, model=model)
-        assert np.all(summary.rate_empirical == 1.0)
-        assert np.all(summary.rms[1:, 0] < 1e-4)
+        rate, rms = _public_monte_carlo(model, 1e-30 * np.eye(1), trials=30, steps=20, seed=3)
+        assert np.all(rate == 1.0)
+        assert np.all(rms[1:, 0] < 1e-4)
 
     def test_empirical_se_formula(self):
         summary = run_monte_carlo(ExperimentConfig(case="case1", **SMALL))
-        want = np.sqrt(summary.rate_empirical * (1 - summary.rate_empirical) / summary.trials)
+        want = np.sqrt(summary.rate_empirical * (1 - summary.rate_empirical) / summary.config.trials)
         assert np.allclose(summary.rate_se, want, rtol=1e-12)
 
     def test_average_rates_are_time_means(self):
@@ -161,7 +182,7 @@ class TestCsvOutput:
         paths = emit_csv(summary, tmp_path)
         rms_rows = list(csv.reader(paths["rms"].open()))
         assert rms_rows[0] == ["k", "rms_position", "rms_velocity", "rms_acceleration"]
-        assert len(rms_rows) == summary.steps + 1
+        assert len(rms_rows) == summary.config.steps + 1
         rates_rows = list(csv.reader(paths["rates"].open()))
         assert rates_rows[0] == ["k", "empirical", "alg1", "alg2", "empirical_se"]
         sum_rows = list(csv.reader(paths["summary"].open()))
@@ -193,20 +214,6 @@ class TestCsvOutput:
         with pytest.raises(ValueError):
             emit_csv(summary, tmp_path, which=("rms", "bogus"))
 
-    def test_generic_state_names_for_other_dimensions(self, tmp_path):
-        model = LinearGaussianModel(
-            A=0.5 * np.eye(2),
-            C=np.eye(2)[:1],
-            Q=np.eye(2),
-            R=np.eye(1),
-            x0_mean=np.zeros(2),
-            x0_cov=np.eye(2),
-        )
-        cfg = ExperimentConfig(nbar=np.eye(1), trials=5, steps=5, seed=1)
-        paths = emit_csv(run_monte_carlo(cfg, model=model), tmp_path)
-        header = paths["rms"].open().readline().strip()
-        assert header == "k,rms_state0,rms_state1"
-
 
 class TestTable1:
     def test_runs_all_cases_and_writes_outputs(self, tmp_path, capsys):
@@ -227,6 +234,3 @@ class TestTable1:
         assert "do not apply" in printed
         assert "widens" not in printed
 
-    def test_rejects_custom_bound(self):
-        with pytest.raises(ValueError, match="custom nbar"):
-            table1(ExperimentConfig(nbar=np.eye(2), trials=2, steps=3))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +82,19 @@ class TestDecide:
         cfg = make_config(CASE1, 0.05)
         with pytest.raises(ValueError):
             decide(cfg, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "innovation",
+        [np.array([np.nan, 0.0]), np.array([[1.0, 2.0], [np.inf, 0.0], [0.5, 0.5]])],
+        ids=["nan-1d", "inf-stacked"],
+    )
+    def test_rejects_non_finite(self, innovation):
+        # A corrupt innovation must fail loudly, not compare False and read as silence.
+        cfg = make_config(CASE1, 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or inf"):
+                decide(cfg, innovation)
 
     def test_statistic_invariant_to_whitener_rotation(self):
         cfg = make_config(CASE1, 0.05)
