@@ -45,14 +45,13 @@ from .rate import (
     rate_one_step,
     rate_two_step,
 )
-from .trigger import Decision, TriggerConfig, decide, make_config
+from .trigger import TriggerConfig, decide, make_config
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BallMoments",
     "CASE_BOUNDS",
-    "Decision",
     "EstimatorState",
     "EventTriggeredFilter",
     "ExperimentConfig",

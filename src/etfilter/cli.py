@@ -129,13 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="etfilter",
         description="Event-triggered state estimation benchmark runner.",
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="run the built-in numerical self checks and exit",
-    )
     parser.add_argument("--config", help="flat key=value options file; flags override it")
-    subs = parser.add_subparsers(dest="command")
+    subs = parser.add_subparsers(dest="command", required=True)
     _add_subcommand(
         subs,
         "simulate",
@@ -154,12 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.check:
-        from .checks import run_all
-
-        return run_all()
-    if args.command is None:
-        parser.error("a subcommand is required unless --check is given")
     try:
         args.run(*_resolve(args))
         return 0

@@ -34,12 +34,6 @@ __all__ = [
     "prior_cache",
 ]
 
-# Smallest silence probability the silent branch conditions on.  The
-# probability is dimensionless, so the guard does not depend on the units of
-# the data.
-_PROB_FLOOR = 1e-300
-
-
 @dataclass(frozen=True)
 class StepCache:
     """Step-k byproducts consumed by the rate predictors: both branch
@@ -173,14 +167,9 @@ class EventTriggeredFilter:
         if predict:
             xhat, cov = self._predict(xhat, cov)
         innovation = ys - xhat @ self.model.C.T
-        gamma = decide(self.trigger, innovation).gamma
+        gamma = decide(self.trigger, innovation)
         gain, cache = _cache(self.model, self.trigger, cov)
         sent = gamma.astype(bool)
-        if not (sent | (cache.prob0 >= _PROB_FLOOR)).all():
-            raise ValueError(
-                f"silence probability underflowed (below {_PROB_FLOOR:g}) on a silent step: "
-                "the trigger bound is degenerate (too tight) for this model"
-            )
         xhat = np.where(sent[:, None], xhat + (gain @ innovation[:, :, None])[:, :, 0], xhat)
         cov = np.where(sent[:, None, None], cache.P_z, cache.P_silent)
         return gamma, xhat, cov, innovation, cache

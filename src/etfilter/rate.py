@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _PROB_FLOOR, StepCache, prior_cache
+from .estimator import StepCache, prior_cache
 from .model import LinearGaussianModel
 from .numerics import ball_moments, symmetrize
 from .trigger import TriggerConfig
@@ -29,9 +29,9 @@ __all__ = ["RatePrediction", "RateState", "bootstrap_rates", "rate_one_step", "r
 
 @dataclass(frozen=True)
 class RatePrediction:
+    """Expected transmission indicator: a float, or an array for a batched cache."""
+
     gamma_hat: float
-    prob0: float
-    which: str
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class RateState:
 
 def rate_one_step(cache: StepCache) -> RatePrediction:
     """Expected transmission indicator for step k given information to k-1."""
-    return RatePrediction(gamma_hat=1.0 - cache.prob0, prob0=cache.prob0, which="one-step")
+    return RatePrediction(gamma_hat=1.0 - cache.prob0)
 
 
 def rate_two_step(state: RateState) -> RatePrediction:
@@ -65,12 +65,8 @@ def rate_two_step(state: RateState) -> RatePrediction:
     """
     cache = state.cache_prev
     if state.trigger.threshold <= 0.0:
-        prob0 = 0.0 if np.ndim(cache.prob0) == 0 else np.zeros(np.shape(cache.prob0))
-        return RatePrediction(gamma_hat=1.0 - prob0, prob0=prob0, which="two-step")
-    if not np.all(np.asarray(cache.prob0) >= _PROB_FLOOR):
-        raise ValueError(
-            "cache has a degenerate silence probability; two-step prediction undefined"
-        )
+        sent = 1.0 if np.ndim(cache.prob0) == 0 else np.ones(np.shape(cache.prob0))
+        return RatePrediction(gamma_hat=sent)
     model = state.model
     trigger = state.trigger
     a = model.A
@@ -83,7 +79,7 @@ def rate_two_step(state: RateState) -> RatePrediction:
     prob0 = p_sent + state.prob0_prev * (p_silent - p_sent)
     if np.ndim(cache.prob0) == 0:
         prob0 = float(prob0[0])
-    return RatePrediction(gamma_hat=1.0 - prob0, prob0=prob0, which="two-step")
+    return RatePrediction(gamma_hat=1.0 - prob0)
 
 
 def bootstrap_rates(model: LinearGaussianModel, trigger: TriggerConfig) -> tuple[float, float]:

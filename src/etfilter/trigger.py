@@ -15,31 +15,24 @@ from numpy.typing import NDArray
 
 from .numerics import chi_square_quantile, factor_precision, require_spd, symmetrize
 
-__all__ = ["Decision", "TriggerConfig", "decide", "make_config"]
+__all__ = ["TriggerConfig", "decide", "make_config"]
 
 
 @dataclass(frozen=True)
 class TriggerConfig:
     """Frozen trigger parameters.
 
-    ``phi`` is the upper-triangular whitener with phi.T @ phi = sigma = inv(nbar);
+    ``phi`` is the upper-triangular whitener with phi.T @ phi = inv(nbar);
     ``threshold`` is the upper-alpha chi-square quantile with ``p`` degrees of
     freedom.  ``phi_inv`` is cached because the filter needs it every step.
     """
 
     nbar: NDArray
-    sigma: NDArray
     phi: NDArray
     phi_inv: NDArray
     alpha: float
     threshold: float
     p: int
-
-
-@dataclass(frozen=True)
-class Decision:
-    gamma: int
-    phi_stat: float
 
 
 def make_config(nbar, alpha: float = 0.05) -> TriggerConfig:
@@ -61,7 +54,6 @@ def make_config(nbar, alpha: float = 0.05) -> TriggerConfig:
         )
     return TriggerConfig(
         nbar=nb,
-        sigma=sigma,
         phi=phi,
         phi_inv=np.linalg.inv(phi),
         alpha=float(alpha),
@@ -70,14 +62,15 @@ def make_config(nbar, alpha: float = 0.05) -> TriggerConfig:
     )
 
 
-def decide(config: TriggerConfig, innovation) -> Decision:
+def decide(config: TriggerConfig, innovation) -> int | NDArray:
     """Evaluate the trigger for one innovation vector, or for a (B, p) stack of them.
 
     The statistic is computed as the squared norm of the whitened innovation,
-    which equals innovation.T @ sigma @ innovation but stays nonnegative in
-    floats.  Ties on the boundary stay silent (gamma = 0); a NaN or inf entry
-    raises ValueError instead of reading as silence.  For a stack,
-    ``gamma`` and ``phi_stat`` are arrays with one entry per row.
+    which equals innovation.T @ inv(nbar) @ innovation but stays nonnegative in
+    floats.  Returns the send decision gamma: an int for one innovation, an
+    int array with one entry per row for a stack.  Ties on the boundary stay
+    silent (gamma = 0); a NaN or inf entry raises ValueError instead of
+    reading as silence.
     """
     y = np.asarray(innovation, dtype=float)
     if y.ndim not in (1, 2) or y.shape[-1] != config.p:
@@ -89,6 +82,4 @@ def decide(config: TriggerConfig, innovation) -> Decision:
     z = y @ config.phi.T
     stat = (z * z).sum(axis=-1)
     gamma = (stat > config.threshold).astype(np.int64)
-    if y.ndim == 1:
-        return Decision(gamma=int(gamma), phi_stat=float(stat))
-    return Decision(gamma=gamma, phi_stat=stat)
+    return int(gamma) if y.ndim == 1 else gamma

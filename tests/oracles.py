@@ -1,10 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
-The test suite and the CLI's ``--check`` suite share this one module.
-Everything here is deliberately written from scratch (series expansions,
-closed forms, textbook recursions, brute-force sampling) rather than calling
-into the numerics it checks, so a test that compares the two routes actually
-compares two routes.  scipy appears only where the package itself does not
+The test suite keeps this one set of oracles beside the tests that use it;
+the package does not ship it.  Everything here is deliberately written from
+scratch (series expansions, closed forms, textbook recursions, brute-force
+sampling) rather than calling into the numerics it checks, so a test that
+compares the two routes actually compares two routes.  scipy appears only where the package itself does not
 rely on it for the quantity under test.
 """
 
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .model import LinearGaussianModel
+from etfilter.model import LinearGaussianModel
 
 
 def random_spd(rng: np.random.Generator, dim: int, jitter: float = 0.1) -> np.ndarray:

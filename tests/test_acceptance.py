@@ -14,8 +14,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from etfilter import _oracles as oracles
-from etfilter._oracles import random_model, random_spd
 from etfilter.estimator import EventTriggeredFilter
 from etfilter.harness import (
     CASE_BOUNDS,
@@ -28,6 +26,9 @@ from etfilter.model import TRUE_INITIAL_STATE, simulate, tracking_preset
 from etfilter.numerics import ball_moments, chi_square_quantile
 from etfilter.rate import RateState, rate_one_step, rate_two_step
 from etfilter.trigger import make_config
+
+import oracles
+from oracles import random_model, random_spd
 
 CASE1 = np.array([[50.0, 4.0], [4.0, 8.0]])
 

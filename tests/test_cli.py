@@ -173,17 +173,16 @@ class TestOutputDirResolution:
 
 
 class TestTopLevel:
-    def test_check_flag_runs_suite(self, capsys):
-        assert _run(["--check"]) == 0
-        printed = capsys.readouterr().out
-        assert "[PASS]" in printed
-        assert "[FAIL]" not in printed
-
-    def test_subcommand_required_without_check(self, capsys):
+    def test_subcommand_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             _run([])
         assert exc.value.code == 2
+        assert "the following arguments are required: command" in capsys.readouterr().err
 
-    def test_bad_flag_value_exits(self):
-        with pytest.raises(SystemExit):
-            _run(["simulate", "--trials", "many"])
+    def test_bad_flag_value_exits(self, capsys):
+        for argv in (["simulate", "--trials", "many"], ["--check"], ["--check", "table1"]):
+            with pytest.raises(SystemExit) as exc:
+                _run(argv)
+            assert exc.value.code == 2, argv
+        # --check was removed; argparse rejects it like any unknown flag.
+        assert "unrecognized arguments: --check" in capsys.readouterr().err

@@ -5,12 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from etfilter import _oracles as oracles
-from etfilter._oracles import random_model, random_spd
 from etfilter.estimator import EventTriggeredFilter, prior_cache
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
 from etfilter.numerics import ball_moments
 from etfilter.trigger import make_config
+
+import oracles
+from oracles import random_model, random_spd
 
 CASE1 = np.array([[50.0, 4.0], [4.0, 8.0]])
 
@@ -111,12 +112,25 @@ class TestSilenceCarriesInformation:
 
 
 class TestDegenerateTrigger:
-    def test_tiny_threshold_raises_on_silent_step(self):
+    def test_tiny_threshold_silent_step_stays_finite(self):
+        """At threshold 1e-305 the silence probability underflows to ~5e-307,
+        yet the silent branch is defined: the ball is so small that silence
+        pins the innovation to zero, so P_silent is the send-branch P_z."""
         model, trig, _ = _tracking_filter()
         tiny = replace(trig, threshold=1e-305)
         filt = EventTriggeredFilter(model, tiny)
-        with pytest.raises(ValueError, match="degenerate"):
-            filt.init(model.C @ model.x0_mean)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g0, state = filt.init(model.C @ model.x0_mean)
+            ys = simulate(model, 20, np.random.default_rng(14)).measurements
+            ys[0] = model.C @ model.x0_mean
+            run = filt.run(ys)
+        assert g0 == 0
+        assert 0.0 < state.cache.prob0 < 1e-300
+        assert np.isfinite(state.P).all()
+        assert np.allclose(state.cache.P_silent, state.cache.P_z, rtol=1e-12, atol=0.0)
+        assert run.gamma[0] == 0 and run.gamma[1:].all()
+        assert np.isfinite(run.xhat).all() and np.isfinite(run.P).all()
 
     def test_tiny_threshold_fine_while_sending(self):
         model, trig, _ = _tracking_filter()

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from etfilter._oracles import random_model
 from etfilter.model import (
     TRUE_INITIAL_STATE,
     LinearGaussianModel,
@@ -10,6 +9,8 @@ from etfilter.model import (
     tracking_preset,
 )
 from etfilter.numerics import psd_sqrt
+
+from oracles import random_model
 
 
 def _model(n=2, p=1):

@@ -4,14 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from etfilter import _oracles as oracles
 from etfilter import numerics
-from etfilter._oracles import random_spd
 from etfilter.estimator import EventTriggeredFilter, prior_cache
 from etfilter.harness import CASE_BOUNDS
 from etfilter.model import LinearGaussianModel, simulate, tracking_preset
 from etfilter.numerics import ball_moments, chi_square_quantile, factor_precision, psd_sqrt
 from etfilter.trigger import make_config
+
+import oracles
+from oracles import random_spd
 
 
 class TestChiSquareQuantile:
@@ -55,8 +56,9 @@ class TestChiSquareQuantile:
 class TestFactorPrecision:
     def test_multiplies_back_to_precision(self):
         rng = np.random.default_rng(11)
-        for dim in (1, 2, 3, 5):
-            nbar = random_spd(rng, dim)
+        bounds = [random_spd(rng, dim) for dim in (1, 2, 3, 5)] + list(CASE_BOUNDS.values())
+        for nbar in bounds:
+            dim = nbar.shape[0]
             phi = factor_precision(nbar)
             assert np.allclose(phi.T @ phi, np.linalg.inv(nbar), rtol=1e-10, atol=1e-12)
             assert np.allclose(phi @ nbar @ phi.T, np.eye(dim), atol=1e-10)
@@ -119,13 +121,11 @@ class TestBallMoments2d:
     def test_benchmark_bound_matrix(self):
         nbar = np.array([[50.0, 4.0], [4.0, 8.0]])
         r2 = chi_square_quantile(0.05, 2)
-        sigma = np.linalg.inv(nbar)
         phi = factor_precision(nbar)
         n_z = phi @ (nbar) @ phi.T
         assert np.allclose(n_z, np.eye(2), atol=1e-12)
         # Whitened against its own bound the statistic is exactly chi-square.
         assert ball_moments(n_z, r2).prob == pytest.approx(0.95, abs=1e-9)
-        del sigma
 
 
 class TestBallMomentsIsotropic:

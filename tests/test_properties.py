@@ -11,10 +11,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etfilter._oracles import mc_ball_stats, random_model, random_spd
 from etfilter.estimator import prior_cache
 from etfilter.numerics import ball_moments
 from etfilter.trigger import make_config
+
+from oracles import mc_ball_stats, random_model, random_spd
 
 # Relative accuracy of the ball-moment quadrature.
 TOL = 1e-8

@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from etfilter import _oracles as oracles
-from etfilter._oracles import random_spd
 from etfilter.trigger import decide, make_config
+
+import oracles
+from oracles import random_spd
 
 CASE1 = np.array([[50.0, 4.0], [4.0, 8.0]])
 
@@ -17,8 +18,7 @@ class TestMakeConfig:
         cfg = make_config(CASE1, 0.05)
         assert cfg.p == 2
         assert cfg.threshold == pytest.approx(oracles.chi2_quantile(0.05, 2), rel=1e-12)
-        assert np.allclose(cfg.sigma, np.linalg.inv(CASE1), rtol=1e-12)
-        assert np.allclose(cfg.phi.T @ cfg.phi, cfg.sigma, rtol=1e-12)
+        assert np.allclose(cfg.phi.T @ cfg.phi, np.linalg.inv(CASE1), rtol=1e-12)
         assert np.allclose(cfg.phi_inv @ cfg.phi, np.eye(2), atol=1e-12)
 
     def test_threshold_scales_with_alpha(self):
@@ -42,28 +42,27 @@ class TestMakeConfig:
 
 class TestDecide:
     def test_statistic_matches_quadratic_form(self):
+        """The decision flips where y' inv(nbar) y crosses the threshold."""
         rng = np.random.default_rng(2)
         for _ in range(20):
             nbar = random_spd(rng, 2)
             cfg = make_config(nbar, 0.05)
             y = rng.normal(size=2) * 3.0
             want = float(y @ np.linalg.solve(nbar, y))
-            assert decide(cfg, y).phi_stat == pytest.approx(want, rel=1e-10)
+            assert decide(replace(cfg, threshold=want * (1 + 1e-9)), y) == 0
+            assert decide(replace(cfg, threshold=want * (1 - 1e-9)), y) == 1
 
     def test_send_iff_outside_confidence_region(self):
         cfg = make_config(CASE1, 0.05)
-        small = decide(cfg, np.array([0.5, 0.2]))
-        large = decide(cfg, np.array([40.0, 15.0]))
-        assert small.gamma == 0
-        assert large.gamma == 1
+        assert decide(cfg, np.array([0.5, 0.2])) == 0
+        assert decide(cfg, np.array([40.0, 15.0])) == 1
 
     def test_boundary_tie_stays_silent(self):
         cfg = replace(make_config(np.eye(2), 0.05), threshold=4.0)
-        on_boundary = decide(cfg, np.array([2.0, 0.0]))
-        assert on_boundary.phi_stat == 4.0
-        assert on_boundary.gamma == 0
-        just_outside = decide(cfg, np.array([2.0 + 1e-9, 0.0]))
-        assert just_outside.gamma == 1
+        # The statistic is exactly 4.0 here: silent at the threshold, sent just above.
+        assert decide(cfg, np.array([2.0, 0.0])) == 0
+        assert decide(replace(cfg, threshold=np.nextafter(4.0, 0.0)), np.array([2.0, 0.0])) == 1
+        assert decide(cfg, np.array([2.0 + 1e-9, 0.0])) == 1
 
     def test_alpha_controls_silence_frequency(self):
         rng = np.random.default_rng(10)
@@ -72,7 +71,7 @@ class TestDecide:
         root = oracles.sym_sqrt(nbar)
         draws = rng.standard_normal((20_000, 2)) @ root.T
         gammas = np.fromiter(
-            (decide(cfg, y).gamma for y in draws), dtype=float, count=len(draws)
+            (decide(cfg, y) for y in draws), dtype=float, count=len(draws)
         )
         # Innovations distributed exactly at the bound trip the trigger with
         # frequency alpha.
@@ -104,5 +103,7 @@ class TestDecide:
         )
         rotated = replace(cfg, phi=rot @ cfg.phi, phi_inv=cfg.phi_inv @ rot.T)
         y = np.array([7.0, -2.0])
-        assert decide(rotated, y).phi_stat == pytest.approx(decide(cfg, y).phi_stat, rel=1e-12)
-        assert decide(rotated, y).gamma == decide(cfg, y).gamma
+        want = float(y @ np.linalg.solve(CASE1, y))
+        for gamma, scale in ((0, 1 + 1e-9), (1, 1 - 1e-9)):
+            assert decide(replace(rotated, threshold=want * scale), y) == gamma
+        assert decide(rotated, y) == decide(cfg, y)
