@@ -36,7 +36,6 @@ from .numerics import (
     BallMoments,
     ball_moments,
     chi_square_quantile,
-    factor_precision,
 )
 from .rate import (
     RatePrediction,
@@ -72,7 +71,6 @@ __all__ = [
     "chi_square_quantile",
     "decide",
     "emit_csv",
-    "factor_precision",
     "make_config",
     "prior_cache",
     "rate_one_step",

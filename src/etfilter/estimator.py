@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .model import LinearGaussianModel
-from .numerics import _ball_full, require_spd, symmetrize
+from .numerics import _ball_full, symmetrize, validated_eigh
 from .trigger import TriggerConfig, decide
 
 __all__ = [
@@ -89,19 +89,12 @@ class FilterRun:
     cache: StepCache
 
 
-def _finite(y, what: str) -> NDArray:
-    y = np.asarray(y, dtype=float)
-    if not np.isfinite(y).all():
-        raise ValueError(f"{what} contain NaN or inf; a non-finite measurement cannot be filtered")
-    return y
-
-
 def _check_inputs(model: LinearGaussianModel, trigger: TriggerConfig) -> None:
     if trigger.p != model.p:
         raise ValueError(
             f"trigger dimension {trigger.p} does not match measurement dimension {model.p}"
         )
-    require_spd(model.R, "R")
+    validated_eigh(model.R, "R", definite=True)
 
 
 def _cache(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray):
@@ -177,7 +170,7 @@ class EventTriggeredFilter:
     # -- public recursion ------------------------------------------------------
 
     def _one(self, y) -> NDArray:
-        y = _finite(y, "measurements")
+        y = np.asarray(y, dtype=float)
         if y.shape != (self.model.p,):
             raise ValueError(f"measurement must have shape ({self.model.p},), got {y.shape}")
         return y[None]
@@ -206,7 +199,7 @@ class EventTriggeredFilter:
     def run(self, measurements) -> FilterRun:
         """Filter a measurement array of shape (K+1, p), or a (B, K+1, p) stack
         of independent trials advanced together, one step per pass."""
-        ys = _finite(measurements, "measurements")
+        ys = np.asarray(measurements, dtype=float)
         m = self.model
         if ys.ndim not in (2, 3) or ys.shape[-1] != m.p or ys.size == 0:
             raise ValueError(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .numerics import psd_sqrt, require_psd
+from .numerics import psd_sqrt, validated_eigh
 
 __all__ = [
     "LinearGaussianModel",
@@ -40,6 +40,10 @@ class LinearGaussianModel:
         a = np.atleast_2d(np.asarray(self.A, dtype=float))
         c = np.atleast_2d(np.asarray(self.C, dtype=float))
         mean = np.atleast_1d(np.asarray(self.x0_mean, dtype=float))
+        fields = {"A": a, "C": c, "x0_mean": mean}
+        for name, value in fields.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} has non-finite entries")
         n = a.shape[0]
         if a.shape != (n, n):
             raise ValueError(f"A must be square, got {a.shape}")
@@ -47,19 +51,12 @@ class LinearGaussianModel:
             raise ValueError(f"C must have shape (p, {n}), got {c.shape}")
         if mean.shape != (n,):
             raise ValueError(f"x0_mean must have shape ({n},), got {mean.shape}")
-        p = c.shape[0]
-        q = require_psd(np.asarray(self.Q, dtype=float), "Q")
-        r = require_psd(np.asarray(self.R, dtype=float), "R")
-        cov0 = require_psd(np.asarray(self.x0_cov, dtype=float), "x0_cov")
-        if q.shape != (n, n):
-            raise ValueError(f"Q must have shape ({n}, {n}), got {q.shape}")
-        if r.shape != (p, p):
-            raise ValueError(f"R must have shape ({p}, {p}), got {r.shape}")
-        if cov0.shape != (n, n):
-            raise ValueError(f"x0_cov must have shape ({n}, {n}), got {cov0.shape}")
-        for name, value in (
-            ("A", a), ("C", c), ("Q", q), ("R", r), ("x0_mean", mean), ("x0_cov", cov0)
-        ):
+        for name, dim in (("Q", n), ("R", c.shape[0]), ("x0_cov", n)):
+            cov = validated_eigh(getattr(self, name), name, definite=False)[0]
+            if cov.shape != (dim, dim):
+                raise ValueError(f"{name} must have shape ({dim}, {dim}), got {cov.shape}")
+            fields[name] = cov
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     @property

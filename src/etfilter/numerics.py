@@ -23,16 +23,11 @@ from scipy.special import gammainccinv
 
 __all__ = [
     "BallMoments",
-    "SpdMatrix",
     "ball_moments",
     "chi_square_quantile",
-    "factor_precision",
     "psd_sqrt",
     "symmetrize",
 ]
-
-# Validated dense symmetric positive (semi)definite matrix.
-SpdMatrix = NDArray[np.float64]
 
 
 def symmetrize(a: NDArray) -> NDArray:
@@ -40,51 +35,44 @@ def symmetrize(a: NDArray) -> NDArray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def _as_square(a, name: str) -> NDArray:
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    return m
+def validated_eigh(a, name: str, definite: bool) -> tuple[NDArray, NDArray, NDArray]:
+    """Check a symmetric positive (semi)definite matrix, or a (B, p, p) stack of
+    them, and return its symmetric part with the eigenvalues and eigenvectors.
 
-
-def _require_symmetric(m: NDArray, name: str) -> NDArray:
-    scale = max(float(np.abs(m).max(initial=0.0)), 1.0)
-    if float(np.abs(m - m.T).max(initial=0.0)) > 1e-12 * scale:
-        raise ValueError(f"{name} is not symmetric within 1e-12 relative")
-    return symmetrize(m)
-
-
-def require_spd(a, name: str = "matrix") -> SpdMatrix:
-    """Validate and return a strictly positive definite symmetric matrix."""
-    m = _require_symmetric(_as_square(a, name), name)
-    eigs = np.linalg.eigvalsh(m)
-    if eigs[0] <= 0.0:
-        raise ValueError(f"{name} is not positive definite (min eigenvalue {eigs[0]:.3e})")
-    return m
-
-
-def require_psd(a, name: str = "matrix") -> SpdMatrix:
-    """Validate and return a positive semidefinite symmetric matrix.
-
-    Eigenvalues down to -1e-10 * max|eig| are treated as roundoff and accepted.
+    Every entry must be finite; every matrix must be symmetric within 1e-12
+    times its own largest entry and have eigenvalues > 0 (``definite``) or
+    >= -1e-10 times its largest eigenvalue magnitude (roundoff in a PSD
+    matrix).  Both bounds are relative, so a matrix and any positive multiple
+    of it get the same verdict.
     """
-    m = _require_symmetric(_as_square(a, name), name)
-    eigs = np.linalg.eigvalsh(m)
-    tol = 1e-10 * max(float(np.abs(eigs).max(initial=0.0)), 1.0)
-    if eigs[0] < -tol:
-        raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {eigs[0]:.3e})")
-    return m
+    m = np.asarray(a, dtype=float)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{name} must be a square matrix or a stack of them, got shape {m.shape}")
+    scale = np.abs(m).max(axis=(-2, -1))
+    if not np.isfinite(scale).all():
+        raise ValueError(f"{name} has non-finite entries")
+    asym = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if (asym > 1e-12 * scale).any():
+        raise ValueError(f"{name} is not symmetric within 1e-12 relative")
+    if asym.any():  # an exactly symmetric m is its own symmetric part, even near overflow
+        m = symmetrize(m)
+    lam, vec = np.linalg.eigh(m)
+    low = lam[..., 0]
+    if definite and not (low > 0.0).all():
+        raise ValueError(f"{name} is not positive definite (min eigenvalue {low.min():.3e})")
+    if not definite and (low < -1e-10 * np.abs(lam).max(axis=-1)).any():
+        raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {low.min():.3e})")
+    return m, lam, vec
 
 
 def psd_sqrt(a, name: str = "covariance") -> NDArray:
-    """Square-root factor S with S @ S.T = a for a PSD matrix.
+    """Square-root factor S with S @ S.T = a for a PSD matrix (or each of a stack).
 
     Built from the eigendecomposition with negative roundoff eigenvalues
     clamped to zero, so genuinely singular covariances are handled exactly.
     """
-    m = require_psd(a, name)
-    lam, vec = np.linalg.eigh(m)
-    return vec * np.sqrt(np.clip(lam, 0.0, None))
+    _, lam, vec = validated_eigh(a, name, definite=False)
+    return vec * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]
 
 
 def chi_square_quantile(alpha: float, dof: int) -> float:
@@ -100,17 +88,6 @@ def chi_square_quantile(alpha: float, dof: int) -> float:
     if int(dof) != dof or dof < 1:
         raise ValueError(f"dof must be a positive integer, got {dof}")
     return 2.0 * float(gammainccinv(0.5 * int(dof), alpha))
-
-
-def factor_precision(nbar) -> NDArray:
-    """Whitening factor Phi with Phi.T @ Phi = inv(nbar), for SPD nbar.
-
-    Phi is the transpose of the lower Cholesky factor of the precision matrix
-    inv(nbar), i.e. upper triangular.
-    """
-    n = require_spd(nbar, "nbar")
-    sigma = symmetrize(np.linalg.inv(n))
-    return np.linalg.cholesky(sigma).T
 
 
 @dataclass(frozen=True)
@@ -194,12 +171,6 @@ def _contour_moments(lam: NDArray, radius2: float) -> tuple[NDArray, NDArray]:
     return prob, np.minimum(lam, 0.5 * radius2) * ratio
 
 
-def _as_stack(n) -> tuple[NDArray, bool]:
-    """(B, p, p) view of a matrix or a stack of matrices, and whether it was one matrix."""
-    m = np.asarray(n, dtype=float)
-    return (m[None], True) if m.ndim == 2 else (m, False)
-
-
 def ball_moments(n, radius2: float) -> BallMoments:
     """Probability and conditional second moment of ``N(0, n)`` over a centered ball.
 
@@ -223,9 +194,9 @@ def ball_moments(n, radius2: float) -> BallMoments:
         moments at p = 6).  The conditional moment stays exact where the
         probability underflows to 0.
     """
-    stack, single = _as_stack(n)
-    bm = _ball_full(stack, radius2)
-    return BallMoments(float(bm.prob[0]), bm.conditional[0]) if single else bm
+    m = np.asarray(n, dtype=float)
+    bm = _ball_full(m[None] if m.ndim == 2 else m, radius2)
+    return BallMoments(float(bm.prob[0]), bm.conditional[0]) if m.ndim == 2 else bm
 
 
 def _ball_full(n: NDArray, radius2: float) -> BallMoments:
@@ -234,26 +205,14 @@ def _ball_full(n: NDArray, radius2: float) -> BallMoments:
     Raises RuntimeError if a row's conditional second moment exceeds its
     untruncated trace, which only an inconsistent contour sum can produce.
     """
-    if n.ndim != 3 or n.shape[1] != n.shape[2]:
-        raise ValueError(f"n must be a square matrix or a stack of them, got shape {n.shape}")
-    rows = n.shape[0]
-    scale = np.abs(n).reshape(rows, -1).max(axis=1, initial=0.0)
-    if not np.isfinite(scale).all():
-        raise ValueError("n has non-finite entries")
-    asym = np.abs(n - n.swapaxes(1, 2)).reshape(rows, -1).max(axis=1, initial=0.0)
-    if (asym > 1e-12 * np.maximum(scale, 1.0)).any():
-        raise ValueError("n is not symmetric within 1e-12 relative")
     radius2 = float(radius2)
     if not radius2 > 0.0:
         raise ValueError(f"radius2 must be positive, got {radius2}")
-
-    lam, vec = np.linalg.eigh(n)
-    if not (lam[:, 0] > 0.0).all():
-        raise ValueError(f"n is not positive definite (min eigenvalue {lam[:, 0].min():.3e})")
+    n, lam, vec = validated_eigh(n, "n", definite=True)
     if radius2 == math.inf:
         # The whole space in closed form: the contour would rebuild n from its
         # eigenframe and round.
-        return BallMoments(prob=np.ones(rows), conditional=symmetrize(n))
+        return BallMoments(prob=np.ones(len(n)), conditional=n)
     prob, d = _contour_moments(lam, radius2)
     if (d.sum(axis=1) > (1.0 + _TOL) * lam.sum(axis=1)).any():
         raise RuntimeError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .numerics import chi_square_quantile, factor_precision, require_spd, symmetrize
+from .numerics import chi_square_quantile, symmetrize, validated_eigh
 
 __all__ = ["TriggerConfig", "decide", "make_config"]
 
@@ -43,9 +43,12 @@ def make_config(nbar, alpha: float = 0.05) -> TriggerConfig:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    nb = require_spd(nbar, "nbar")
+    nb = validated_eigh(nbar, "nbar", definite=True)[0]
+    if nb.ndim != 2:
+        raise ValueError(f"nbar must be a square matrix, got shape {nb.shape}")
     p = nb.shape[0]
-    phi = factor_precision(nb)
+    # The transposed lower Cholesky factor of the precision inv(nbar): upper triangular.
+    phi = np.linalg.cholesky(symmetrize(np.linalg.inv(nb))).T
     sigma = symmetrize(phi.T @ phi)
     residual = float(np.abs(sigma @ nb - np.eye(p)).max())
     if residual > 1e-9:

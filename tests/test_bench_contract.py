@@ -1,16 +1,19 @@
-"""The names the benchmark's tracer hooks must exist in the package.
+"""The names the benchmark reaches in the package must exist.
 
 ``bench/run.py`` wraps program functions by ``"module:qualname"`` and reports
 a target it cannot find as absent instead of failing, so a rename would only
-show up in a traced benchmark run.  This test reads the hook targets from the
-benchmark's source (without importing it) and resolves each one.
+show up in a traced benchmark run; a public name the workloads call would
+only fail a benchmark run.  These tests read the hook targets and the
+attributes read off imported ``etfilter`` modules from the benchmark's
+source (without importing it) and resolve each one.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+BENCH_RUN = BENCH / "run.py"
 
 # Targets known to be gone: the kernel dispatch table was replaced by the
 # single contour kernel, and the benchmark has not been re-pointed yet.
@@ -46,3 +49,31 @@ def test_every_hook_target_resolves():
     assert KNOWN_ABSENT <= set(targets)
     missing = [t for t in targets if t not in KNOWN_ABSENT and not _resolves(t)]
     assert missing == []
+
+
+def _package_reads(path: Path) -> set[str]:
+    """``module:name`` for every ``alias.name`` read where ``alias`` is an
+    ``etfilter`` module the file imports (``import etfilter``,
+    ``from etfilter import rate``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            modules.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+    modules = {k: v for k, v in modules.items() if v.split(".")[0] == "etfilter"}
+    return {
+        f"{modules[node.value.id]}:{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    reads = _package_reads(BENCH / "workloads.py") | _package_reads(BENCH_RUN)
+    # The parse found module-level names, submodule names and the CLI entry.
+    assert {"etfilter:ball_moments", "etfilter.rate:RateState", "etfilter.cli:main"} <= reads
+    assert [t for t in sorted(reads) if not _resolves(t)] == []

@@ -72,15 +72,33 @@ class TestModelValidation:
             )
 
     def test_rejects_indefinite_covariances(self):
-        with pytest.raises(ValueError):
-            LinearGaussianModel(
-                A=np.eye(2),
-                C=np.ones((1, 2)),
-                Q=-np.eye(2),
-                R=np.eye(1),
-                x0_mean=np.zeros(2),
-                x0_cov=np.eye(2),
-            )
+        # The roundoff allowance is relative, so a tiny indefinite Q fails too.
+        for q in (-np.eye(2), np.diag([1e-12, -1e-11])):
+            with pytest.raises(ValueError, match="Q is not positive semidefinite"):
+                LinearGaussianModel(
+                    A=np.eye(2),
+                    C=np.ones((1, 2)),
+                    Q=q,
+                    R=np.eye(1),
+                    x0_mean=np.zeros(2),
+                    x0_cov=np.eye(2),
+                )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["A", "C", "Q", "R", "x0_mean", "x0_cov"])
+    def test_rejects_non_finite_entries(self, field, bad):
+        fields = dict(
+            A=np.eye(2),
+            C=np.ones((1, 2)),
+            Q=np.eye(2),
+            R=np.eye(1),
+            x0_mean=np.zeros(2),
+            x0_cov=np.eye(2),
+        )
+        fields[field] = fields[field].copy()
+        fields[field].flat[0] = bad
+        with pytest.raises(ValueError, match=f"^{field} has non-finite entries"):
+            LinearGaussianModel(**fields)
 
     def test_accepts_singular_covariances(self):
         m = LinearGaussianModel(

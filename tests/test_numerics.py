@@ -8,7 +8,7 @@ from etfilter import numerics
 from etfilter.estimator import EventTriggeredFilter, prior_cache
 from etfilter.harness import CASE_BOUNDS
 from etfilter.model import LinearGaussianModel, simulate, tracking_preset
-from etfilter.numerics import ball_moments, chi_square_quantile, factor_precision, psd_sqrt
+from etfilter.numerics import ball_moments, chi_square_quantile, psd_sqrt
 from etfilter.trigger import make_config
 
 import oracles
@@ -54,27 +54,21 @@ class TestChiSquareQuantile:
 
 
 class TestFactorPrecision:
+    """The trigger's whitener phi: upper triangular with phi.T @ phi = inv(nbar)."""
+
     def test_multiplies_back_to_precision(self):
         rng = np.random.default_rng(11)
         bounds = [random_spd(rng, dim) for dim in (1, 2, 3, 5)] + list(CASE_BOUNDS.values())
         for nbar in bounds:
             dim = nbar.shape[0]
-            phi = factor_precision(nbar)
+            phi = make_config(nbar).phi
             assert np.allclose(phi.T @ phi, np.linalg.inv(nbar), rtol=1e-10, atol=1e-12)
             assert np.allclose(phi @ nbar @ phi.T, np.eye(dim), atol=1e-10)
 
     def test_upper_triangular(self):
         rng = np.random.default_rng(12)
-        phi = factor_precision(random_spd(rng, 3))
+        phi = make_config(random_spd(rng, 3)).phi
         assert np.allclose(phi, np.triu(phi))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            factor_precision(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            factor_precision(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 class TestBallMoments1d:
@@ -121,7 +115,7 @@ class TestBallMoments2d:
     def test_benchmark_bound_matrix(self):
         nbar = np.array([[50.0, 4.0], [4.0, 8.0]])
         r2 = chi_square_quantile(0.05, 2)
-        phi = factor_precision(nbar)
+        phi = make_config(nbar).phi
         n_z = phi @ (nbar) @ phi.T
         assert np.allclose(n_z, np.eye(2), atol=1e-12)
         # Whitened against its own bound the statistic is exactly chi-square.
@@ -293,6 +287,9 @@ class TestBatchedBallMoments:
             ball_moments(np.array([good, [[1.0, 0.5], [0.0, 1.0]]]), 2.0)
         with pytest.raises(ValueError, match="non-finite"):
             ball_moments(np.array([good, [[math.nan, 0.0], [0.0, 1.0]]]), 2.0)
+        # The symmetry bound is relative to the kernel's own entries, not to 1.
+        with pytest.raises(ValueError, match="symmetric"):
+            ball_moments(np.array([[1e-14, 5e-13], [0.0, 1e-14]]), 1e-13)
 
     def test_infinite_radius_on_every_row(self):
         stack = np.array([np.eye(3), np.diag([1e-4, 2.0, 9.0])])
@@ -372,6 +369,66 @@ class TestPsdSqrt:
         root = psd_sqrt(m)
         assert np.allclose(root @ root.T, m, atol=1e-12)
 
+    def test_stack_rows_equal_single_calls(self):
+        stack = np.array([np.diag([4.0, 0.0]), [[2.0, 1.0], [1.0, 3.0]]])
+        roots = psd_sqrt(stack)
+        for m, root in zip(stack, roots):
+            assert np.array_equal(root, psd_sqrt(m))
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             psd_sqrt(np.array([[1.0, 0.0], [0.0, -0.5]]))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                psd_sqrt(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def _model_with_q(q):
+    return LinearGaussianModel(
+        A=np.eye(2), C=np.ones((1, 2)), Q=q, R=np.eye(1), x0_mean=np.zeros(2), x0_cov=np.eye(2)
+    )
+
+
+def _verdict(call, m):
+    """None if ``call`` accepts ``m``, else the error message without its figures."""
+    try:
+        call(m)
+    except ValueError as err:
+        return str(err).split(" (")[0]
+    return None
+
+
+class TestMatrixValidation:
+    """One validator serves every covariance input; its bounds are relative."""
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    @pytest.mark.parametrize(
+        "m, want",
+        [
+            (np.array([[2.0, 1.0], [1.0, 3.0]]), None),
+            (np.array([[2.0, 1.0], [0.5, 3.0]]), "symmetric"),
+            (np.array([[1.0, 2.0], [2.0, 1.0]]), "definite"),
+        ],
+        ids=["valid", "asymmetric", "indefinite"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(make_config, id="make_config"),
+            pytest.param(_model_with_q, id="model-Q"),
+            pytest.param(lambda m: ball_moments(m, 2.0 * np.abs(m).max()), id="ball_moments"),
+            pytest.param(psd_sqrt, id="psd_sqrt"),
+        ],
+    )
+    def test_verdict_is_unit_free(self, call, m, want, scale):
+        verdict = _verdict(call, m)
+        assert (verdict is None) if want is None else (want in verdict)
+        assert _verdict(call, scale * m) == verdict
+
+    def test_symmetric_matrix_near_overflow_is_accepted(self):
+        # Symmetrizing by 0.5 * (m + m.T) would overflow to inf here.
+        m = np.diag([1e308, 1.0])
+        root = psd_sqrt(m)
+        assert np.allclose(root @ root.T, m, rtol=1e-15, atol=0.0)
+        assert _model_with_q(m).Q is not None
+        assert ball_moments(m, 1.0).prob > 0.0

@@ -32,12 +32,23 @@ class TestMakeConfig:
             make_config(CASE1, alpha)
 
     def test_rejects_indefinite_bound(self):
-        with pytest.raises(ValueError):
-            make_config(np.array([[1.0, 5.0], [5.0, 1.0]]), 0.05)
+        for nbar in ([[1.0, 5.0], [5.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]):
+            with pytest.raises(ValueError, match="positive definite"):
+                make_config(np.array(nbar), 0.05)
 
     def test_rejects_asymmetric_bound(self):
-        with pytest.raises(ValueError):
-            make_config(np.array([[1.0, 0.2], [0.0, 1.0]]), 0.05)
+        for nbar in ([[1.0, 0.2], [0.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="symmetric"):
+                make_config(np.array(nbar), 0.05)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_bound(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            make_config(np.array([[bad, 0.0], [0.0, 1.0]]), 0.05)
+
+    def test_rejects_stack_of_bounds(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            make_config(np.array([CASE1, CASE1]), 0.05)
 
 
 class TestDecide:
