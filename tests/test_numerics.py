@@ -70,6 +70,14 @@ class TestFactorPrecision:
         phi = make_config(random_spd(rng, 3)).phi
         assert np.allclose(phi, np.triu(phi))
 
+    def test_rejects_indefinite(self):
+        with pytest.raises(ValueError, match="positive definite"):
+            make_config(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            make_config(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
 
 class TestBallMoments1d:
     def test_against_erf_closed_form(self):

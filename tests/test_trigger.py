@@ -32,14 +32,12 @@ class TestMakeConfig:
             make_config(CASE1, alpha)
 
     def test_rejects_indefinite_bound(self):
-        for nbar in ([[1.0, 5.0], [5.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]):
-            with pytest.raises(ValueError, match="positive definite"):
-                make_config(np.array(nbar), 0.05)
+        with pytest.raises(ValueError, match="positive definite"):
+            make_config(np.array([[1.0, 5.0], [5.0, 1.0]]), 0.05)
 
     def test_rejects_asymmetric_bound(self):
-        for nbar in ([[1.0, 0.2], [0.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]):
-            with pytest.raises(ValueError, match="symmetric"):
-                make_config(np.array(nbar), 0.05)
+        with pytest.raises(ValueError, match="symmetric"):
+            make_config(np.array([[1.0, 0.2], [0.0, 1.0]]), 0.05)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_bound(self, bad):
