@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from pathlib import Path
@@ -154,6 +153,8 @@ def run_monte_carlo(config: ExperimentConfig) -> ExperimentSummary:
     starts = range(0, config.trials, _CHUNK)
     workers = min(config.jobs, len(starts))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only by parallel runs
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(chunk, starts))
     else:

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import gammainccinv
 
 __all__ = [
     "BallMoments",
@@ -78,16 +78,114 @@ def psd_sqrt(a, name: str = "covariance") -> NDArray:
 def chi_square_quantile(alpha: float, dof: int) -> float:
     """Upper-tail chi-square quantile: the c with P(X > c) = alpha, X ~ chi2(dof).
 
-    Inverts the regularized upper incomplete gamma function directly, so small
-    alpha keeps full relative accuracy (a root of the lower CDF at 1 - alpha
-    would round the upper tail away).
+    With y = c / 2 and integer dof, the upper tail has closed forms whose terms
+    are all positive (Abramowitz & Stegun 26.4.4, 26.4.5):
+
+        even dof: Q = e^{-y} sum_{j < dof/2} y^j / j!
+        odd dof:  Q = erfc(sqrt(y)) + e^{-y} sum_{j < (dof-1)/2} y^{j+1/2} / Gamma(j+3/2)
+
+    For alpha <= 1/2 a bracketed Newton iteration solves log Q(c) = log alpha,
+    with d log Q / dc = -pdf / Q; the sums are taken in log space, so alpha
+    down to the smallest subnormal keeps full relative accuracy.  For
+    alpha > 1/2 the root lies below the median and it solves
+    log P(c) = log(1 - alpha) on the all-positive lower-tail series
+
+        P = y^{dof/2} e^{-y} sum_{n >= 0} y^n / Gamma(dof/2 + n + 1)
+
+    instead, because 1 - alpha is exact there while Q would carry its rounding
+    into a small quantile.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     if int(dof) != dof or dof < 1:
         raise ValueError(f"dof must be a positive integer, got {dof}")
-    return 2.0 * float(gammainccinv(0.5 * int(dof), alpha))
+    dof = int(dof)
+    # Bracket the root from dof, the mean, which lies above the median: doubling
+    # upward for the upper tail, halving downward for the lower.
+    if alpha <= 0.5:
+        gap = partial(_upper_tail_gap, dof, math.log(alpha))
+        lo, hi = 0.0, float(dof)
+        while gap(hi)[0] > 0.0:
+            lo, hi = hi, 2.0 * hi
+    else:
+        gap = partial(_lower_tail_gap, dof, math.log(1.0 - alpha))
+        hi = float(dof)
+        while gap(0.5 * hi)[0] < 0.0:
+            hi *= 0.5
+        lo = 0.5 * hi
+    return _bracketed_newton(gap, lo, hi)
+
+
+def _log_sum_exp(terms: list[float]) -> float:
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
+def _log_erfc_scaled(y: float) -> float:
+    """log(e^y erfc(sqrt(y))).  Past sqrt(y) = 26, where erfc nears the bottom
+    of the normal range, the asymptotic series
+    erfc(z) = e^{-z^2} / (z sqrt(pi)) * sum_n (-1)^n (2n-1)!! / (2 z^2)^n
+    is summed instead; there each term is (2n-1)/(2y) <= (2n-1)/1352 times the
+    one before, so eight terms reach 1e-17."""
+    z = math.sqrt(y)
+    if z <= 26.0:
+        return math.log(math.erfc(z)) + y
+    series, term, n = 1.0, 1.0, 1
+    while abs(term) > 1e-17:
+        term *= -(2 * n - 1) / (2.0 * y)
+        series += term
+        n += 1
+    return math.log(series / (z * math.sqrt(math.pi)))
+
+
+def _upper_tail_gap(dof: int, log_alpha: float, c: float) -> tuple[float, float]:
+    """log Q(c) - log alpha and its derivative -pdf(c) / Q(c)."""
+    a, y = 0.5 * dof, 0.5 * c
+    log_y = math.log(y)
+    if dof % 2 == 0:
+        log_sum = _log_sum_exp([j * log_y - math.lgamma(j + 1.0) for j in range(dof // 2)])
+    else:
+        terms = [(j + 0.5) * log_y - math.lgamma(j + 1.5) for j in range((dof - 1) // 2)]
+        log_sum = _log_sum_exp([_log_erfc_scaled(y), *terms])
+    # log Q = log_sum - y; the pdf shares the factor e^{-y}, so the ratio needs no y.
+    slope = -math.exp((a - 1.0) * log_y - math.lgamma(a) - log_sum) / 2.0
+    return (log_sum - y) - log_alpha, slope
+
+
+def _lower_tail_gap(dof: int, log_level: float, c: float) -> tuple[float, float]:
+    """log(1 - alpha) - log P(c) and its derivative -pdf(c) / P(c), for c at or
+    below the median, where the series terms fall from the first on."""
+    a, y = 0.5 * dof, 0.5 * c
+    series, term, n = 1.0, 1.0, 1
+    while term > 1e-17 * series:
+        term *= y / (a + n)
+        series += term
+        n += 1
+    log_p = a * math.log(y) - y - math.lgamma(a + 1.0) + math.log(series)
+    return log_level - log_p, -a / (2.0 * y * series)
+
+
+def _bracketed_newton(gap, lo: float, hi: float) -> float:
+    """Root of a decreasing ``gap(c) -> (value, slope)`` with gap(lo) > 0 >
+    gap(hi), by Newton steps kept inside the sign bracket; a step that leaves
+    it bisects instead."""
+    c = 0.5 * (lo + hi)
+    for _ in range(100):
+        value, slope = gap(c)
+        if value == 0.0:
+            return c
+        if value > 0.0:
+            lo = c
+        else:
+            hi = c
+        nxt = c - value / slope
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - c) <= 1e-15 * c:
+            return nxt
+        c = nxt
+    raise RuntimeError("chi-square quantile iteration did not converge")
 
 
 @dataclass(frozen=True)

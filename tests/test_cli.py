@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,3 +190,16 @@ class TestTopLevel:
             assert exc.value.code == 2, argv
         # --check was removed; argparse rejects it like any unknown flag.
         assert "unrecognized arguments: --check" in capsys.readouterr().err
+
+
+class TestImportFootprint:
+    def test_import_loads_neither_scipy_nor_the_process_pool(self):
+        # A fresh interpreter: pytest's warning filters import scipy into this one.
+        code = "import sys, etfilter, etfilter.cli; print('\\n'.join(sys.modules))"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        loaded = proc.stdout.split()
+        assert "etfilter.cli" in loaded
+        assert [m for m in loaded if m.startswith(("scipy", "concurrent.futures"))] == []

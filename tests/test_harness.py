@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -125,7 +126,8 @@ class TestDeterminism:
                 started.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
+        # run_monte_carlo imports the pool class from concurrent.futures at call time.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
         run_monte_carlo(ExperimentConfig(trials=trials, steps=5, jobs=3))
         assert started == workers
 

@@ -32,10 +32,22 @@ class TestChiSquareQuantile:
         tiny = chi_square_quantile(1e-12, 2)
         assert tiny == pytest.approx(oracles.chi2_quantile(1e-12, 2), rel=1e-9)
 
-    @pytest.mark.parametrize("alpha", [0.05, 1e-6, 1e-12, 1e-100])
+    @pytest.mark.parametrize(
+        "alpha", [0.05, 1e-6, 1e-12, 1e-100, 1e-300, 5e-324, 0.9999, 1.0 - 1e-9]
+    )
     def test_dof2_closed_form(self, alpha):
         # P(chi2_2 > c) = exp(-c / 2), so c = -2 ln(alpha) exactly.
         assert chi_square_quantile(alpha, 2) == pytest.approx(-2.0 * math.log(alpha), rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [1e-50, 1e-300, 1e-310])
+    @pytest.mark.parametrize("dof", range(1, 7))
+    def test_deep_tail_matches_bisection_oracle(self, alpha, dof):
+        # At 1e-300 and below, sqrt(c / 2) > 26 and the odd-dof tails sum the
+        # asymptotic series of log erfc.  (At the subnormal 5e-324 the oracle's
+        # own continued fraction loses digits, so that alpha is checked at dof 2
+        # only.)
+        got = chi_square_quantile(alpha, dof)
+        assert got == pytest.approx(oracles.chi2_quantile(alpha, dof), rel=1e-13)
 
     def test_round_trip_through_cdf(self):
         for alpha, dof in ((0.05, 2), (0.3, 5)):

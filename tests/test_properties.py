@@ -8,11 +8,11 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from etfilter.estimator import prior_cache
-from etfilter.numerics import ball_moments
+from etfilter.numerics import ball_moments, chi_square_quantile
 from etfilter.trigger import make_config
 
 from oracles import mc_ball_stats, random_model, random_spd
@@ -106,3 +106,23 @@ def test_kernel_is_unit_free(n, fraction, log_c):
     assert abs(scaled.prob - unit.prob) <= 1e-12 * scaled.prob
     want = c * unit.conditional
     assert np.abs(scaled.conditional - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# Levels spread over both tails: log-uniform in alpha and in 1 - alpha.
+levels = st.one_of(
+    st.floats(-300.0, 0.0).map(lambda e: 10.0**e),
+    st.floats(-16.0, -0.3).map(lambda e: 1.0 - 10.0**e),
+).filter(lambda a: 1e-300 < a < 1.0)
+
+
+@PROPERTY
+@given(a=levels, b=levels, dof=st.integers(1, 10))
+def test_chi_square_quantile_is_monotone(a, b, dof):
+    """Strictly decreasing in alpha and strictly increasing in dof.  The two
+    levels differ by at least 1e-9 of the smaller tail, far above the
+    quantile's rounding."""
+    lo, hi = sorted((a, b))
+    assume(hi - lo > 1e-9 * min(lo, 1.0 - hi))
+    assert chi_square_quantile(lo, dof) > chi_square_quantile(hi, dof)
+    if dof < 10:
+        assert chi_square_quantile(lo, dof) < chi_square_quantile(lo, dof + 1)
