@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -39,15 +38,17 @@ def validated_eigh(a, name: str, definite: bool) -> tuple[NDArray, NDArray, NDAr
     """Check a symmetric positive (semi)definite matrix, or a (B, p, p) stack of
     them, and return its symmetric part with the eigenvalues and eigenvectors.
 
-    Every entry must be finite; every matrix must be symmetric within 1e-12
-    times its own largest entry and have eigenvalues > 0 (``definite``) or
-    >= -1e-10 times its largest eigenvalue magnitude (roundoff in a PSD
+    Every matrix must be at least 1 x 1 with finite entries, symmetric within
+    1e-12 times its own largest entry, and have eigenvalues > 0 (``definite``)
+    or >= -1e-10 times its largest eigenvalue magnitude (roundoff in a PSD
     matrix).  Both bounds are relative, so a matrix and any positive multiple
     of it get the same verdict.
     """
     m = np.asarray(a, dtype=float)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"{name} must be a square matrix or a stack of them, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise ValueError(
+            f"{name} must be a non-empty square matrix or a stack of them, got shape {m.shape}"
+        )
     scale = np.abs(m).max(axis=(-2, -1))
     if not np.isfinite(scale).all():
         raise ValueError(f"{name} has non-finite entries")
@@ -78,22 +79,21 @@ def psd_sqrt(a, name: str = "covariance") -> NDArray:
 def chi_square_quantile(alpha: float, dof: int) -> float:
     """Upper-tail chi-square quantile: the c with P(X > c) = alpha, X ~ chi2(dof).
 
-    With y = c / 2 and integer dof, the upper tail has closed forms whose terms
-    are all positive (Abramowitz & Stegun 26.4.4, 26.4.5):
+    Bisection down to adjacent doubles solves log(P(c) / Q(c)) = target, the
+    lower over the upper tail, with target = log1p(-alpha) - log(alpha).
+    With y = c / 2 and integer dof, the smaller tail is summed in log space
+    from all-positive terms: below the mean c = dof the lower-tail series
+
+        P = y^{dof/2} e^{-y} sum_{n >= 0} y^n / Gamma(dof/2 + n + 1),
+
+    at and above it the closed forms (Abramowitz & Stegun 26.4.4, 26.4.5)
 
         even dof: Q = e^{-y} sum_{j < dof/2} y^j / j!
         odd dof:  Q = erfc(sqrt(y)) + e^{-y} sum_{j < (dof-1)/2} y^{j+1/2} / Gamma(j+3/2)
 
-    For alpha <= 1/2 a bracketed Newton iteration solves log Q(c) = log alpha,
-    with d log Q / dc = -pdf / Q; the sums are taken in log space, so alpha
-    down to the smallest subnormal keeps full relative accuracy.  For
-    alpha > 1/2 the root lies below the median and it solves
-    log P(c) = log(1 - alpha) on the all-positive lower-tail series
-
-        P = y^{dof/2} e^{-y} sum_{n >= 0} y^n / Gamma(dof/2 + n + 1)
-
-    instead, because 1 - alpha is exact there while Q would carry its rounding
-    into a small quantile.
+    and the larger tail follows as log1p(-exp(.)) of the smaller.  The target
+    keeps both alpha and 1 - alpha exact, so alpha down to the smallest
+    subnormal and up to 1 - 1e-16 keeps full relative accuracy.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
@@ -101,20 +101,39 @@ def chi_square_quantile(alpha: float, dof: int) -> float:
     if int(dof) != dof or dof < 1:
         raise ValueError(f"dof must be a positive integer, got {dof}")
     dof = int(dof)
-    # Bracket the root from dof, the mean, which lies above the median: doubling
-    # upward for the upper tail, halving downward for the lower.
-    if alpha <= 0.5:
-        gap = partial(_upper_tail_gap, dof, math.log(alpha))
-        lo, hi = 0.0, float(dof)
-        while gap(hi)[0] > 0.0:
-            lo, hi = hi, 2.0 * hi
+    target = math.log1p(-alpha) - math.log(alpha)
+    lo, hi = 0.0, float(dof)
+    while _log_odds(dof, hi) < target:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _log_odds(dof, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _log_odds(dof: int, c: float) -> float:
+    """log(P(c) / Q(c)) for X ~ chi2(dof), P = P(X <= c) and Q = P(X > c);
+    increasing in c."""
+    a, y = 0.5 * dof, 0.5 * c
+    log_y = math.log(y)
+    if c < dof:
+        # Below the mean y < a, so the series terms fall from the first on.
+        series, term, n = 1.0, 1.0, 1
+        while term > 1e-17 * series:
+            term *= y / (a + n)
+            series += term
+            n += 1
+        log_p = a * log_y - y - math.lgamma(a + 1.0) + math.log(series)
+        return log_p - math.log1p(-math.exp(log_p))
+    if dof % 2 == 0:
+        log_sum = _log_sum_exp([j * log_y - math.lgamma(j + 1.0) for j in range(dof // 2)])
     else:
-        gap = partial(_lower_tail_gap, dof, math.log(1.0 - alpha))
-        hi = float(dof)
-        while gap(0.5 * hi)[0] < 0.0:
-            hi *= 0.5
-        lo = 0.5 * hi
-    return _bracketed_newton(gap, lo, hi)
+        terms = [(j + 0.5) * log_y - math.lgamma(j + 1.5) for j in range((dof - 1) // 2)]
+        log_sum = _log_sum_exp([_log_erfc_scaled(y), *terms])
+    log_q = log_sum - y
+    return math.log1p(-math.exp(log_q)) - log_q
 
 
 def _log_sum_exp(terms: list[float]) -> float:
@@ -137,55 +156,6 @@ def _log_erfc_scaled(y: float) -> float:
         series += term
         n += 1
     return math.log(series / (z * math.sqrt(math.pi)))
-
-
-def _upper_tail_gap(dof: int, log_alpha: float, c: float) -> tuple[float, float]:
-    """log Q(c) - log alpha and its derivative -pdf(c) / Q(c)."""
-    a, y = 0.5 * dof, 0.5 * c
-    log_y = math.log(y)
-    if dof % 2 == 0:
-        log_sum = _log_sum_exp([j * log_y - math.lgamma(j + 1.0) for j in range(dof // 2)])
-    else:
-        terms = [(j + 0.5) * log_y - math.lgamma(j + 1.5) for j in range((dof - 1) // 2)]
-        log_sum = _log_sum_exp([_log_erfc_scaled(y), *terms])
-    # log Q = log_sum - y; the pdf shares the factor e^{-y}, so the ratio needs no y.
-    slope = -math.exp((a - 1.0) * log_y - math.lgamma(a) - log_sum) / 2.0
-    return (log_sum - y) - log_alpha, slope
-
-
-def _lower_tail_gap(dof: int, log_level: float, c: float) -> tuple[float, float]:
-    """log(1 - alpha) - log P(c) and its derivative -pdf(c) / P(c), for c at or
-    below the median, where the series terms fall from the first on."""
-    a, y = 0.5 * dof, 0.5 * c
-    series, term, n = 1.0, 1.0, 1
-    while term > 1e-17 * series:
-        term *= y / (a + n)
-        series += term
-        n += 1
-    log_p = a * math.log(y) - y - math.lgamma(a + 1.0) + math.log(series)
-    return log_level - log_p, -a / (2.0 * y * series)
-
-
-def _bracketed_newton(gap, lo: float, hi: float) -> float:
-    """Root of a decreasing ``gap(c) -> (value, slope)`` with gap(lo) > 0 >
-    gap(hi), by Newton steps kept inside the sign bracket; a step that leaves
-    it bisects instead."""
-    c = 0.5 * (lo + hi)
-    for _ in range(100):
-        value, slope = gap(c)
-        if value == 0.0:
-            return c
-        if value > 0.0:
-            lo = c
-        else:
-            hi = c
-        nxt = c - value / slope
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - c) <= 1e-15 * c:
-            return nxt
-        c = nxt
-    raise RuntimeError("chi-square quantile iteration did not converge")
 
 
 @dataclass(frozen=True)

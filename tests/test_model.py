@@ -70,6 +70,15 @@ class TestModelValidation:
                 x0_mean=np.zeros(2),
                 x0_cov=np.eye(2),
             )
+        with pytest.raises(ValueError, match="^R must be a non-empty square matrix"):
+            LinearGaussianModel(
+                A=np.eye(2),
+                C=np.zeros((0, 2)),
+                Q=np.eye(2),
+                R=np.zeros((0, 0)),
+                x0_mean=np.zeros(2),
+                x0_cov=np.eye(2),
+            )
 
     def test_rejects_indefinite_covariances(self):
         # The roundoff allowance is relative, so a tiny indefinite Q fails too.

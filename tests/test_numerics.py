@@ -17,7 +17,9 @@ from oracles import random_spd
 
 class TestChiSquareQuantile:
     def test_matches_bisection_oracle(self):
-        for alpha in (0.5, 0.1, 0.05, 0.01, 0.001):
+        # For dof 1-10 the tail summed directly switches at c = dof, i.e. at
+        # alpha = Q(dof) in [0.317, 0.441]; 0.30-0.45 land on both sides of it.
+        for alpha in (0.5, 0.45, 0.4, 0.35, 0.3, 0.1, 0.05, 0.01, 0.001):
             for dof in (1, 2, 3, 4, 6, 10):
                 got = chi_square_quantile(alpha, dof)
                 want = oracles.chi2_quantile(alpha, dof)
@@ -33,10 +35,12 @@ class TestChiSquareQuantile:
         assert tiny == pytest.approx(oracles.chi2_quantile(1e-12, 2), rel=1e-9)
 
     @pytest.mark.parametrize(
-        "alpha", [0.05, 1e-6, 1e-12, 1e-100, 1e-300, 5e-324, 0.9999, 1.0 - 1e-9]
+        "alpha",
+        [0.05, 1e-6, 1e-12, 1e-100, 1e-300, 5e-324, 0.9999, 1.0 - 1e-9, math.exp(-1.0)],
     )
     def test_dof2_closed_form(self, alpha):
-        # P(chi2_2 > c) = exp(-c / 2), so c = -2 ln(alpha) exactly.
+        # P(chi2_2 > c) = exp(-c / 2), so c = -2 ln(alpha) exactly; exp(-1) puts
+        # the root at c = dof, where the directly summed tail switches.
         assert chi_square_quantile(alpha, 2) == pytest.approx(-2.0 * math.log(alpha), rel=1e-14)
 
     @pytest.mark.parametrize("alpha", [1e-50, 1e-300, 1e-310])
@@ -428,15 +432,20 @@ class TestMatrixValidation:
             (np.array([[2.0, 1.0], [1.0, 3.0]]), None),
             (np.array([[2.0, 1.0], [0.5, 3.0]]), "symmetric"),
             (np.array([[1.0, 2.0], [2.0, 1.0]]), "definite"),
+            (np.zeros((0, 0)), "must be a non-empty square matrix"),
         ],
-        ids=["valid", "asymmetric", "indefinite"],
+        ids=["valid", "asymmetric", "indefinite", "empty"],
     )
     @pytest.mark.parametrize(
         "call",
         [
             pytest.param(make_config, id="make_config"),
             pytest.param(_model_with_q, id="model-Q"),
-            pytest.param(lambda m: ball_moments(m, 2.0 * np.abs(m).max()), id="ball_moments"),
+            pytest.param(
+                # An empty m has no largest entry to scale the ball by.
+                lambda m: ball_moments(m, 2.0 * np.abs(m).max(initial=0.0) or 1.0),
+                id="ball_moments",
+            ),
             pytest.param(psd_sqrt, id="psd_sqrt"),
         ],
     )
