@@ -4,9 +4,8 @@ The sensor and the remote estimator run co-located: every step forms the
 innovation against the estimator's own prediction, the trigger decides
 whether the measurement would have been transmitted, and the update branches
 on that decision.  Received steps perform the standard Kalman update; silent
-steps keep the predicted mean but add a covariance correction equal to the
-conditional second moment of the whitened innovation restricted to the
-silence ball, mapped back through the whitened gain.
+steps keep the predicted mean and add the silence ball's conditional second
+moment of the whitened innovation, mapped back through the whitened gain.
 
 Every step also records both branch posteriors and the silence probability
 (``StepCache``), which the communication-rate predictors need; those are
@@ -97,26 +96,36 @@ def _check_inputs(model: LinearGaussianModel, trigger: TriggerConfig) -> None:
     validated_eigh(model.R, "R", definite=True)
 
 
+def _whitened(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray):
+    """cov (Phi C)' and N_z = Phi S Phi' of (..., n, n) prior covariances; N_z
+    is left for ``validated_eigh`` to check and symmetrize."""
+    phi_c = trigger.phi @ model.C
+    cross = cov @ phi_c.T
+    return cross, phi_c @ cross + trigger.phi @ model.R @ trigger.phi.T
+
+
 def _cache(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray):
     """Measurement geometry and silence-ball step from (B, n, n) prior covariances.
 
-    Returns (gain, cache); neither depends on the measurements.  The send branch
-    takes the Joseph-stabilized update; the silent branch adds the ball's
-    conditional second moment mapped through the whitened gain.
+    Returns (gain, cache); neither depends on the measurements.  Everything
+    comes from one eigendecomposition N_z = V diag(lam) V': with
+    U = cov (Phi C)' V diag(1 / lam), the whitened gain in the eigenframe, the
+    gain is U V' Phi, the send branch takes the Joseph-stabilized update, and
+    the silent branch adds U diag(d) U' for the ball's eigenframe second
+    moments d.  Each factor divides by lam once, so no lam^2 can underflow.
     """
-    cross = cov @ model.C.T
-    s = symmetrize(model.C @ cross + model.R)
-    gain = np.linalg.solve(s, cross.swapaxes(1, 2)).swapaxes(1, 2)
+    cross, n_z = _whitened(model, trigger, cov)
+    if trigger.threshold > 0.0:
+        lam, vec, prob, d = _ball_full(n_z, trigger.threshold)
+    else:  # always send: no silence ball, so the silent branch is the send branch
+        _, lam, vec = validated_eigh(n_z, "n", definite=True)
+        prob, d = np.zeros(len(cov)), np.zeros_like(lam)
+    u = cross @ vec / lam[:, None, :]
+    gain = u @ (vec.swapaxes(1, 2) @ trigger.phi)
     a = np.eye(model.n) - gain @ model.C
     p_z = symmetrize(a @ cov @ a.swapaxes(1, 2) + gain @ model.R @ gain.swapaxes(1, 2))
-    if trigger.threshold <= 0.0:
-        # Always send: there is no silence ball and no silent branch.
-        return gain, StepCache(P_z=p_z, P_silent=p_z, prob0=np.zeros(cov.shape[0]))
-    n_z = symmetrize(trigger.phi @ s @ trigger.phi.T)
-    bm = _ball_full(n_z, trigger.threshold)
-    k_w = gain @ trigger.phi_inv
-    p_silent = symmetrize(p_z + k_w @ bm.conditional @ k_w.swapaxes(1, 2))
-    return gain, StepCache(P_z=p_z, P_silent=p_silent, prob0=bm.prob)
+    p_silent = symmetrize(p_z + (u * d[:, None, :]) @ u.swapaxes(1, 2))
+    return gain, StepCache(P_z=p_z, P_silent=p_silent, prob0=prob)
 
 
 class EventTriggeredFilter:

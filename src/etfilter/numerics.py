@@ -203,11 +203,13 @@ def _contour(count: int) -> tuple[NDArray, NDArray]:
 
 
 _Z, _W = _contour(_NODES)
+# (Im w, Re w) pairs: Im sum_k w_k t_k is their dot product with t viewed as (Re t, Im t).
+_W_RI = np.column_stack([_W.imag, _W.real]).ravel()
 
 
 def _im_sum(terms: NDArray) -> NDArray:
     """Im sum_k w_k terms_k over the last axis, in the same order for every row."""
-    return (terms.real * _W.imag + terms.imag * _W.real).sum(axis=-1)
+    return terms.view(float) @ _W_RI
 
 
 # What the weights make of 1 / s: dividing by it gives prob = 1 where Phi rounds to 1.
@@ -219,72 +221,67 @@ _TOL = 1e-13
 
 def _contour_moments(lam: NDArray, radius2: float) -> tuple[NDArray, NDArray]:
     """Ball probability and eigenframe conditional second moments for the
-    (B, p) eigenvalues ``lam`` and a finite ``radius2``.
+    (..., p) eigenvalues ``lam`` and a finite ``radius2``.
 
     Each factor 1 + 2 lam z / radius2 is written as v / a with v = a + b z and
     (a, b) = (1, 2 lam / radius2) when 2 lam <= radius2, else
     (radius2 / (2 lam), 1): |v| stays between about 0.5 and 50, and the real
-    factors a enter in log space, so no product over- or underflows.  The
-    second moments are divided by the probability inside the sum, so they
-    stay finite when the probability underflows.
+    factors a enter in log space, so no product over- or underflows.  With
+    r = sqrt(1 / v) (Im z > 0 keeps v off the branch cut), prod v^(-1/2) is
+    prod r and 1 / v_i is r_i^2.  The second moments are divided by the
+    probability inside the sum, so they stay finite when it underflows.
     """
     log_ratio = np.log(lam) + (math.log(2.0) - math.log(radius2))  # log(2 lam / radius2)
     log_a = np.minimum(-log_ratio, 0.0)
-    v = np.exp(log_a)[:, :, None] + np.exp(np.minimum(log_ratio, 0.0))[:, :, None] * _Z
-    terms = np.exp(-0.5 * np.log(v).sum(axis=1))
+    v = np.exp(log_a)[..., None] + np.exp(np.minimum(log_ratio, 0.0))[..., None] * _Z
+    r = np.sqrt(1.0 / v)
+    terms = r.prod(axis=-2)
     scaled = _im_sum(terms)
-    prob = scaled / _W_NORM * np.exp(0.5 * log_a.sum(axis=1))
+    prob = scaled / _W_NORM * np.exp(0.5 * log_a.sum(axis=-1))
     # lam_i / (1 + 2 lam_i z / radius2) = min(lam_i, radius2 / 2) / v_i
-    ratio = _im_sum(terms[:, None, :] / v) / scaled[:, None]
+    ratio = _im_sum(terms[..., None, :] * (r * r)) / scaled[..., None]
     return prob, np.minimum(lam, 0.5 * radius2) * ratio
 
 
 def ball_moments(n, radius2: float) -> BallMoments:
-    """Probability and conditional second moment of ``N(0, n)`` over a centered ball.
+    """Probability and conditional second moment of ``N(0, n)`` over the
+    centered ball z'z <= radius2, for an SPD ``n`` (p, p) or a stack (B, p, p)
+    of them; a stack runs in one vectorised pass and gives both fields of the
+    result a leading axis of length B.
 
-    Parameters
-    ----------
-    n : SPD matrix (p, p), or a stack (B, p, p) of them
-        Kernel covariance (the kernel runs in its eigenframe).  A stack is
-        evaluated in one vectorised pass, and both fields of the result
-        gain a leading axis of length B.
-    radius2 : float
-        Squared ball radius, > 0.  ``inf`` is allowed and recovers the whole
-        space in closed form: prob is exactly 1 and the conditional second
-        moment is ``n`` itself.
-
-    Returns
-    -------
-    BallMoments
-        ``prob`` and ``conditional``.  Every p runs the same 32-node contour
-        sum; its roundoff floor is about exp(0.171 * 32) eps ~ 5e-14, so both
-        are accurate to about 1e-13 relative (a few 1e-12 for the second
-        moments at p = 6).  The conditional moment stays exact where the
-        probability underflows to 0.
+    ``radius2`` must be > 0; ``inf`` recovers the whole space in closed form:
+    prob is exactly 1 and the conditional second moment is ``n`` itself.
+    Every p runs the same 32-node contour sum in the eigenframe of ``n``; its
+    roundoff floor is about exp(0.171 * 32) eps ~ 5e-14, so both fields are
+    accurate to about 1e-13 relative (a few 1e-12 for the second moments at
+    p = 6).  The conditional moment stays exact where the probability
+    underflows to 0.
     """
-    m = np.asarray(n, dtype=float)
-    bm = _ball_full(m[None] if m.ndim == 2 else m, radius2)
-    return BallMoments(float(bm.prob[0]), bm.conditional[0]) if m.ndim == 2 else bm
+    lam, vec, prob, d = _ball_full(n, radius2)
+    if radius2 == math.inf:  # the eigenframe would only round n itself
+        conditional = validated_eigh(n, "n", definite=True)[0]
+    else:
+        conditional = symmetrize((vec * d[..., None, :]) @ vec.swapaxes(-1, -2))
+    return BallMoments(prob if prob.ndim else float(prob), conditional)
 
 
-def _ball_full(n: NDArray, radius2: float) -> BallMoments:
-    """Ball moments of a (B, p, p) stack; both fields have a leading axis of length B.
-
-    Raises RuntimeError if a row's conditional second moment exceeds its
-    untruncated trace, which only an inconsistent contour sum can produce.
+def _ball_full(n: NDArray, radius2: float) -> tuple[NDArray, NDArray, NDArray, NDArray]:
+    """Ball moments of a (p, p) kernel or a (B, p, p) stack in the eigenframe
+    n = vec diag(lam) vec' of one validated eigendecomposition: returns
+    (lam, vec, prob, d) with prob = P(z'z <= radius2) and the conditional
+    second moment diagonal in this frame, d_i = E[(vec' z)_i^2 | ball]; an
+    infinite radius gives prob 1 and d = lam.  Raises RuntimeError if d sums
+    past the untruncated trace, which only an inconsistent contour sum can do.
     """
     radius2 = float(radius2)
     if not radius2 > 0.0:
         raise ValueError(f"radius2 must be positive, got {radius2}")
-    n, lam, vec = validated_eigh(n, "n", definite=True)
+    _, lam, vec = validated_eigh(n, "n", definite=True)
     if radius2 == math.inf:
-        # The whole space in closed form: the contour would rebuild n from its
-        # eigenframe and round.
-        return BallMoments(prob=np.ones(len(n)), conditional=n)
+        return lam, vec, np.ones(lam.shape[:-1]), lam
     prob, d = _contour_moments(lam, radius2)
-    if (d.sum(axis=1) > (1.0 + _TOL) * lam.sum(axis=1)).any():
+    if (d.sum(axis=-1) > (1.0 + _TOL) * lam.sum(axis=-1)).any():
         raise RuntimeError(
             "truncated second moment exceeded the untruncated trace; contour sum is inconsistent"
         )
-    conditional = symmetrize((vec * d[:, None, :]) @ vec.swapaxes(1, 2))
-    return BallMoments(prob=np.minimum(prob, 1.0), conditional=conditional)
+    return lam, vec, np.minimum(prob, 1.0), d

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import StepCache, prior_cache
+from .estimator import StepCache, _whitened, prior_cache
 from .model import LinearGaussianModel
 from .numerics import ball_moments, symmetrize
 from .trigger import TriggerConfig
@@ -69,12 +69,9 @@ def rate_two_step(state: RateState) -> RatePrediction:
         return RatePrediction(gamma_hat=sent)
     model = state.model
     trigger = state.trigger
-    a = model.A
-    cov = symmetrize(a @ np.stack([cache.P_z, cache.P_silent]) @ a.T + model.Q)
-    s = symmetrize(model.C @ cov @ model.C.T + model.R)
-    n_z = symmetrize(trigger.phi @ s @ trigger.phi.T)
-    p = trigger.p
-    probs = ball_moments(n_z.reshape(-1, p, p), trigger.threshold).prob
+    cov = symmetrize(model.A @ np.stack([cache.P_z, cache.P_silent]) @ model.A.T + model.Q)
+    n_z = _whitened(model, trigger, cov)[1]
+    probs = ball_moments(n_z.reshape(-1, trigger.p, trigger.p), trigger.threshold).prob
     p_sent, p_silent = probs.reshape(2, -1)
     prob0 = p_sent + state.prob0_prev * (p_silent - p_sent)
     if np.ndim(cache.prob0) == 0:

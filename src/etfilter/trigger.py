@@ -22,14 +22,12 @@ __all__ = ["TriggerConfig", "decide", "make_config"]
 class TriggerConfig:
     """Frozen trigger parameters.
 
-    ``phi`` is the upper-triangular whitener with phi.T @ phi = inv(nbar);
-    ``threshold`` is the upper-alpha chi-square quantile with ``p`` degrees of
-    freedom.  ``phi_inv`` is cached because the filter needs it every step.
+    ``phi`` is the upper-triangular whitener with phi.T @ phi = inv(nbar) and
+    ``threshold`` the upper-alpha chi-square quantile with ``p`` degrees of freedom.
     """
 
     nbar: NDArray
     phi: NDArray
-    phi_inv: NDArray
     alpha: float
     threshold: float
     p: int
@@ -58,7 +56,6 @@ def make_config(nbar, alpha: float = 0.05) -> TriggerConfig:
     return TriggerConfig(
         nbar=nb,
         phi=phi,
-        phi_inv=np.linalg.inv(phi),
         alpha=float(alpha),
         threshold=chi_square_quantile(alpha, p),
         p=p,

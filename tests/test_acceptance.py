@@ -218,7 +218,7 @@ def test_criterion_6_whitener_rotation_invariance():
     trig = make_config(CASE1, 0.05)
     theta = 0.7
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-    rotated = replace(trig, phi=rot @ trig.phi, phi_inv=trig.phi_inv @ rot.T)
+    rotated = replace(trig, phi=rot @ trig.phi)
     traj = simulate(model, 100, np.random.default_rng(66), x0=np.array(TRUE_INITIAL_STATE))
     run_a = EventTriggeredFilter(model, trig).run(traj.measurements)
     run_b = EventTriggeredFilter(model, rotated).run(traj.measurements)

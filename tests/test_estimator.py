@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from etfilter.estimator import EventTriggeredFilter, prior_cache
+from etfilter.estimator import EventTriggeredFilter, _cache, prior_cache
+from etfilter.harness import CASE_BOUNDS
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
 from etfilter.numerics import ball_moments
 from etfilter.trigger import make_config
@@ -285,6 +286,49 @@ class TestPriorCache:
         _, b = filt.init(np.array([900.0, -50.0]))
         assert a.cache.prob0 == b.cache.prob0
         assert np.array_equal(a.cache.P_silent, b.cache.P_silent)
+
+
+def _geometry_case(name, request):
+    """(model, nbar) for the geometry comparison."""
+    if name.startswith("tracking"):
+        return tracking_preset(), CASE_BOUNDS[name.split("-")[1]]
+    if name == "random-p3":
+        rng = np.random.default_rng(41)
+        return random_model(rng, 4, 3), random_spd(rng, 3)
+    # The benchmark's stiff 3-output stream: N_z eigenvalue ratio about 1e5.
+    return request.getfixturevalue("three_output_model"), np.diag([1e4, 1e-2, 8.0])
+
+
+class TestMeasurementGeometry:
+    """``_cache`` takes the gain and both branch posteriors from one
+    eigendecomposition of N_z; the textbook formulas, a solve against S for
+    the gain and the ball moment mapped through gain @ inv(phi), must give
+    the same matrices."""
+
+    @pytest.mark.parametrize(
+        "case", ["tracking-case1", "tracking-case2", "tracking-case3", "random-p3", "stiff-p3"]
+    )
+    def test_matches_solve_and_whitened_gain(self, case, request):
+        model, nbar = _geometry_case(case, request)
+        trig = make_config(nbar, 0.05)
+        rng = np.random.default_rng(42)
+        run = EventTriggeredFilter(model, trig).run(simulate(model, 30, rng).measurements)
+        # The time-0 prior and the prior of every later step.
+        priors = np.concatenate([model.x0_cov[None], model.A @ run.P[:-1] @ model.A.T + model.Q])
+        gain, cache = _cache(model, trig, priors)
+        for i, cov in enumerate(priors):
+            s = model.C @ cov @ model.C.T + model.R
+            want_gain = np.linalg.solve(s, model.C @ cov).T
+            a = np.eye(model.n) - want_gain @ model.C
+            p_z = a @ cov @ a.T + want_gain @ model.R @ want_gain.T
+            n_z = trig.phi @ s @ trig.phi.T
+            bm = ball_moments(0.5 * (n_z + n_z.T), trig.threshold)
+            k_w = want_gain @ np.linalg.inv(trig.phi)
+            p_silent = p_z + k_w @ bm.conditional @ k_w.T
+            pairs = ((gain[i], want_gain), (cache.P_z[i], p_z), (cache.P_silent[i], p_silent))
+            for got, want in pairs:
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (case, i)
+            assert cache.prob0[i] == pytest.approx(bm.prob, rel=1e-12), (case, i)
 
 
 class TestStatisticalConsistency:

@@ -277,7 +277,7 @@ class TestBallMomentsGeneral:
                 _, state = filt.step(state, y)
         assert cache.prob0 == pytest.approx(prob, rel=1e-9)
         gain = model.x0_cov @ np.linalg.inv(model.x0_cov + model.R)
-        k_w = gain @ trig.phi_inv
+        k_w = gain @ np.linalg.inv(trig.phi)
         want = cache.P_z + cond * (k_w @ k_w.T)
         assert np.abs(cache.P_silent - want).max() <= 1e-9 * np.abs(want).max()
         assert np.isfinite(state.P).all()
@@ -337,9 +337,9 @@ class TestContourKernel:
         lam = 1.7
         for ratio in 10.0 ** np.arange(-200.0, 3.5, 0.5):
             prob, cond = oracles.isotropic_ball_stats(lam, p, ratio * lam)
-            bm = _quiet(numerics._ball_full, lam * np.eye(p)[None], ratio * lam)
-            assert bm.prob[0] == pytest.approx(prob, rel=1e-10, abs=1e-310), ratio
-            assert np.abs(bm.conditional[0] - cond * np.eye(p)).max() <= 1e-10 * cond, ratio
+            bm = _quiet(ball_moments, lam * np.eye(p), ratio * lam)
+            assert bm.prob == pytest.approx(prob, rel=1e-10, abs=1e-310), ratio
+            assert np.abs(bm.conditional - cond * np.eye(p)).max() <= 1e-10 * cond, ratio
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("ratio", [1.0, 1e2, 1e6, 1e12])
@@ -453,6 +453,10 @@ class TestMatrixValidation:
         verdict = _verdict(call, m)
         assert (verdict is None) if want is None else (want in verdict)
         assert _verdict(call, scale * m) == verdict
+        if m.size == 0:
+            # The message names the shape the caller passed, not a stack it became.
+            with pytest.raises(ValueError, match=r"got shape \(0, 0\)$"):
+                call(m)
 
     def test_symmetric_matrix_near_overflow_is_accepted(self):
         # Symmetrizing by 0.5 * (m + m.T) would overflow to inf here.

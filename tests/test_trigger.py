@@ -19,7 +19,6 @@ class TestMakeConfig:
         assert cfg.p == 2
         assert cfg.threshold == pytest.approx(oracles.chi2_quantile(0.05, 2), rel=1e-12)
         assert np.allclose(cfg.phi.T @ cfg.phi, np.linalg.inv(CASE1), rtol=1e-12)
-        assert np.allclose(cfg.phi_inv @ cfg.phi, np.eye(2), atol=1e-12)
 
     def test_threshold_scales_with_alpha(self):
         loose = make_config(CASE1, 0.5)
@@ -110,7 +109,7 @@ class TestDecide:
         rot = np.array(
             [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
         )
-        rotated = replace(cfg, phi=rot @ cfg.phi, phi_inv=cfg.phi_inv @ rot.T)
+        rotated = replace(cfg, phi=rot @ cfg.phi)
         y = np.array([7.0, -2.0])
         want = float(y @ np.linalg.solve(CASE1, y))
         for gamma, scale in ((0, 1 + 1e-9), (1, 1 - 1e-9)):
