@@ -3,7 +3,6 @@
 Subcommands:
   simulate   run one benchmark case, write rms.csv / rates.csv / summary.csv
   table1     run all three cases, print average rates next to the references
-  rates      run one case and write only the per-step rate comparison
 
 Every subcommand takes the run settings as flags (table1 all but --case);
 ExperimentConfig supplies each setting that is not given.  The same settings
@@ -19,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 from pathlib import Path
 
 from .harness import CASE_BOUNDS, ExperimentConfig, emit_csv, run_monte_carlo, table1
@@ -75,9 +73,11 @@ def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
     return ExperimentConfig(**given), Path(out)
 
 
-def _report(summary, paths: dict[str, Path]) -> None:
-    avg, cfg = summary.avg_rates, summary.config
-    print(f"case={cfg.case} trials={cfg.trials} steps={cfg.steps} seed={cfg.seed}")
+def _run_case(config: ExperimentConfig, out: Path) -> None:
+    summary = run_monte_carlo(config)
+    paths = emit_csv(summary, out)
+    avg = summary.avg_rates
+    print(f"case={config.case} trials={config.trials} steps={config.steps} seed={config.seed}")
     print(
         f"average rates: empirical={avg[0]:.4f} one-step={avg[1]:.4f} "
         f"two-step={avg[2]:.4f}"
@@ -85,11 +85,6 @@ def _report(summary, paths: dict[str, Path]) -> None:
     print("final rms: " + " ".join(f"{v:.4f}" for v in summary.rms[-1]))
     for path in paths.values():
         print(f"wrote {path}")
-
-
-def _run_case(config: ExperimentConfig, out: Path, which: tuple[str, ...]) -> None:
-    summary = run_monte_carlo(config)
-    _report(summary, emit_csv(summary, out, which=which))
 
 
 def _add_subcommand(subs, name: str, text: str, run, with_case: bool = True) -> None:
@@ -131,17 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="flat key=value options file; flags override it")
     subs = parser.add_subparsers(dest="command", required=True)
-    _add_subcommand(
-        subs,
-        "simulate",
-        "run one case and write all csv outputs",
-        partial(_run_case, which=("rms", "rates", "summary")),
-    )
+    _add_subcommand(subs, "simulate", "run one case and write all csv outputs", _run_case)
     _add_subcommand(
         subs, "table1", "run all cases and compare average rates", table1, with_case=False
-    )
-    _add_subcommand(
-        subs, "rates", "run one case and write only rates.csv", partial(_run_case, which=("rates",))
     )
     return parser
 

@@ -67,11 +67,9 @@ class EstimatorState:
 
 @dataclass(frozen=True)
 class StepOutput:
-    """Per-step result: decision, posterior, and innovation."""
+    """Per-step result beside the new state: the send decision and the innovation."""
 
     gamma: int
-    xhat: NDArray
-    P: NDArray
     innovation: NDArray
 
 
@@ -94,6 +92,11 @@ def _check_inputs(model: LinearGaussianModel, trigger: TriggerConfig) -> None:
             f"trigger dimension {trigger.p} does not match measurement dimension {model.p}"
         )
     validated_eigh(model.R, "R", definite=True)
+
+
+def _predict_cov(model: LinearGaussianModel, cov: NDArray) -> NDArray:
+    """Time update A P A' + Q of (..., n, n) posterior covariances."""
+    return symmetrize(model.A @ cov @ model.A.T + model.Q)
 
 
 def _whitened(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray):
@@ -154,8 +157,7 @@ class EventTriggeredFilter:
     # -- the batched recursion -------------------------------------------------
 
     def _predict(self, xhat: NDArray, cov: NDArray):
-        m = self.model
-        return xhat @ m.A.T, symmetrize(m.A @ cov @ m.A.T + m.Q)
+        return xhat @ self.model.A.T, _predict_cov(self.model, cov)
 
     def _advance(self, xhat: NDArray, cov: NDArray, ys: NDArray, predict: bool = True):
         """Move B trials one step: posterior (B, n), (B, n, n) and measurements (B, p).
@@ -202,7 +204,7 @@ class EventTriggeredFilter:
         gamma, xhat, cov, innovation, cache = self._advance(
             state.xhat[None], state.P[None], self._one(y)
         )
-        out = StepOutput(gamma=int(gamma[0]), xhat=xhat[0], P=cov[0], innovation=innovation[0])
+        out = StepOutput(gamma=int(gamma[0]), innovation=innovation[0])
         return out, EstimatorState(k=state.k + 1, xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
 
     def run(self, measurements) -> FilterRun:

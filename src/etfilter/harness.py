@@ -197,52 +197,36 @@ def _write_summary(path: Path, summaries) -> None:
     )
 
 
-def emit_csv(
-    summary: ExperimentSummary,
-    output_dir,
-    which: tuple[str, ...] = ("rms", "rates", "summary"),
-) -> dict[str, Path]:
+def emit_csv(summary: ExperimentSummary, output_dir) -> dict[str, Path]:
     """Write rms.csv, rates.csv, and summary.csv into ``output_dir``.
 
     Floats use shortest round-trip formatting; files are UTF-8 with LF line
     endings.  rates.csv carries the empirical binomial standard error as a
-    trailing diagnostic column.  ``which`` restricts the set of files written.
+    trailing diagnostic column.  Returns the path of each file by its stem.
     """
-    unknown = set(which) - {"rms", "rates", "summary"}
-    if unknown:
-        raise ValueError(f"unknown csv selector(s): {sorted(unknown)}")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-
-    if "rms" in which:
-        paths["rms"] = out / "rms.csv"
-        _write_csv(
-            paths["rms"],
-            "k,rms_position,rms_velocity,rms_acceleration",
-            ([str(k), *(_fmt(v) for v in row)] for k, row in enumerate(summary.rms)),
-        )
-
-    if "rates" in which:
-        paths["rates"] = out / "rates.csv"
-        _write_csv(
-            paths["rates"],
-            "k,empirical,alg1,alg2,empirical_se",
-            (
-                [
-                    str(k),
-                    _fmt(summary.rate_empirical[k]),
-                    _fmt(summary.rate_alg1[k]),
-                    _fmt(summary.rate_alg2[k]),
-                    _fmt(summary.rate_se[k]),
-                ]
-                for k in range(summary.config.steps)
-            ),
-        )
-
-    if "summary" in which:
-        paths["summary"] = out / "summary.csv"
-        _write_summary(paths["summary"], [summary])
+    paths = {name: out / f"{name}.csv" for name in ("rms", "rates", "summary")}
+    _write_csv(
+        paths["rms"],
+        "k,rms_position,rms_velocity,rms_acceleration",
+        ([str(k), *(_fmt(v) for v in row)] for k, row in enumerate(summary.rms)),
+    )
+    _write_csv(
+        paths["rates"],
+        "k,empirical,alg1,alg2,empirical_se",
+        (
+            [
+                str(k),
+                _fmt(summary.rate_empirical[k]),
+                _fmt(summary.rate_alg1[k]),
+                _fmt(summary.rate_alg2[k]),
+                _fmt(summary.rate_se[k]),
+            ]
+            for k in range(summary.config.steps)
+        ),
+    )
+    _write_summary(paths["summary"], [summary])
     return paths
 
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import StepCache, _whitened, prior_cache
+from .estimator import StepCache, _predict_cov, _whitened, prior_cache
 from .model import LinearGaussianModel
-from .numerics import ball_moments, symmetrize
+from .numerics import ball_moments
 from .trigger import TriggerConfig
 
 __all__ = ["RatePrediction", "RateState", "bootstrap_rates", "rate_one_step", "rate_two_step"]
@@ -69,7 +69,7 @@ def rate_two_step(state: RateState) -> RatePrediction:
         return RatePrediction(gamma_hat=sent)
     model = state.model
     trigger = state.trigger
-    cov = symmetrize(model.A @ np.stack([cache.P_z, cache.P_silent]) @ model.A.T + model.Q)
+    cov = _predict_cov(model, np.stack([cache.P_z, cache.P_silent]))
     n_z = _whitened(model, trigger, cov)[1]
     probs = ball_moments(n_z.reshape(-1, trigger.p, trigger.p), trigger.threshold).prob
     p_sent, p_silent = probs.reshape(2, -1)

@@ -30,7 +30,11 @@ class TriggerConfig:
     phi: NDArray
     alpha: float
     threshold: float
-    p: int
+
+    @property
+    def p(self) -> int:
+        """Measurement dimension: the order of the whitener."""
+        return self.phi.shape[0]
 
 
 def make_config(nbar, alpha: float = 0.05) -> TriggerConfig:
@@ -58,7 +62,6 @@ def make_config(nbar, alpha: float = 0.05) -> TriggerConfig:
         phi=phi,
         alpha=float(alpha),
         threshold=chi_square_quantile(alpha, p),
-        p=p,
     )
 
 

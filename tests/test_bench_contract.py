@@ -5,12 +5,19 @@ a target it cannot find as absent instead of failing, so a rename would only
 show up in a traced benchmark run; a public name the workloads call would
 only fail a benchmark run.  These tests read the hook targets and the
 attributes read off imported ``etfilter`` modules from the benchmark's
-source (without importing it) and resolve each one.
+source (without importing it) and resolve each one.  Attributes read off
+returned objects (``out.gamma``, ``state.cache``) are out of an AST's reach,
+so each workload also runs one operation and checks it against its recorded
+reference.
 """
 
 import ast
 import importlib
+import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 BENCH_RUN = BENCH / "run.py"
@@ -77,3 +84,20 @@ def test_every_package_name_the_benchmark_reads_resolves():
     # The parse found module-level names, submodule names and the CLI entry.
     assert {"etfilter:ball_moments", "etfilter.rate:RateState", "etfilter.cli:main"} <= reads
     assert [t for t in sorted(reads) if not _resolves(t)] == []
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["mc_table1", "stream_remote", "stream_p3_stiff"])
+def test_each_workload_runs_one_operation_to_its_reference(workloads, name, tmp_path):
+    expected = json.loads((BENCH / "expected.json").read_text(encoding="utf-8"))[name]
+    workload = workloads.WORKLOADS[name](tmp_path)
+    [op] = workload.inputs([0])
+    result, _ = workload.run(op, pause=None)
+    assert workload.check(workload.outputs(result), expected[workload.key(op)]) == []

@@ -38,33 +38,6 @@ class TestSimulateCommand:
         assert "unknown case" in capsys.readouterr().err
 
 
-class TestRatesCommand:
-    def test_writes_only_rates(self, tmp_path):
-        out = tmp_path / "r"
-        code = _run(
-            [
-                "rates",
-                "--case",
-                "3",
-                "--trials",
-                6,
-                "--steps",
-                10,
-                "--seed",
-                2,
-                "--trial-index",
-                1,
-                "--out",
-                out,
-            ]
-        )
-        assert code == 0
-        assert (out / "rates.csv").exists()
-        assert not (out / "rms.csv").exists()
-        header = (out / "rates.csv").open().readline().strip()
-        assert header == "k,empirical,alg1,alg2,empirical_se"
-
-
 class TestTable1Command:
     def test_prints_reference_comparison(self, tmp_path, capsys):
         code = _run(["table1", "--trials", 8, "--seed", 6, "--out", tmp_path])
@@ -157,13 +130,13 @@ class TestConfigFile:
 class TestOutputDirResolution:
     def test_environment_variable_used(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ETFILTER_OUT_DIR", str(tmp_path / "envdir"))
-        assert _run(["rates", "--case", "1", "--trials", 4, "--steps", 6]) == 0
+        assert _run(["simulate", "--case", "1", "--trials", 4, "--steps", 6]) == 0
         assert (tmp_path / "envdir" / "rates.csv").exists()
 
     def test_flag_beats_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ETFILTER_OUT_DIR", str(tmp_path / "envdir"))
         assert (
-            _run(["rates", "--case", "1", "--trials", 4, "--steps", 6, "--out", tmp_path / "f"])
+            _run(["simulate", "--case", "1", "--trials", 4, "--steps", 6, "--out", tmp_path / "f"])
             == 0
         )
         assert (tmp_path / "f" / "rates.csv").exists()
@@ -172,7 +145,7 @@ class TestOutputDirResolution:
     def test_fallback_directory(self, tmp_path, monkeypatch):
         monkeypatch.delenv("ETFILTER_OUT_DIR", raising=False)
         monkeypatch.chdir(tmp_path)
-        assert _run(["rates", "--case", "1", "--trials", 4, "--steps", 6]) == 0
+        assert _run(["simulate", "--case", "1", "--trials", 4, "--steps", 6]) == 0
         assert (tmp_path / "etfilter-output" / "rates.csv").exists()
 
 
@@ -190,6 +163,11 @@ class TestTopLevel:
             assert exc.value.code == 2, argv
         # --check was removed; argparse rejects it like any unknown flag.
         assert "unrecognized arguments: --check" in capsys.readouterr().err
+        # The rates subcommand was removed; simulate writes rates.csv.
+        with pytest.raises(SystemExit) as exc:
+            _run(["rates", "--trials", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'rates'" in capsys.readouterr().err
 
 
 class TestImportFootprint:

@@ -207,15 +207,6 @@ class TestCsvOutput:
             assert b"\r" not in raw
             assert raw.endswith(b"\n")
 
-    def test_selector_restricts_files(self, summary, tmp_path):
-        paths = emit_csv(summary, tmp_path / "only", which=("rates",))
-        assert set(paths) == {"rates"}
-        assert not (tmp_path / "only" / "rms.csv").exists()
-
-    def test_rejects_unknown_selector(self, summary, tmp_path):
-        with pytest.raises(ValueError):
-            emit_csv(summary, tmp_path, which=("rms", "bogus"))
-
 
 class TestTable1:
     def test_runs_all_cases_and_writes_outputs(self, tmp_path, capsys):

@@ -20,6 +20,10 @@ class TestMakeConfig:
         assert cfg.threshold == pytest.approx(oracles.chi2_quantile(0.05, 2), rel=1e-12)
         assert np.allclose(cfg.phi.T @ cfg.phi, np.linalg.inv(CASE1), rtol=1e-12)
 
+    def test_dimension_follows_the_whitener(self):
+        cfg = replace(make_config(np.eye(2)), nbar=np.eye(3), phi=np.eye(3))
+        assert cfg.p == 3
+
     def test_threshold_scales_with_alpha(self):
         loose = make_config(CASE1, 0.5)
         tight = make_config(CASE1, 0.01)
