@@ -118,11 +118,7 @@ def _cache(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray):
     moments d.  Each factor divides by lam once, so no lam^2 can underflow.
     """
     cross, n_z = _whitened(model, trigger, cov)
-    if trigger.threshold > 0.0:
-        lam, vec, prob, d = _ball_full(n_z, trigger.threshold)
-    else:  # always send: no silence ball, so the silent branch is the send branch
-        _, lam, vec = validated_eigh(n_z, "n", definite=True)
-        prob, d = np.zeros(len(cov)), np.zeros_like(lam)
+    _, lam, vec, prob, d = _ball_full(n_z, trigger.threshold)
     u = cross @ vec / lam[:, None, :]
     gain = u @ (vec.swapaxes(1, 2) @ trigger.phi)
     a = np.eye(model.n) - gain @ model.C

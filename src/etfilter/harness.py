@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .estimator import EventTriggeredFilter, StepCache
+from .estimator import EventTriggeredFilter, _take
 from .model import TRUE_INITIAL_STATE, simulate, tracking_preset
 from .rate import RateState, rate_two_step
 from .trigger import TriggerConfig, make_config
@@ -137,9 +137,7 @@ def _chunk_worker(config: ExperimentConfig, lo: int):
         alg1 = 1.0 - c.prob0[row]
         # Step k's two-step prediction reads the cache of step k-1; at step 0
         # there is no history and both predictors read the prior cache.
-        prev = StepCache(
-            P_z=c.P_z[row, :-1], P_silent=c.P_silent[row, :-1], prob0=c.prob0[row, :-1]
-        )
+        prev = _take(c, (row, slice(None, -1)))
         two_step = rate_two_step(
             RateState(prob0_prev=prev.prob0, cache_prev=prev, model=model, trigger=trigger)
         ).gamma_hat

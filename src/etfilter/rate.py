@@ -60,13 +60,9 @@ def rate_two_step(state: RateState) -> RatePrediction:
     """Expected transmission indicator for step k given information to k-2.
 
     The send- and silent-branch covariances of every step are evaluated as
-    one batch of ball moments.  An always-send trigger (threshold 0) has no
-    silence ball, so every step transmits.
+    one batch of ball moments.
     """
     cache = state.cache_prev
-    if state.trigger.threshold <= 0.0:
-        sent = 1.0 if np.ndim(cache.prob0) == 0 else np.ones(np.shape(cache.prob0))
-        return RatePrediction(gamma_hat=sent)
     model = state.model
     trigger = state.trigger
     cov = _predict_cov(model, np.stack([cache.P_z, cache.P_silent]))

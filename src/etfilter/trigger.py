@@ -23,13 +23,19 @@ class TriggerConfig:
     """Frozen trigger parameters.
 
     ``phi`` is the upper-triangular whitener with phi.T @ phi = inv(nbar) and
-    ``threshold`` the upper-alpha chi-square quantile with ``p`` degrees of freedom.
+    ``threshold`` the squared radius of the silence ball, set by ``make_config``
+    to the upper-alpha chi-square quantile with ``p`` degrees of freedom.  0
+    sends always and ``inf`` never; a NaN or negative value raises ValueError,
+    on ``replace`` too.
     """
 
     nbar: NDArray
     phi: NDArray
-    alpha: float
     threshold: float
+
+    def __post_init__(self):
+        if not self.threshold >= 0.0:
+            raise ValueError(f"threshold must be >= 0 (inf never sends), got {self.threshold}")
 
     @property
     def p(self) -> int:
@@ -43,8 +49,6 @@ def make_config(nbar, alpha: float = 0.05) -> TriggerConfig:
     Raises if ``nbar`` is not SPD, alpha is outside (0, 1), or the whitener
     fails to reproduce the precision matrix to 1e-9 (ill-conditioned bound).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     nb = validated_eigh(nbar, "nbar", definite=True)[0]
     if nb.ndim != 2:
         raise ValueError(f"nbar must be a square matrix, got shape {nb.shape}")
@@ -57,12 +61,7 @@ def make_config(nbar, alpha: float = 0.05) -> TriggerConfig:
         raise ValueError(
             f"nbar is too ill-conditioned to whiten reliably (|sigma@nbar - I| = {residual:.3e})"
         )
-    return TriggerConfig(
-        nbar=nb,
-        phi=phi,
-        alpha=float(alpha),
-        threshold=chi_square_quantile(alpha, p),
-    )
+    return TriggerConfig(nbar=nb, phi=phi, threshold=chi_square_quantile(alpha, p))
 
 
 def decide(config: TriggerConfig, innovation) -> int | NDArray:

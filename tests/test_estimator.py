@@ -59,6 +59,8 @@ class TestAlwaysSendEquivalence:
             run = filt.run(ys)
             want_x, want_p = oracles.kalman_filter(model, ys)
             assert run.gamma.all()
+            assert np.array_equal(run.cache.P_silent, run.cache.P_z)
+            assert (run.cache.prob0 == 0).all()
             assert np.allclose(run.xhat, want_x, rtol=1e-11, atol=1e-11)
             assert np.allclose(run.P, want_p, rtol=1e-11, atol=1e-11)
 

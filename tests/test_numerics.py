@@ -217,9 +217,20 @@ class TestBallMomentsGeneral:
         assert probs == sorted(probs)
         assert probs[-1] < 1.0
 
-    @pytest.mark.parametrize("radius2", [0.0, -1.0])
-    def test_rejects_nonpositive_radius(self, radius2):
-        with pytest.raises(ValueError):
+    def test_zero_radius_is_the_empty_ball(self):
+        """Radius 0 is the closed-form limit of a shrinking ball: prob exactly
+        0 and E[zz' | z'z <= r2] exactly 0, for one kernel and for a stack."""
+        n = random_spd(np.random.default_rng(12), 3)
+        bm = ball_moments(n, 0.0)
+        assert bm.prob == 0.0
+        assert np.array_equal(bm.conditional, np.zeros((3, 3)))
+        stack = ball_moments(np.stack([n, np.eye(3), 1e-9 * n]), 0.0)
+        assert np.array_equal(stack.prob, np.zeros(3))
+        assert np.array_equal(stack.conditional, np.zeros((3, 3, 3)))
+
+    @pytest.mark.parametrize("radius2", [-1.0, math.nan])
+    def test_rejects_negative_or_nan_radius(self, radius2):
+        with pytest.raises(ValueError, match="radius2"):
             ball_moments(np.eye(2), radius2)
 
     def test_rejects_indefinite_kernel(self):

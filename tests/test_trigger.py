@@ -34,6 +34,13 @@ class TestMakeConfig:
         with pytest.raises(ValueError):
             make_config(CASE1, alpha)
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_rejects_nan_or_negative_threshold(self, bad):
+        """A NaN threshold would read every innovation as silent; the config
+        rejects it, and a negative one, on ``replace`` as on construction."""
+        with pytest.raises(ValueError, match="threshold"):
+            replace(make_config(CASE1, 0.05), threshold=bad)
+
     def test_rejects_indefinite_bound(self):
         with pytest.raises(ValueError, match="positive definite"):
             make_config(np.array([[1.0, 5.0], [5.0, 1.0]]), 0.05)
