@@ -5,12 +5,9 @@ Subcommands:
   table1     run all three cases, print average rates next to the references
 
 Every subcommand takes the run settings as flags (table1 all but --case);
-ExperimentConfig supplies each setting that is not given.  The same settings
-may come from a flat key=value config file (--config), keyed by the flag name
-without its dashes (--trial-index is trial_index); explicit command line flags
-win, and a key the subcommand does not take is an error.  The output
-directory falls back to the ETFILTER_OUT_DIR environment variable, then to
-./etfilter-output.
+ExperimentConfig supplies each setting that is not given.  The output
+directory resolves as --out, then the ETFILTER_OUT_DIR environment variable,
+then ./etfilter-output.
 """
 
 from __future__ import annotations
@@ -28,47 +25,14 @@ _FALLBACK_OUT = "etfilter-output"
 __all__ = ["main"]
 
 
-def _read_config(path: str, options: dict[str, argparse.Action], command: str) -> dict:
-    """Parse a flat key=value file into settings keyed by option dest.
-
-    Blank lines and # comments are skipped; each value is converted by its
-    flag's own ``type``.
-    """
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        values[key.strip()] = val.strip()
-    unknown = sorted(set(values) - set(options))
-    if unknown:
-        raise ValueError(
-            f"{path}: unknown option(s) {unknown} for {command}; known: {sorted(options)}"
-        )
-    settings = {}
-    for key, raw in values.items():
-        action = options[key]
-        try:
-            settings[action.dest] = action.type(raw) if action.type else raw
-        except ValueError:
-            raise ValueError(f"config option {key}={raw!r} is not a number") from None
-    return settings
-
-
 def _case(value: str) -> str:
     text = value.strip().lower()
     return f"case{text}" if f"case{text}" in CASE_BOUNDS else text
 
 
 def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
-    """Merge the given flags over the config file; ExperimentConfig fills in the rest."""
-    given = _read_config(args.config, args.options, args.command) if args.config else {}
-    given.update(
-        (a.dest, getattr(args, a.dest)) for a in args.options.values() if hasattr(args, a.dest)
-    )
+    """The run settings given as flags; ExperimentConfig fills in the rest."""
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "run")}
     out = given.pop("out", None) or os.environ.get(_ENV_OUT) or _FALLBACK_OUT
     return ExperimentConfig(**given), Path(out)
 
@@ -92,13 +56,10 @@ def _add_subcommand(subs, name: str, text: str, run, with_case: bool = True) -> 
     settings actually given reach ExperimentConfig."""
     sub = subs.add_parser(name, help=text)
     defaults = ExperimentConfig  # class attributes hold the field defaults
-    options: dict[str, argparse.Action] = {}
 
     def add(flag: str, **kwargs) -> None:
-        key = flag.replace("-", "_")
-        options[key] = sub.add_argument(
-            f"--{flag}", default=argparse.SUPPRESS, metavar=key.upper(), **kwargs
-        )
+        metavar = flag.replace("-", "_").upper()
+        sub.add_argument(f"--{flag}", default=argparse.SUPPRESS, metavar=metavar, **kwargs)
 
     if with_case:
         add("case", type=_case, help="benchmark case: 1, 2, 3 (or case1..case3)")
@@ -114,9 +75,7 @@ def _add_subcommand(subs, name: str, text: str, run, with_case: bool = True) -> 
     )
     add("jobs", type=int, help=f"worker processes, one per chunk at most (default {defaults.jobs})")
     add("out", help="output directory for csv files")
-    # SUPPRESS keeps a --config given before the subcommand from being reset.
-    sub.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    sub.set_defaults(run=run, options=options)
+    sub.set_defaults(run=run)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="etfilter",
         description="Event-triggered state estimation benchmark runner.",
     )
-    parser.add_argument("--config", help="flat key=value options file; flags override it")
     subs = parser.add_subparsers(dest="command", required=True)
     _add_subcommand(subs, "simulate", "run one case and write all csv outputs", _run_case)
     _add_subcommand(

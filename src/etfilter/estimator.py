@@ -190,11 +190,6 @@ class EventTriggeredFilter:
         )
         return int(gamma[0]), EstimatorState(k=0, xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
 
-    def predict(self, state: EstimatorState):
-        """One-step-ahead state mean, state covariance, and measurement mean."""
-        xpred, cov_pred = self._predict(state.xhat[None], state.P[None])
-        return xpred[0], cov_pred[0], (xpred @ self.model.C.T)[0]
-
     def step(self, state: EstimatorState, y) -> tuple[StepOutput, EstimatorState]:
         """Advance one step with measurement ``y`` taken at time state.k + 1."""
         gamma, xhat, cov, innovation, cache = self._advance(

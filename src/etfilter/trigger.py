@@ -3,7 +3,8 @@
 The sensor transmits a measurement only when the squared whitened innovation
 ``||Phi @ innovation||^2`` exceeds the upper-alpha chi-square quantile, i.e.
 when the innovation falls outside the confidence region defined by the
-tolerable bound ``nbar``.
+tolerable bound ``nbar``.  Any whitener with ``Phi' Phi = inv(nbar)`` defines
+the same region, so the trigger keeps only ``Phi``.
 """
 
 from __future__ import annotations
@@ -22,18 +23,23 @@ __all__ = ["TriggerConfig", "decide", "make_config"]
 class TriggerConfig:
     """Frozen trigger parameters.
 
-    ``phi`` is the upper-triangular whitener with phi.T @ phi = inv(nbar) and
-    ``threshold`` the squared radius of the silence ball, set by ``make_config``
-    to the upper-alpha chi-square quantile with ``p`` degrees of freedom.  0
-    sends always and ``inf`` never; a NaN or negative value raises ValueError,
-    on ``replace`` too.
+    ``phi`` is the whitener of the bound, phi.T @ phi = inv(nbar) (upper
+    triangular from ``make_config``), and ``threshold`` the squared radius of
+    the silence ball, set by ``make_config`` to the upper-alpha chi-square
+    quantile with ``p`` degrees of freedom.  0 sends always and ``inf`` never.
+    A whitener that is not a finite square matrix, or a NaN or negative
+    threshold, raises ValueError, on ``replace`` too.
     """
 
-    nbar: NDArray
     phi: NDArray
     threshold: float
 
     def __post_init__(self):
+        phi = np.asarray(self.phi)
+        if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
+            raise ValueError(f"phi must be a square matrix, got shape {phi.shape}")
+        if not np.isfinite(phi).all():
+            raise ValueError("phi has non-finite entries")
         if not self.threshold >= 0.0:
             raise ValueError(f"threshold must be >= 0 (inf never sends), got {self.threshold}")
 
@@ -61,7 +67,7 @@ def make_config(nbar, alpha: float = 0.05) -> TriggerConfig:
         raise ValueError(
             f"nbar is too ill-conditioned to whiten reliably (|sigma@nbar - I| = {residual:.3e})"
         )
-    return TriggerConfig(nbar=nb, phi=phi, threshold=chi_square_quantile(alpha, p))
+    return TriggerConfig(phi=phi, threshold=chi_square_quantile(alpha, p))
 
 
 def decide(config: TriggerConfig, innovation) -> int | NDArray:

@@ -250,7 +250,7 @@ def test_criterion_7_rate_predictions_match_sampled_frequencies():
         _, probe = filt.step(st, traj.measurements[st.k + 1])
         one = rate_one_step(probe.cache).gamma_hat
         emp_one = oracles.one_step_empirical(
-            model, trig.nbar, trig.threshold, st.xhat, st.P, 100_000, rng
+            model, CASE1, trig.threshold, st.xhat, st.P, 100_000, rng
         )
         if abs(one - emp_one) > 0.01:
             bad.append(f"state {idx} one-step: {one:.4f} vs {emp_one:.4f}")
@@ -263,7 +263,7 @@ def test_criterion_7_rate_predictions_match_sampled_frequencies():
             )
         ).gamma_hat
         emp_two = oracles.two_step_empirical(
-            model, trig.nbar, trig.threshold, st.xhat, st.P, 100_000, rng
+            model, CASE1, trig.threshold, st.xhat, st.P, 100_000, rng
         )
         if abs(two - emp_two) > 0.02:
             bad.append(f"state {idx} two-step: {two:.4f} vs {emp_two:.4f}")

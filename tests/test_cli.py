@@ -50,81 +50,31 @@ class TestTable1Command:
 
 class TestTable1Settings:
     def test_config_file_steps_reach_every_case(self, tmp_path):
-        cfg = tmp_path / "opts.cfg"
-        cfg.write_text(f"trials=4\nsteps=9\ntrial_index=2\nout={tmp_path / 'o'}\n")
-        assert _run(["--config", cfg, "table1"]) == 0
+        """--steps and --trial-index reach every case's rms.csv."""
+        out = tmp_path / "o"
+        argv = ["table1", "--trials", 4, "--steps", 9, "--trial-index", 2, "--out", out]
+        assert _run(argv) == 0
         for case in ("case1", "case2", "case3"):
-            rows = list(csv.reader((tmp_path / "o" / case / "rms.csv").open()))
+            rows = list(csv.reader((out / case / "rms.csv").open()))
             assert len(rows) == 10  # header + steps
 
     def test_alpha_flag_equals_config_file(self, tmp_path):
+        """--alpha reaches table1: its summary differs from the default run's."""
         flags = ["table1", "--trials", 4, "--steps", 6]
         assert _run([*flags, "--alpha", 0.1, "--out", tmp_path / "f"]) == 0
-        cfg = tmp_path / "opts.cfg"
-        cfg.write_text(f"trials=4\nsteps=6\nalpha=0.1\nout={tmp_path / 'c'}\n")
-        assert _run(["--config", cfg, "table1"]) == 0
-        default = tmp_path / "d"
-        assert _run([*flags, "--out", default]) == 0
+        assert _run([*flags, "--out", tmp_path / "d"]) == 0
         files = sorted(p.relative_to(tmp_path / "f") for p in (tmp_path / "f").rglob("*.csv"))
         assert len(files) == 10
-        for name in files:
-            assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
         alpha_summary = (tmp_path / "f" / "summary.csv").read_bytes()
-        assert alpha_summary != (default / "summary.csv").read_bytes()
+        assert alpha_summary != (tmp_path / "d" / "summary.csv").read_bytes()
 
     def test_case_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "opts.cfg"
-        cfg.write_text(f"case=2\ntrials=4\nout={tmp_path / 'o'}\n")
-        assert _run(["--config", cfg, "table1"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown option(s) ['case'] for table1" in err
+        """table1 runs every case, so --case exits 2 and writes nothing."""
+        with pytest.raises(SystemExit) as exc:
+            _run(["table1", "--case", 2, "--trials", 4, "--out", tmp_path / "o"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --case" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
-
-
-class TestConfigFile:
-    def test_values_read_from_file(self, tmp_path):
-        cfg = tmp_path / "opts.cfg"
-        cfg.write_text("case = 2\ntrials = 7\nsteps=9\n# a comment\n\nout = %s\n" % (tmp_path / "o"))
-        assert _run(["--config", cfg, "simulate"]) == 0
-        rows = list(csv.reader((tmp_path / "o" / "rms.csv").open()))
-        assert len(rows) == 10  # header + steps
-        srow = list(csv.reader((tmp_path / "o" / "summary.csv").open()))[1]
-        assert srow[0] == "case2"
-
-    def test_flags_override_file(self, tmp_path):
-        cfg = tmp_path / "opts.cfg"
-        cfg.write_text(f"case=2\ntrials=6\nsteps=7\nout={tmp_path / 'ignored'}\n")
-        assert _run(["--config", cfg, "simulate", "--case", "3", "--out", tmp_path / "won"]) == 0
-        srow = list(csv.reader((tmp_path / "won" / "summary.csv").open()))[1]
-        assert srow[0] == "case3"
-
-    def test_config_accepted_after_subcommand(self, tmp_path):
-        cfg = tmp_path / "opts.cfg"
-        cfg.write_text(f"case=2\ntrials=5\nsteps=8\nout={tmp_path / 'after'}\n")
-        assert _run(["simulate", "--config", cfg]) == 0
-        srow = list(csv.reader((tmp_path / "after" / "summary.csv").open()))[1]
-        assert srow[0] == "case2"
-
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "opts.cfg"
-        cfg.write_text("bogus=1\n")
-        assert _run(["--config", cfg, "simulate"]) == 2
-        assert "unknown option" in capsys.readouterr().err
-
-    def test_malformed_line_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "opts.cfg"
-        cfg.write_text("trials\n")
-        assert _run(["--config", cfg, "simulate"]) == 2
-        assert "key=value" in capsys.readouterr().err
-
-    def test_non_numeric_value_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "opts.cfg"
-        cfg.write_text("trials=lots\n")
-        assert _run(["--config", cfg, "simulate"]) == 2
-        assert "not a number" in capsys.readouterr().err
-
-    def test_missing_file_rejected(self, tmp_path):
-        assert _run(["--config", tmp_path / "absent.cfg", "simulate"]) == 2
 
 
 class TestOutputDirResolution:
@@ -163,6 +113,14 @@ class TestTopLevel:
             assert exc.value.code == 2, argv
         # --check was removed; argparse rejects it like any unknown flag.
         assert "unrecognized arguments: --check" in capsys.readouterr().err
+        # So was the --config file: flags are the one route for run settings.
+        with pytest.raises(SystemExit) as exc:
+            _run(["--config", "x.cfg", "table1", "--trials", "2"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            _run(["table1", "--trials", "2", "--config", "x.cfg"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
         # The rates subcommand was removed; simulate writes rates.csv.
         with pytest.raises(SystemExit) as exc:
             _run(["rates", "--trials", "2"])

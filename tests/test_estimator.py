@@ -107,10 +107,11 @@ class TestSilenceCarriesInformation:
     def test_silent_mean_is_prediction(self):
         model, trig, filt = _tracking_filter()
         _, state = filt.init(model.C @ model.x0_mean + np.array([400.0, 30.0]))
-        xpred, _, ypred = filt.predict(state)
+        xpred = state.xhat[None] @ model.A.T
+        ypred = (xpred @ model.C.T)[0]
         out, nxt = filt.step(state, ypred)
         assert out.gamma == 0
-        assert np.array_equal(nxt.xhat, xpred)
+        assert np.array_equal(nxt.xhat, xpred[0])
 
 
 class TestDegenerateTrigger:

@@ -45,7 +45,7 @@ class TestRateOneStep:
         _, probe = filt.step(state, traj.measurements[7])
         pred = rate_one_step(probe.cache).gamma_hat
         emp = oracles.one_step_empirical(
-            model, trig.nbar, trig.threshold, state.xhat, state.P, 60_000, rng
+            model, CASE1, trig.threshold, state.xhat, state.P, 60_000, rng
         )
         assert pred == pytest.approx(emp, abs=0.012)
 
@@ -94,7 +94,7 @@ class TestRateTwoStep:
             )
         ).gamma_hat
         emp = oracles.two_step_empirical(
-            model, trig.nbar, trig.threshold, state.xhat, state.P, 60_000, rng
+            model, CASE1, trig.threshold, state.xhat, state.P, 60_000, rng
         )
         assert pred == pytest.approx(emp, abs=0.02)
 
@@ -197,7 +197,7 @@ class TestBootstrap:
         x0 = mean + rng.standard_normal((samples, model.n)) @ oracles.sym_sqrt(model.x0_cov).T
         y0 = x0 @ model.C.T + rng.standard_normal((samples, model.p)) @ oracles.sym_sqrt(model.R).T
         innov0 = y0 - model.C @ mean
-        stat0 = np.einsum("ij,ij->i", innov0, np.linalg.solve(trig.nbar, innov0.T).T)
+        stat0 = np.einsum("ij,ij->i", innov0, np.linalg.solve(CASE1, innov0.T).T)
         sent0 = stat0 > trig.threshold
         assert e0 == pytest.approx(float(sent0.mean()), abs=0.012)
 
@@ -207,7 +207,7 @@ class TestBootstrap:
         x1 = x0 @ model.A.T + rng.standard_normal((samples, model.n)) @ oracles.sym_sqrt(model.Q).T
         y1 = x1 @ model.C.T + rng.standard_normal((samples, model.p)) @ oracles.sym_sqrt(model.R).T
         innov1 = y1 - (est @ model.A.T) @ model.C.T
-        stat1 = np.einsum("ij,ij->i", innov1, np.linalg.solve(trig.nbar, innov1.T).T)
+        stat1 = np.einsum("ij,ij->i", innov1, np.linalg.solve(CASE1, innov1.T).T)
         assert e1 == pytest.approx(float((stat1 > trig.threshold).mean()), abs=0.02)
 
 

@@ -21,7 +21,7 @@ class TestMakeConfig:
         assert np.allclose(cfg.phi.T @ cfg.phi, np.linalg.inv(CASE1), rtol=1e-12)
 
     def test_dimension_follows_the_whitener(self):
-        cfg = replace(make_config(np.eye(2)), nbar=np.eye(3), phi=np.eye(3))
+        cfg = replace(make_config(np.eye(2)), phi=np.eye(3))
         assert cfg.p == 3
 
     def test_threshold_scales_with_alpha(self):
@@ -40,6 +40,18 @@ class TestMakeConfig:
         rejects it, and a negative one, on ``replace`` as on construction."""
         with pytest.raises(ValueError, match="threshold"):
             replace(make_config(CASE1, 0.05), threshold=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_whitener(self, bad):
+        """A NaN whitener would read every innovation as silent in ``decide``;
+        the config rejects it on ``replace`` as on construction."""
+        phi = np.array([[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="phi"):
+            replace(make_config(CASE1, 0.05), phi=phi)
+
+    def test_rejects_non_square_whitener(self):
+        with pytest.raises(ValueError, match="phi must be a square matrix"):
+            replace(make_config(CASE1, 0.05), phi=np.ones((2, 3)))
 
     def test_rejects_indefinite_bound(self):
         with pytest.raises(ValueError, match="positive definite"):
