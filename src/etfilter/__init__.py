@@ -8,75 +8,21 @@ the expected communication rate, and a Monte Carlo harness that reproduces the
 target tracking benchmark.
 """
 
-from .estimator import (
-    EstimatorState,
-    EventTriggeredFilter,
-    FilterRun,
-    StepCache,
-    StepOutput,
-    prior_cache,
-)
-from .harness import (
-    CASE_BOUNDS,
-    TABLE1_REFERENCE,
-    ExperimentConfig,
-    ExperimentSummary,
-    emit_csv,
-    run_monte_carlo,
-    table1,
-)
-from .model import (
-    TRUE_INITIAL_STATE,
-    LinearGaussianModel,
-    Trajectory,
-    simulate,
-    tracking_preset,
-)
-from .numerics import (
-    BallMoments,
-    ball_moments,
-    chi_square_quantile,
-)
-from .rate import (
-    RatePrediction,
-    RateState,
-    bootstrap_rates,
-    rate_one_step,
-    rate_two_step,
-)
-from .trigger import TriggerConfig, decide, make_config
+from . import estimator, harness, model, numerics, rate, trigger
+from .estimator import *
+from .harness import *
+from .model import *
+from .numerics import *
+from .rate import *
+from .trigger import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BallMoments",
-    "CASE_BOUNDS",
-    "EstimatorState",
-    "EventTriggeredFilter",
-    "ExperimentConfig",
-    "ExperimentSummary",
-    "FilterRun",
-    "LinearGaussianModel",
-    "RatePrediction",
-    "RateState",
-    "StepCache",
-    "StepOutput",
-    "TABLE1_REFERENCE",
-    "TRUE_INITIAL_STATE",
-    "Trajectory",
-    "TriggerConfig",
-    "__version__",
-    "ball_moments",
-    "bootstrap_rates",
-    "chi_square_quantile",
-    "decide",
-    "emit_csv",
-    "make_config",
-    "prior_cache",
-    "rate_one_step",
-    "rate_two_step",
-    "run_monte_carlo",
-    "simulate",
-    "table1",
-    "tracking_preset",
-]
+# Each module's __all__ is the one list of its public names.
+__all__ = ["__version__"]
+__all__ += estimator.__all__
+__all__ += harness.__all__
+__all__ += model.__all__
+__all__ += numerics.__all__
+__all__ += rate.__all__
+__all__ += trigger.__all__

@@ -67,12 +67,6 @@ def _add_subcommand(subs, name: str, text: str, run, with_case: bool = True) -> 
     add("steps", type=int, help=f"time steps per trial (default {defaults.steps})")
     add("seed", type=int, help=f"master seed (default {defaults.seed})")
     add("alpha", type=float, help=f"trigger confidence level (default {defaults.alpha})")
-    add(
-        "trial-index",
-        dest="rate_trial_index",
-        type=int,
-        help=f"trial whose rate predictions go to rates.csv (default {defaults.rate_trial_index})",
-    )
     add("jobs", type=int, help=f"worker processes, one per chunk at most (default {defaults.jobs})")
     add("out", help="output directory for csv files")
     sub.set_defaults(run=run)

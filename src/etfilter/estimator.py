@@ -59,7 +59,6 @@ def _take(batched, index):
 
 @dataclass(frozen=True)
 class EstimatorState:
-    k: int
     xhat: NDArray
     P: NDArray
     cache: StepCache
@@ -188,15 +187,15 @@ class EventTriggeredFilter:
         gamma, xhat, cov, _, cache = self._advance(
             m.x0_mean[None], m.x0_cov[None], self._one(y0), predict=False
         )
-        return int(gamma[0]), EstimatorState(k=0, xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
+        return int(gamma[0]), EstimatorState(xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
 
     def step(self, state: EstimatorState, y) -> tuple[StepOutput, EstimatorState]:
-        """Advance one step with measurement ``y`` taken at time state.k + 1."""
+        """Advance one step with ``y``, the measurement of the step after ``state``."""
         gamma, xhat, cov, innovation, cache = self._advance(
             state.xhat[None], state.P[None], self._one(y)
         )
         out = StepOutput(gamma=int(gamma[0]), innovation=innovation[0])
-        return out, EstimatorState(k=state.k + 1, xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
+        return out, EstimatorState(xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
 
     def run(self, measurements) -> FilterRun:
         """Filter a measurement array of shape (K+1, p), or a (B, K+1, p) stack

@@ -56,6 +56,9 @@ _REFERENCE_TRIALS = 5000
 # that floating-point reduction order is reproducible across thread counts.
 _CHUNK = 200
 
+# The trial whose cache feeds the rate predictors (clamped to trials - 1).
+_RATE_TRIAL = 40
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -64,12 +67,11 @@ class ExperimentConfig:
 
     Every run is the tracking preset started from TRUE_INITIAL_STATE (the
     filter prior stays deliberately offset) under the trigger bound
-    ``CASE_BOUNDS[case]`` at confidence level ``alpha``.  ``rate_trial_index``
-    designates the trial whose cache feeds the rate predictors (clamped to
-    trials-1).  ``jobs`` caps the worker processes (at most one per chunk) and
-    never changes the numbers.  A non-integer count, an out-of-range setting or
-    an unknown case raises ValueError on construction, which also derives
-    ``trigger`` once.
+    ``CASE_BOUNDS[case]`` at confidence level ``alpha``; the rate predictors
+    follow trial 40 (the last trial of a shorter run).  ``jobs`` caps the
+    worker processes (at most one per chunk) and never changes the numbers.  A
+    non-integer (or bool) count, an out-of-range setting or an unknown case
+    raises ValueError on construction, which also derives ``trigger`` once.
     """
 
     case: str = "case1"
@@ -77,14 +79,13 @@ class ExperimentConfig:
     steps: int = 101
     seed: int = 1234
     alpha: float = 0.05
-    rate_trial_index: int = 40
     jobs: int = 1
 
     def __post_init__(self):
-        minima = {"trials": 1, "steps": 2, "seed": 0, "rate_trial_index": 0, "jobs": 1}
+        minima = {"trials": 1, "steps": 2, "seed": 0, "jobs": 1}
         for name, low in minima.items():
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be at least {low}, got {value}")
@@ -131,7 +132,7 @@ def _chunk_worker(config: ExperimentConfig, lo: int):
     run = EventTriggeredFilter(model, trigger).run(traj.measurements)
     err = run.xhat - traj.states
     rates = None
-    row = min(config.rate_trial_index, config.trials - 1) - lo
+    row = min(_RATE_TRIAL, config.trials - 1) - lo
     if 0 <= row < hi - lo:
         c = run.cache
         alg1 = 1.0 - c.prob0[row]
@@ -228,15 +229,12 @@ def emit_csv(summary: ExperimentSummary, output_dir) -> dict[str, Path]:
     return paths
 
 
-def table1(
-    config: ExperimentConfig = ExperimentConfig(), output_dir=None
-) -> dict[str, ExperimentSummary]:
+def table1(config: ExperimentConfig, output_dir) -> dict[str, ExperimentSummary]:
     """Run all three benchmark cases and print average rates next to the references.
 
-    Every case runs ``config`` with its ``case`` replaced.  Returns the
-    per-case summaries.
-    When ``output_dir`` is given, per-case CSV files land in
-    ``<output_dir>/<case>/`` and a combined summary.csv at the top level.
+    Every case runs ``config`` with its ``case`` replaced.  Per-case CSV files
+    land in ``<output_dir>/<case>/`` and a combined summary.csv at the top
+    level.  Returns the per-case summaries.
     """
     summaries = {case: run_monte_carlo(replace(config, case=case)) for case in sorted(CASE_BOUNDS)}
 
@@ -265,9 +263,8 @@ def table1(
             f"+/-{widened:.3f}"
         )
 
-    if output_dir is not None:
-        out = Path(output_dir)
-        for case, summary in summaries.items():
-            emit_csv(summary, out / case)
-        _write_summary(out / "summary.csv", summaries.values())
+    out = Path(output_dir)
+    for case, summary in summaries.items():
+        emit_csv(summary, out / case)
+    _write_summary(out / "summary.csv", summaries.values())
     return summaries

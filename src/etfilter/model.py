@@ -100,6 +100,8 @@ def simulate(
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (n,):
             raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
+        if not np.isfinite(x0).all():
+            raise ValueError("x0 has non-finite entries")
     r_half, q_half, cov_half = (psd_sqrt(m) for m in (model.R, model.Q, model.x0_cov))
     meas_noise = np.empty((len(rngs), steps + 1, p))
     proc_noise = np.empty((len(rngs), steps, n))
@@ -123,28 +125,18 @@ TRUE_INITIAL_STATE = np.array([3410.0, 30.0, 0.0])
 TRUE_INITIAL_STATE.setflags(write=False)
 
 
-def tracking_preset(T: float = 1.0, a: float = 2.0, sigma_m2: float = 0.5) -> LinearGaussianModel:
+def tracking_preset() -> LinearGaussianModel:
     """Maneuvering-target benchmark: position/velocity/acceleration state,
     position+acceleration measurements.
 
-    Parameters
-    ----------
-    T : float
-        Sampling period in seconds.
-    a : float
-        Maneuver time-constant parameter of the acceleration model.
-    sigma_m2 : float
-        Maneuver acceleration variance.
-
-    Notes
-    -----
-    The (0, 2) entry of the transition matrix is T**2 (not T**2/2): the
-    benchmark is reproduced exactly as published, and the reference
-    communication rates in ``harness.TABLE1_REFERENCE`` correspond to this
-    transition matrix.
+    The model is fixed at the published values: sampling period T = 1 s,
+    maneuver time-constant parameter a = 2 and maneuver acceleration variance
+    sigma_m2 = 0.5.  The (0, 2) entry of the transition matrix is T**2 (not
+    T**2/2): the benchmark is reproduced exactly as published, and the
+    reference communication rates in ``harness.TABLE1_REFERENCE`` correspond
+    to this transition matrix.
     """
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
+    T, a, sigma_m2 = 1.0, 2.0, 0.5
     A = np.array(
         [
             [1.0, T, T * T],

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-__all__ = [
-    "BallMoments",
-    "ball_moments",
-    "chi_square_quantile",
-    "psd_sqrt",
-    "symmetrize",
-]
+__all__ = ["BallMoments", "ball_moments", "chi_square_quantile"]
 
 
 def symmetrize(a: NDArray) -> NDArray:
@@ -66,13 +60,13 @@ def validated_eigh(a, name: str, definite: bool) -> tuple[NDArray, NDArray, NDAr
     return m, lam, vec
 
 
-def psd_sqrt(a, name: str = "covariance") -> NDArray:
+def psd_sqrt(a) -> NDArray:
     """Square-root factor S with S @ S.T = a for a PSD matrix (or each of a stack).
 
     Built from the eigendecomposition with negative roundoff eigenvalues
     clamped to zero, so genuinely singular covariances are handled exactly.
     """
-    _, lam, vec = validated_eigh(a, name, definite=False)
+    _, lam, vec = validated_eigh(a, "covariance", definite=False)
     return vec * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]
 
 

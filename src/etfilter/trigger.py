@@ -24,9 +24,10 @@ class TriggerConfig:
     """Frozen trigger parameters.
 
     ``phi`` is the whitener of the bound, phi.T @ phi = inv(nbar) (upper
-    triangular from ``make_config``), and ``threshold`` the squared radius of
-    the silence ball, set by ``make_config`` to the upper-alpha chi-square
-    quantile with ``p`` degrees of freedom.  0 sends always and ``inf`` never.
+    triangular from ``make_config``), stored as a float array, and
+    ``threshold`` the squared radius of the silence ball, set by
+    ``make_config`` to the upper-alpha chi-square quantile with ``p`` degrees
+    of freedom.  0 sends always and ``inf`` never.
     A whitener that is not a finite square matrix, or a NaN or negative
     threshold, raises ValueError, on ``replace`` too.
     """
@@ -35,13 +36,14 @@ class TriggerConfig:
     threshold: float
 
     def __post_init__(self):
-        phi = np.asarray(self.phi)
+        phi = np.asarray(self.phi, dtype=float)
         if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
             raise ValueError(f"phi must be a square matrix, got shape {phi.shape}")
         if not np.isfinite(phi).all():
             raise ValueError("phi has non-finite entries")
         if not self.threshold >= 0.0:
             raise ValueError(f"threshold must be >= 0 (inf never sends), got {self.threshold}")
+        object.__setattr__(self, "phi", phi)
 
     @property
     def p(self) -> int:

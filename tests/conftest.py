@@ -30,9 +30,7 @@ def benchmark_results() -> BenchmarkResults:
     jobs = min(2, os.cpu_count() or 1)
     summaries = {
         case: run_monte_carlo(
-            ExperimentConfig(
-                case=case, trials=trials, steps=101, seed=1234, rate_trial_index=40, jobs=jobs
-            )
+            ExperimentConfig(case=case, trials=trials, steps=101, seed=1234, jobs=jobs)
         )
         for case in sorted(CASE_BOUNDS)
     }

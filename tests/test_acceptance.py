@@ -247,7 +247,7 @@ def test_criterion_7_rate_predictions_match_sampled_frequencies():
     for idx, st in enumerate(states[:10]):
         # The next cache reveals both predictors' inputs; it only depends on
         # the posterior covariance, so stepping with the recorded data is fine.
-        _, probe = filt.step(st, traj.measurements[st.k + 1])
+        _, probe = filt.step(st, traj.measurements[idx + 2])
         one = rate_one_step(probe.cache).gamma_hat
         emp_one = oracles.one_step_empirical(
             model, CASE1, trig.threshold, st.xhat, st.P, 100_000, rng
@@ -297,7 +297,7 @@ def test_criterion_8_rate_and_accuracy_orderings(benchmark_results):
 
 
 def test_criterion_9_outputs_reproducible_across_worker_counts(tmp_path):
-    base = dict(case="case1", trials=250, steps=25, seed=99, rate_trial_index=40)
+    base = dict(case="case1", trials=250, steps=25, seed=99)
     paths = {}
     for jobs in (1, 2):
         summary = run_monte_carlo(ExperimentConfig(jobs=jobs, **base))

@@ -3,9 +3,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import etfilter
+from etfilter import estimator, harness, model, numerics, rate, trigger
 from etfilter.cli import main
 
 
@@ -49,16 +52,16 @@ class TestTable1Command:
 
 
 class TestTable1Settings:
-    def test_config_file_steps_reach_every_case(self, tmp_path):
-        """--steps and --trial-index reach every case's rms.csv."""
+    def test_steps_flag_reaches_every_case(self, tmp_path):
+        """--steps reaches every case's rms.csv."""
         out = tmp_path / "o"
-        argv = ["table1", "--trials", 4, "--steps", 9, "--trial-index", 2, "--out", out]
+        argv = ["table1", "--trials", 4, "--steps", 9, "--out", out]
         assert _run(argv) == 0
         for case in ("case1", "case2", "case3"):
             rows = list(csv.reader((out / case / "rms.csv").open()))
             assert len(rows) == 10  # header + steps
 
-    def test_alpha_flag_equals_config_file(self, tmp_path):
+    def test_alpha_flag_reaches_table1(self, tmp_path):
         """--alpha reaches table1: its summary differs from the default run's."""
         flags = ["table1", "--trials", 4, "--steps", 6]
         assert _run([*flags, "--alpha", 0.1, "--out", tmp_path / "f"]) == 0
@@ -121,11 +124,30 @@ class TestTopLevel:
             _run(["table1", "--trials", "2", "--config", "x.cfg"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --config" in capsys.readouterr().err
+        # So was --trial-index: the rate predictors always follow trial 40.
+        with pytest.raises(SystemExit) as exc:
+            _run(["table1", "--trials", "2", "--trial-index", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trial-index" in capsys.readouterr().err
         # The rates subcommand was removed; simulate writes rates.csv.
         with pytest.raises(SystemExit) as exc:
             _run(["rates", "--trials", "2"])
         assert exc.value.code == 2
         assert "invalid choice: 'rates'" in capsys.readouterr().err
+
+
+class TestPublicNames:
+    def test_each_public_name_is_declared_once_in_its_module(self):
+        modules = (estimator, harness, model, numerics, rate, trigger)
+        names = etfilter.__all__
+        assert len(names) == len(set(names))
+        assert names == ["__version__", *(n for m in modules for n in m.__all__)]
+        public = {
+            n
+            for n in dir(etfilter)
+            if not n.startswith("_") and not isinstance(getattr(etfilter, n), ModuleType)
+        }
+        assert public == set(names) - {"__version__"}
 
 
 class TestImportFootprint:

@@ -19,7 +19,7 @@ from etfilter.estimator import EventTriggeredFilter
 from etfilter.model import LinearGaussianModel, simulate
 from etfilter.trigger import make_config
 
-SMALL = dict(trials=40, steps=30, seed=77, rate_trial_index=10)
+SMALL = dict(trials=40, steps=30, seed=77)
 
 
 class TestConfigValidation:
@@ -29,15 +29,15 @@ class TestConfigValidation:
             dict(steps=1),
             dict(trials=0),
             dict(seed=-1),
-            dict(rate_trial_index=-2),
             dict(jobs=0),
             dict(alpha=2.0),
             dict(alpha=0.0),
             dict(trials=2.5),
             dict(steps=10.5),
             dict(seed=1.5),
-            dict(rate_trial_index=3.0),
             dict(jobs=1.5),
+            dict(trials=True),
+            dict(jobs=False),
         ],
     )
     def test_rejects_bad_numbers(self, bad):
@@ -53,7 +53,7 @@ class TestConfigValidation:
         assert np.array_equal(CASE_BOUNDS["case2"], 0.5 * CASE_BOUNDS["case1"])
         assert sorted(TABLE1_REFERENCE) == sorted(CASE_BOUNDS)
 
-    def test_trigger_built_once_per_config(self, monkeypatch):
+    def test_trigger_built_once_per_config(self, monkeypatch, tmp_path):
         calls = []
 
         def spy(*args):
@@ -64,11 +64,11 @@ class TestConfigValidation:
         monkeypatch.setattr(harness, "make_config", spy)
         run_monte_carlo(cfg)
         assert calls == []
-        table1(cfg)
+        table1(cfg, tmp_path)
         assert len(calls) == len(CASE_BOUNDS)
 
     def test_trial_index_clamped(self):
-        cfg = ExperimentConfig(case="case1", trials=3, steps=10, seed=1, rate_trial_index=999)
+        cfg = ExperimentConfig(case="case1", trials=3, steps=10, seed=1)
         summary = run_monte_carlo(cfg)
         assert np.isfinite(summary.rate_alg2).all()
 
@@ -108,7 +108,7 @@ class TestDeterminism:
         assert np.array_equal(a.rate_alg2, b.rate_alg2)
 
     def test_worker_count_does_not_change_results(self):
-        base = dict(case="case1", trials=250, steps=25, seed=5, rate_trial_index=40)
+        base = dict(case="case1", trials=250, steps=25, seed=5)
         serial = run_monte_carlo(ExperimentConfig(jobs=1, **base))
         parallel = run_monte_carlo(ExperimentConfig(jobs=2, **base))
         assert np.array_equal(serial.rms, parallel.rms)
@@ -221,8 +221,8 @@ class TestTable1:
         assert len(combined) == 4
         assert [row[0] for row in combined[1:]] == ["case1", "case2", "case3"]
 
-    def test_flags_references_of_other_conditions(self, capsys):
-        table1(ExperimentConfig(trials=20, steps=5, alpha=0.5, seed=9))
+    def test_flags_references_of_other_conditions(self, capsys, tmp_path):
+        table1(ExperimentConfig(trials=20, steps=5, alpha=0.5, seed=9), tmp_path)
         printed = capsys.readouterr().out
         assert "do not apply" in printed
         assert "widens" not in printed

@@ -150,6 +150,11 @@ class TestSimulate:
         traj = simulate(_model(), 5, np.random.default_rng(1), x0=x0)
         assert np.array_equal(traj.states[0], x0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_initial_state(self, bad):
+        with pytest.raises(ValueError, match="x0 has non-finite entries"):
+            simulate(_model(), 5, np.random.default_rng(1), x0=[bad, 2.0])
+
     def test_draws_initial_state_from_prior(self):
         model = _model()
         rng = np.random.default_rng(3)
@@ -236,7 +241,7 @@ class TestTrackingPreset:
         assert eigs[0] >= -1e-9 and eigs[0] < 1e-9
 
     def test_process_noise_scaling(self):
-        m = tracking_preset(T=1.0, a=2.0, sigma_m2=0.5)
+        m = tracking_preset()
         two_a_sig = 2.0 * 2.0 * 0.5
         want = two_a_sig * np.array(
             [
@@ -246,12 +251,6 @@ class TestTrackingPreset:
             ]
         )
         assert np.allclose(m.Q, want, rtol=1e-12)
-
-    def test_sample_period_enters_quadratically_in_top_corner(self):
-        m = tracking_preset(T=2.0)
-        assert m.A[0, 2] == 4.0
-        assert m.A[0, 1] == 2.0
-        assert m.x0_cov[1, 1] == 7200.0 / 4.0
 
     def test_true_initial_state_constant(self):
         assert np.array_equal(TRUE_INITIAL_STATE, np.array([3410.0, 30.0, 0.0]))

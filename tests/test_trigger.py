@@ -24,6 +24,15 @@ class TestMakeConfig:
         cfg = replace(make_config(np.eye(2)), phi=np.eye(3))
         assert cfg.p == 3
 
+    def test_nested_list_whitener_is_stored_as_an_array(self):
+        base = make_config(CASE1, 0.05)
+        nested = replace(base, phi=[[1.0, 0.0], [0.0, 1.0]])
+        identity = replace(base, phi=np.eye(2))
+        assert nested.p == 2
+        ys = np.array([[0.5, 0.2], [3.0, 0.0], [0.0, -2.5]])
+        assert np.array_equal(decide(nested, ys), decide(identity, ys))
+        assert decide(nested, ys[1]) == decide(identity, ys[1])
+
     def test_threshold_scales_with_alpha(self):
         loose = make_config(CASE1, 0.5)
         tight = make_config(CASE1, 0.01)
