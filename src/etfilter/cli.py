@@ -4,23 +4,18 @@ Subcommands:
   simulate   run one benchmark case, write rms.csv / rates.csv / summary.csv
   table1     run all three cases, print average rates next to the references
 
-Every subcommand takes the run settings as flags (table1 all but --case);
-ExperimentConfig supplies each setting that is not given.  The output
-directory resolves as --out, then the ETFILTER_OUT_DIR environment variable,
-then ./etfilter-output.
+Every subcommand takes the run settings as flags (table1 all but --case), each
+defaulting to its ExperimentConfig field; ``--help`` prints the defaults.  The
+csv files go to --out, ./etfilter-output unless given.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .harness import CASE_BOUNDS, ExperimentConfig, emit_csv, run_monte_carlo, table1
-
-_ENV_OUT = "ETFILTER_OUT_DIR"
-_FALLBACK_OUT = "etfilter-output"
 
 __all__ = ["main"]
 
@@ -28,13 +23,6 @@ __all__ = ["main"]
 def _case(value: str) -> str:
     text = value.strip().lower()
     return f"case{text}" if f"case{text}" in CASE_BOUNDS else text
-
-
-def _resolve(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
-    """The run settings given as flags; ExperimentConfig fills in the rest."""
-    given = {k: v for k, v in vars(args).items() if k not in ("command", "run")}
-    out = given.pop("out", None) or os.environ.get(_ENV_OUT) or _FALLBACK_OUT
-    return ExperimentConfig(**given), Path(out)
 
 
 def _run_case(config: ExperimentConfig, out: Path) -> None:
@@ -52,23 +40,26 @@ def _run_case(config: ExperimentConfig, out: Path) -> None:
 
 
 def _add_subcommand(subs, name: str, text: str, run, with_case: bool = True) -> None:
-    """A subcommand parser whose run flags default to absent, so that only the
-    settings actually given reach ExperimentConfig."""
-    sub = subs.add_parser(name, help=text)
+    """A subcommand parser whose run flags default to ExperimentConfig's fields."""
+    sub = subs.add_parser(name, help=text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     defaults = ExperimentConfig  # class attributes hold the field defaults
-
-    def add(flag: str, **kwargs) -> None:
-        metavar = flag.replace("-", "_").upper()
-        sub.add_argument(f"--{flag}", default=argparse.SUPPRESS, metavar=metavar, **kwargs)
-
     if with_case:
-        add("case", type=_case, help="benchmark case: 1, 2, 3 (or case1..case3)")
-    add("trials", type=int, help=f"Monte Carlo trials (default {defaults.trials})")
-    add("steps", type=int, help=f"time steps per trial (default {defaults.steps})")
-    add("seed", type=int, help=f"master seed (default {defaults.seed})")
-    add("alpha", type=float, help=f"trigger confidence level (default {defaults.alpha})")
-    add("jobs", type=int, help=f"worker processes, one per chunk at most (default {defaults.jobs})")
-    add("out", help="output directory for csv files")
+        sub.add_argument(
+            "--case",
+            type=_case,
+            default=defaults.case,
+            help="benchmark case: 1, 2, 3 (or case1..case3)",
+        )
+    sub.add_argument("--trials", type=int, default=defaults.trials, help="Monte Carlo trials")
+    sub.add_argument("--steps", type=int, default=defaults.steps, help="time steps per trial")
+    sub.add_argument("--seed", type=int, default=defaults.seed, help="master seed")
+    sub.add_argument("--alpha", type=float, default=defaults.alpha, help="trigger confidence level")
+    sub.add_argument(
+        "--jobs", type=int, default=defaults.jobs, help="worker processes, one per chunk at most"
+    )
+    sub.add_argument(
+        "--out", type=Path, default="etfilter-output", help="output directory for csv files"
+    )
     sub.set_defaults(run=run)
 
 
@@ -86,10 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    settings = vars(_build_parser().parse_args(argv))
+    del settings["command"]
+    run, out = settings.pop("run"), settings.pop("out")
     try:
-        args.run(*_resolve(args))
+        run(ExperimentConfig(**settings), out)
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

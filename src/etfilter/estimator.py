@@ -138,10 +138,10 @@ class EventTriggeredFilter:
     Parameters
     ----------
     model : LinearGaussianModel
-        System matrices; R must be strictly positive definite here because
-        the innovation covariance is inverted every step.
+        System matrices; R must be strictly positive definite, so that the
+        whitened innovation covariance N_z is positive definite at every step.
     trigger : TriggerConfig
-        Whitener, threshold, and dimension (must match the model's p).
+        Whitener and threshold; the whitener's order must match the model's p.
     """
 
     def __init__(self, model: LinearGaussianModel, trigger: TriggerConfig):
@@ -154,17 +154,14 @@ class EventTriggeredFilter:
     def _predict(self, xhat: NDArray, cov: NDArray):
         return xhat @ self.model.A.T, _predict_cov(self.model, cov)
 
-    def _advance(self, xhat: NDArray, cov: NDArray, ys: NDArray, predict: bool = True):
-        """Move B trials one step: posterior (B, n), (B, n, n) and measurements (B, p).
+    def _advance(self, xhat: NDArray, cov: NDArray, ys: NDArray):
+        """Update B trials with this step's measurements (B, p), from this
+        step's prior (B, n), (B, n, n).
 
-        With ``predict`` off, ``xhat``/``cov`` already are the prior of this
-        step (time 0).  Received steps take the Kalman update; silent steps
-        keep the predicted mean and take the silent-branch covariance.
-        Returns (gamma, xhat, P, innovation, cache), each with a leading
-        trial axis.
+        Received steps take the Kalman update; silent steps keep the predicted
+        mean and take the silent-branch covariance.  Returns (gamma, xhat, P,
+        innovation, cache), each with a leading trial axis.
         """
-        if predict:
-            xhat, cov = self._predict(xhat, cov)
         innovation = ys - xhat @ self.model.C.T
         gamma = decide(self.trigger, innovation)
         gain, cache = _cache(self.model, self.trigger, cov)
@@ -184,16 +181,13 @@ class EventTriggeredFilter:
     def init(self, y0) -> tuple[int, EstimatorState]:
         """Consume the time-0 measurement against the model prior."""
         m = self.model
-        gamma, xhat, cov, _, cache = self._advance(
-            m.x0_mean[None], m.x0_cov[None], self._one(y0), predict=False
-        )
+        gamma, xhat, cov, _, cache = self._advance(m.x0_mean[None], m.x0_cov[None], self._one(y0))
         return int(gamma[0]), EstimatorState(xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
 
     def step(self, state: EstimatorState, y) -> tuple[StepOutput, EstimatorState]:
         """Advance one step with ``y``, the measurement of the step after ``state``."""
-        gamma, xhat, cov, innovation, cache = self._advance(
-            state.xhat[None], state.P[None], self._one(y)
-        )
+        prior = self._predict(state.xhat[None], state.P[None])
+        gamma, xhat, cov, innovation, cache = self._advance(*prior, self._one(y))
         out = StepOutput(gamma=int(gamma[0]), innovation=innovation[0])
         return out, EstimatorState(xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
 
@@ -211,7 +205,9 @@ class EventTriggeredFilter:
         c = np.broadcast_to(m.x0_cov, (len(batch), m.n, m.n))
         steps = []
         for k in range(batch.shape[1]):
-            g, x, c, innov, cache = self._advance(x, c, batch[:, k], predict=k > 0)
+            if k:
+                x, c = self._predict(x, c)
+            g, x, c, innov, cache = self._advance(x, c, batch[:, k])
             steps.append((g, x, c, innov, cache.P_z, cache.P_silent, cache.prob0))
         out = [np.stack(field, axis=1) for field in zip(*steps)]
         if ys.ndim == 2:

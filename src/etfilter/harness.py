@@ -70,8 +70,9 @@ class ExperimentConfig:
     ``CASE_BOUNDS[case]`` at confidence level ``alpha``; the rate predictors
     follow trial 40 (the last trial of a shorter run).  ``jobs`` caps the
     worker processes (at most one per chunk) and never changes the numbers.  A
-    non-integer (or bool) count, an out-of-range setting or an unknown case
-    raises ValueError on construction, which also derives ``trigger`` once.
+    non-integer (or bool) count, a non-real (or bool) alpha, a non-string case,
+    an out-of-range setting or an unknown case raises ValueError on
+    construction, which also derives ``trigger`` once.
     """
 
     case: str = "case1"
@@ -89,6 +90,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be at least {low}, got {value}")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
+        if not isinstance(self.case, str):
+            raise ValueError(f"case must be a string, got {self.case!r}")
         self.trigger  # derived now, so a bad case or alpha fails on construction
 
     @cached_property
@@ -176,24 +181,16 @@ def run_monte_carlo(config: ExperimentConfig) -> ExperimentSummary:
     )
 
 
-def _fmt(value: float) -> str:
-    # repr of a Python float is the shortest string that round-trips.
-    return repr(float(value))
+_SUMMARY_HEADER = "case,avg_empirical,avg_alg1,avg_alg2"
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, labels, rows) -> None:
+    """One line per label: the label, then its row's floats in shortest
+    round-trip form (the repr of a Python float)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def _write_summary(path: Path, summaries) -> None:
-    _write_csv(
-        path,
-        "case,avg_empirical,avg_alg1,avg_alg2",
-        ([s.config.case, *(_fmt(v) for v in s.avg_rates)] for s in summaries),
-    )
+        for label, row in zip(labels, rows, strict=True):
+            fh.write(",".join([str(label), *(repr(float(v)) for v in row)]) + "\n")
 
 
 def emit_csv(summary: ExperimentSummary, output_dir) -> dict[str, Path]:
@@ -206,26 +203,11 @@ def emit_csv(summary: ExperimentSummary, output_dir) -> dict[str, Path]:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / f"{name}.csv" for name in ("rms", "rates", "summary")}
-    _write_csv(
-        paths["rms"],
-        "k,rms_position,rms_velocity,rms_acceleration",
-        ([str(k), *(_fmt(v) for v in row)] for k, row in enumerate(summary.rms)),
-    )
-    _write_csv(
-        paths["rates"],
-        "k,empirical,alg1,alg2,empirical_se",
-        (
-            [
-                str(k),
-                _fmt(summary.rate_empirical[k]),
-                _fmt(summary.rate_alg1[k]),
-                _fmt(summary.rate_alg2[k]),
-                _fmt(summary.rate_se[k]),
-            ]
-            for k in range(summary.config.steps)
-        ),
-    )
-    _write_summary(paths["summary"], [summary])
+    steps = range(summary.config.steps)
+    _write_csv(paths["rms"], "k,rms_position,rms_velocity,rms_acceleration", steps, summary.rms)
+    rates = (summary.rate_empirical, summary.rate_alg1, summary.rate_alg2, summary.rate_se)
+    _write_csv(paths["rates"], "k,empirical,alg1,alg2,empirical_se", steps, zip(*rates))
+    _write_csv(paths["summary"], _SUMMARY_HEADER, [summary.config.case], [summary.avg_rates])
     return paths
 
 
@@ -266,5 +248,6 @@ def table1(config: ExperimentConfig, output_dir) -> dict[str, ExperimentSummary]
     out = Path(output_dir)
     for case, summary in summaries.items():
         emit_csv(summary, out / case)
-    _write_summary(out / "summary.csv", summaries.values())
+    rows = [s.avg_rates for s in summaries.values()]
+    _write_csv(out / "summary.csv", _SUMMARY_HEADER, summaries, rows)
     return summaries

@@ -28,8 +28,8 @@ class TriggerConfig:
     ``threshold`` the squared radius of the silence ball, set by
     ``make_config`` to the upper-alpha chi-square quantile with ``p`` degrees
     of freedom.  0 sends always and ``inf`` never.
-    A whitener that is not a finite square matrix, or a NaN or negative
-    threshold, raises ValueError, on ``replace`` too.
+    A whitener that is not a finite, full-rank square matrix, or a NaN or
+    negative threshold, raises ValueError, on ``replace`` too.
     """
 
     phi: NDArray
@@ -41,6 +41,8 @@ class TriggerConfig:
             raise ValueError(f"phi must be a square matrix, got shape {phi.shape}")
         if not np.isfinite(phi).all():
             raise ValueError("phi has non-finite entries")
+        if np.linalg.matrix_rank(phi) < phi.shape[0]:
+            raise ValueError("phi is singular; a whitener must have full rank")
         if not self.threshold >= 0.0:
             raise ValueError(f"threshold must be >= 0 (inf never sends), got {self.threshold}")
         object.__setattr__(self, "phi", phi)

@@ -81,18 +81,12 @@ class TestTable1Settings:
 
 
 class TestOutputDirResolution:
-    def test_environment_variable_used(self, tmp_path, monkeypatch):
+    def test_environment_variable_ignored(self, tmp_path, monkeypatch):
+        """--out is the only route for the output directory."""
         monkeypatch.setenv("ETFILTER_OUT_DIR", str(tmp_path / "envdir"))
+        monkeypatch.chdir(tmp_path)
         assert _run(["simulate", "--case", "1", "--trials", 4, "--steps", 6]) == 0
-        assert (tmp_path / "envdir" / "rates.csv").exists()
-
-    def test_flag_beats_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ETFILTER_OUT_DIR", str(tmp_path / "envdir"))
-        assert (
-            _run(["simulate", "--case", "1", "--trials", 4, "--steps", 6, "--out", tmp_path / "f"])
-            == 0
-        )
-        assert (tmp_path / "f" / "rates.csv").exists()
+        assert (tmp_path / "etfilter-output" / "rates.csv").exists()
         assert not (tmp_path / "envdir").exists()
 
     def test_fallback_directory(self, tmp_path, monkeypatch):

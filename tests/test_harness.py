@@ -38,11 +38,17 @@ class TestConfigValidation:
             dict(jobs=1.5),
             dict(trials=True),
             dict(jobs=False),
+            dict(alpha="0.05"),
+            dict(alpha=True),
         ],
     )
     def test_rejects_bad_numbers(self, bad):
         with pytest.raises(ValueError):
             ExperimentConfig(**{**SMALL, **bad})
+
+    def test_rejects_non_string_case(self):
+        with pytest.raises(ValueError, match="case must be a string"):
+            ExperimentConfig(case=["case1"], **SMALL)
 
     def test_rejects_unknown_case(self):
         with pytest.raises(ValueError, match="unknown case"):

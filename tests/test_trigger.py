@@ -58,6 +58,15 @@ class TestMakeConfig:
         with pytest.raises(ValueError, match="phi"):
             replace(make_config(CASE1, 0.05), phi=phi)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_rejects_singular_whitener(self, scale):
+        """A rank-deficient whitener would read a huge innovation along its
+        null space as silence; the config rejects it at any scale."""
+        with pytest.raises(ValueError, match="phi is singular"):
+            replace(make_config(CASE1, 0.05), phi=scale * np.diag([1.0, 0.0]))
+        with pytest.raises(ValueError, match="phi is singular"):
+            replace(make_config(CASE1, 0.05), phi=scale * np.ones((2, 2)))
+
     def test_rejects_non_square_whitener(self):
         with pytest.raises(ValueError, match="phi must be a square matrix"):
             replace(make_config(CASE1, 0.05), phi=np.ones((2, 3)))
