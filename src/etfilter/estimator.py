@@ -66,10 +66,9 @@ class EstimatorState:
 
 @dataclass(frozen=True)
 class StepOutput:
-    """Per-step result beside the new state: the send decision and the innovation."""
+    """Per-step result beside the new state: the send decision."""
 
     gamma: int
-    innovation: NDArray
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,6 @@ class FilterRun:
     gamma: NDArray
     xhat: NDArray
     P: NDArray
-    innovation: NDArray
     cache: StepCache
 
 
@@ -99,11 +97,11 @@ def _predict_cov(model: LinearGaussianModel, cov: NDArray) -> NDArray:
 
 
 def _whitened(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray):
-    """cov (Phi C)' and N_z = Phi S Phi' of (..., n, n) prior covariances; N_z
-    is left for ``validated_eigh`` to check and symmetrize."""
+    """cov (Phi C)' and the symmetrized N_z = Phi S Phi' of (..., n, n) prior
+    covariances."""
     phi_c = trigger.phi @ model.C
     cross = cov @ phi_c.T
-    return cross, phi_c @ cross + trigger.phi @ model.R @ trigger.phi.T
+    return cross, symmetrize(phi_c @ cross + trigger.phi @ model.R @ trigger.phi.T)
 
 
 def _cache(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray):
@@ -115,9 +113,13 @@ def _cache(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray):
     gain is U V' Phi, the send branch takes the Joseph-stabilized update, and
     the silent branch adds U diag(d) U' for the ball's eigenframe second
     moments d.  Each factor divides by lam once, so no lam^2 can underflow.
+    N_z is checked only for what roundoff can break: every lam > 0 and finite.
     """
     cross, n_z = _whitened(model, trigger, cov)
-    _, lam, vec, prob, d = _ball_full(n_z, trigger.threshold)
+    lam, vec = np.linalg.eigh(n_z)
+    if not ((lam[:, 0] > 0.0).all() and np.isfinite(lam[:, -1]).all()):
+        raise ValueError("N_z lost definiteness or overflowed: eigenvalues must be > 0 and finite")
+    prob, d = _ball_full(lam, trigger.threshold)
     u = cross @ vec / lam[:, None, :]
     gain = u @ (vec.swapaxes(1, 2) @ trigger.phi)
     a = np.eye(model.n) - gain @ model.C
@@ -160,7 +162,7 @@ class EventTriggeredFilter:
 
         Received steps take the Kalman update; silent steps keep the predicted
         mean and take the silent-branch covariance.  Returns (gamma, xhat, P,
-        innovation, cache), each with a leading trial axis.
+        cache), each with a leading trial axis.
         """
         innovation = ys - xhat @ self.model.C.T
         gamma = decide(self.trigger, innovation)
@@ -168,7 +170,7 @@ class EventTriggeredFilter:
         sent = gamma.astype(bool)
         xhat = np.where(sent[:, None], xhat + (gain @ innovation[:, :, None])[:, :, 0], xhat)
         cov = np.where(sent[:, None, None], cache.P_z, cache.P_silent)
-        return gamma, xhat, cov, innovation, cache
+        return gamma, xhat, cov, cache
 
     # -- public recursion ------------------------------------------------------
 
@@ -181,15 +183,15 @@ class EventTriggeredFilter:
     def init(self, y0) -> tuple[int, EstimatorState]:
         """Consume the time-0 measurement against the model prior."""
         m = self.model
-        gamma, xhat, cov, _, cache = self._advance(m.x0_mean[None], m.x0_cov[None], self._one(y0))
+        gamma, xhat, cov, cache = self._advance(m.x0_mean[None], m.x0_cov[None], self._one(y0))
         return int(gamma[0]), EstimatorState(xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
 
     def step(self, state: EstimatorState, y) -> tuple[StepOutput, EstimatorState]:
         """Advance one step with ``y``, the measurement of the step after ``state``."""
         prior = self._predict(state.xhat[None], state.P[None])
-        gamma, xhat, cov, innovation, cache = self._advance(*prior, self._one(y))
-        out = StepOutput(gamma=int(gamma[0]), innovation=innovation[0])
-        return out, EstimatorState(xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
+        gamma, xhat, cov, cache = self._advance(*prior, self._one(y))
+        state = EstimatorState(xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
+        return StepOutput(gamma=int(gamma[0])), state
 
     def run(self, measurements) -> FilterRun:
         """Filter a measurement array of shape (K+1, p), or a (B, K+1, p) stack
@@ -207,14 +209,14 @@ class EventTriggeredFilter:
         for k in range(batch.shape[1]):
             if k:
                 x, c = self._predict(x, c)
-            g, x, c, innov, cache = self._advance(x, c, batch[:, k])
-            steps.append((g, x, c, innov, cache.P_z, cache.P_silent, cache.prob0))
+            g, x, c, cache = self._advance(x, c, batch[:, k])
+            steps.append((g, x, c, cache.P_z, cache.P_silent, cache.prob0))
         out = [np.stack(field, axis=1) for field in zip(*steps)]
         if ys.ndim == 2:
             out = [field[0] for field in out]
-        gamma, xhat, cov, innovation, p_z, p_silent, prob0 = out
+        gamma, xhat, cov, p_z, p_silent, prob0 = out
         cache = StepCache(P_z=p_z, P_silent=p_silent, prob0=prob0)
-        return FilterRun(gamma=gamma, xhat=xhat, P=cov, innovation=innovation, cache=cache)
+        return FilterRun(gamma=gamma, xhat=xhat, P=cov, cache=cache)
 
 
 def prior_cache(model: LinearGaussianModel, trigger: TriggerConfig) -> StepCache:

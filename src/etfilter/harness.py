@@ -72,7 +72,7 @@ class ExperimentConfig:
     worker processes (at most one per chunk) and never changes the numbers.  A
     non-integer (or bool) count, a non-real (or bool) alpha, a non-string case,
     an out-of-range setting or an unknown case raises ValueError on
-    construction, which also derives ``trigger`` once.
+    construction, which also stores float(alpha) and derives ``trigger`` once.
     """
 
     case: str = "case1"
@@ -92,6 +92,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least {low}, got {value}")
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
             raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", float(self.alpha))
         if not isinstance(self.case, str):
             raise ValueError(f"case must be a string, got {self.case!r}")
         self.trigger  # derived now, so a bad case or alpha fails on construction

@@ -243,15 +243,20 @@ def ball_moments(n, radius2: float) -> BallMoments:
     of them; a stack runs in one vectorised pass and gives both fields of the
     result a leading axis of length B.
 
-    ``radius2`` is any value in [0, inf], with closed forms at both ends: 0
-    gives prob 0 and a zero conditional moment (its limit), ``inf`` prob 1
-    and ``n`` itself.  Every other radius runs the same 32-node contour sum
-    in the eigenframe of ``n``; its roundoff floor is about
-    exp(0.171 * 32) eps ~ 5e-14, so both fields are accurate to about 1e-13
-    relative (a few 1e-12 for the second moments at p = 6).  The conditional
-    moment stays exact where the probability underflows to 0.
+    ``radius2`` is any value in [0, inf] (a negative or NaN one raises
+    ValueError), with closed forms at both ends: 0 gives prob 0 and a zero
+    conditional moment (its limit), ``inf`` prob 1 and ``n`` itself.  Every
+    other radius runs the same 32-node contour sum in the eigenframe of ``n``;
+    its roundoff floor is about exp(0.171 * 32) eps ~ 5e-14, so both fields are
+    accurate to about 1e-13 relative (a few 1e-12 for the second moments at
+    p = 6).  The conditional moment stays exact where the probability
+    underflows to 0.
     """
-    m, lam, vec, prob, d = _ball_full(n, radius2)
+    radius2 = float(radius2)
+    if not radius2 >= 0.0:
+        raise ValueError(f"radius2 must be >= 0, got {radius2}")
+    m, lam, vec = validated_eigh(n, "n", definite=True)
+    prob, d = _ball_full(lam, radius2)
     if radius2 == math.inf:  # the eigenframe would only round n itself
         conditional = m
     else:
@@ -259,27 +264,21 @@ def ball_moments(n, radius2: float) -> BallMoments:
     return BallMoments(prob if prob.ndim else float(prob), conditional)
 
 
-def _ball_full(n: NDArray, radius2: float) -> tuple[NDArray, NDArray, NDArray, NDArray, NDArray]:
-    """Ball moments of a (p, p) kernel or a (B, p, p) stack in the eigenframe
-    n = vec diag(lam) vec' of one validated eigendecomposition: returns
-    (m, lam, vec, prob, d) with m the validated symmetric n, prob =
-    P(z'z <= radius2) and the conditional second moment diagonal in this
-    frame, d_i = E[(vec' z)_i^2 | ball].  radius2 = 0 is the empty ball
-    (prob 0, d = 0), inf the whole space (prob 1, d = lam), and a negative or
-    NaN radius raises ValueError.  Raises RuntimeError if d sums past the
+def _ball_full(lam: NDArray, radius2: float) -> tuple[NDArray, NDArray]:
+    """(prob, d) for kernels n = vec diag(lam) vec' with (..., p) eigenvalues
+    ``lam`` > 0 and a float ``radius2`` in [0, inf], both checked by the caller:
+    prob = P(z'z <= radius2) and d_i = E[(vec' z)_i^2 | ball], the conditional
+    second moment in that eigenframe.  0 is the empty ball (prob 0, d = 0), inf
+    the whole space (prob 1, d = lam).  Raises RuntimeError if d sums past the
     untruncated trace, which only an inconsistent contour sum can do.
     """
-    radius2 = float(radius2)
-    if not radius2 >= 0.0:
-        raise ValueError(f"radius2 must be >= 0, got {radius2}")
-    m, lam, vec = validated_eigh(n, "n", definite=True)
     if radius2 == 0.0:
-        return m, lam, vec, np.zeros(lam.shape[:-1]), np.zeros_like(lam)
+        return np.zeros(lam.shape[:-1]), np.zeros_like(lam)
     if radius2 == math.inf:
-        return m, lam, vec, np.ones(lam.shape[:-1]), lam
+        return np.ones(lam.shape[:-1]), lam
     prob, d = _contour_moments(lam, radius2)
     if (d.sum(axis=-1) > (1.0 + _TOL) * lam.sum(axis=-1)).any():
         raise RuntimeError(
             "truncated second moment exceeded the untruncated trace; contour sum is inconsistent"
         )
-    return m, lam, vec, np.minimum(prob, 1.0), d
+    return np.minimum(prob, 1.0), d

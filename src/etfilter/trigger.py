@@ -9,6 +9,7 @@ the same region, so the trigger keeps only ``Phi``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,9 @@ class TriggerConfig:
     triangular from ``make_config``), stored as a float array, and
     ``threshold`` the squared radius of the silence ball, set by
     ``make_config`` to the upper-alpha chi-square quantile with ``p`` degrees
-    of freedom.  0 sends always and ``inf`` never.
-    A whitener that is not a finite, full-rank square matrix, or a NaN or
-    negative threshold, raises ValueError, on ``replace`` too.
+    of freedom, stored as a float.  0 sends always and ``inf`` never.
+    A whitener that is not a finite, full-rank square matrix, or a bool,
+    non-real, NaN or negative threshold, raises ValueError, on ``replace`` too.
     """
 
     phi: NDArray
@@ -43,9 +44,11 @@ class TriggerConfig:
             raise ValueError("phi has non-finite entries")
         if np.linalg.matrix_rank(phi) < phi.shape[0]:
             raise ValueError("phi is singular; a whitener must have full rank")
-        if not self.threshold >= 0.0:
-            raise ValueError(f"threshold must be >= 0 (inf never sends), got {self.threshold}")
+        t = self.threshold
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not t >= 0.0:
+            raise ValueError(f"threshold must be a real number >= 0 (inf never sends), got {t!r}")
         object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "threshold", float(t))
 
     @property
     def p(self) -> int:

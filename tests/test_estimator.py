@@ -9,7 +9,7 @@ from etfilter.estimator import EventTriggeredFilter, _cache, prior_cache
 from etfilter.harness import CASE_BOUNDS
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
 from etfilter.numerics import ball_moments
-from etfilter.trigger import make_config
+from etfilter.trigger import TriggerConfig, make_config
 
 import oracles
 from oracles import random_model, random_spd
@@ -166,6 +166,56 @@ class TestNonFiniteMeasurements:
             filt.run(ys)
 
 
+class TestRoundoffCheck:
+    """Inputs are validated at construction; inside the recursion N_z is
+    checked only for what roundoff can break, and either failure is a
+    ValueError naming N_z."""
+
+    def test_overflowing_covariance_raises(self):
+        """An unstable model never sends: P grows fourfold a step until it
+        overflows near step 512, where the p = 1 N_z has eigenvalue inf."""
+        one = np.eye(1)
+        model = LinearGaussianModel(A=2 * one, C=one, Q=one, R=one, x0_mean=[0.0], x0_cov=one)
+        filt = EventTriggeredFilter(model, TriggerConfig(one, math.inf))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="N_z"):
+                filt.run(np.zeros((600, 1)))
+
+    def test_indefinite_prior_raises(self):
+        cov = -1e6 * np.eye(3)[None]
+        with pytest.raises(ValueError, match="N_z"):
+            _cache(tracking_preset(), make_config(CASE_BOUNDS["case1"]), cov)
+
+
+class TestChangeOfUnits:
+    @pytest.fixture(scope="class")
+    def case1_run(self):
+        """200 case-1 trials: the model, the measurements and their run."""
+        model = tracking_preset()
+        rngs = [np.random.default_rng(np.random.SeedSequence([1234, i])) for i in range(200)]
+        ys = simulate(model, 100, rngs, x0=TRUE_INITIAL_STATE).measurements
+        return model, ys, EventTriggeredFilter(model, make_config(CASE_BOUNDS["case1"])).run(ys)
+
+    @pytest.mark.parametrize("s", [1e-150, 1e-20, 1e20, 1e150])
+    def test_whole_filter_is_unit_free(self, case1_run, s):
+        """Scaling the states and measurements by s, and Q, R, x0_cov and the
+        bound by s^2, leaves every decision equal, prob0 equal within 1e-14 and
+        every P / s^2 equal within 2e-14 of its step's largest entry."""
+        model, ys, base = case1_run
+        s2 = s * s
+        scaled = replace(
+            model, Q=s2 * model.Q, R=s2 * model.R, x0_mean=s * model.x0_mean, x0_cov=s2 * model.x0_cov
+        )
+        trig = make_config(s2 * CASE_BOUNDS["case1"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = EventTriggeredFilter(scaled, trig).run(s * ys)
+        assert np.array_equal(run.gamma, base.gamma)
+        assert np.abs(run.cache.prob0 - base.cache.prob0).max() <= 1e-14
+        err = np.abs(run.P / s2 - base.P).max(axis=(-2, -1))
+        assert (err <= 2e-14 * np.abs(base.P).max(axis=(-2, -1))).all()
+
+
 class TestHugeBound:
     def test_silence_guard_is_unit_free(self):
         """A bound of 1e170 * I is effectively never-send: silence has
@@ -252,7 +302,6 @@ class TestRunBookkeeping:
             assert run.gamma[k] == out.gamma
             assert np.array_equal(run.xhat[k], state.xhat)
             assert np.array_equal(run.P[k], state.P)
-            assert np.array_equal(run.innovation[k], out.innovation)
             assert run.cache.prob0[k] == state.cache.prob0
             assert np.array_equal(run.cache.P_z[k], state.cache.P_z)
             assert np.array_equal(run.cache.P_silent[k], state.cache.P_silent)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,15 @@ class TestTable1:
         combined = list(csv.reader((Path(tmp_path) / "summary.csv").open()))
         assert len(combined) == 4
         assert [row[0] for row in combined[1:]] == ["case1", "case2", "case3"]
+
+    def test_exact_reference_alpha_keeps_the_references(self, capsys, tmp_path):
+        """alpha = 1/20 as a Fraction runs at the reference level 0.05, so the
+        references apply: the config stores alpha as that float."""
+        config = ExperimentConfig(alpha=Fraction(1, 20), trials=3)
+        assert type(config.alpha) is float and config.alpha == 0.05
+        table1(config, tmp_path)
+        printed = capsys.readouterr().out
+        assert "do not apply" not in printed and "widens" in printed
 
     def test_flags_references_of_other_conditions(self, capsys, tmp_path):
         table1(ExperimentConfig(trials=20, steps=5, alpha=0.5, seed=9), tmp_path)

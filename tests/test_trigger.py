@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from etfilter.trigger import decide, make_config
+from etfilter.trigger import TriggerConfig, decide, make_config
 
 import oracles
 from oracles import random_spd
@@ -43,12 +43,17 @@ class TestMakeConfig:
         with pytest.raises(ValueError):
             make_config(CASE1, alpha)
 
-    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, True, "4.0", 4j])
     def test_rejects_nan_or_negative_threshold(self, bad):
         """A NaN threshold would read every innovation as silent; the config
-        rejects it, and a negative one, on ``replace`` as on construction."""
+        rejects it, a negative one and a bool or non-real one, on ``replace``
+        as on construction."""
         with pytest.raises(ValueError, match="threshold"):
             replace(make_config(CASE1, 0.05), threshold=bad)
+
+    def test_threshold_is_stored_as_a_float(self):
+        cfg = TriggerConfig(np.eye(2), 4)
+        assert type(cfg.threshold) is float and cfg.threshold == 4.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_whitener(self, bad):
