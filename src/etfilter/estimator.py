@@ -15,7 +15,8 @@ measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -54,7 +55,7 @@ class StepCache:
 def _take(batched, index):
     """The trials ``index`` selects from a batched StepCache (an int drops the
     trial axis)."""
-    return type(batched)(**{f.name: getattr(batched, f.name)[index] for f in fields(batched)})
+    return StepCache(batched.P_z[index], batched.P_silent[index], batched.prob0[index])
 
 
 @dataclass(frozen=True)
@@ -96,15 +97,38 @@ def _predict_cov(model: LinearGaussianModel, cov: NDArray) -> NDArray:
     return symmetrize(model.A @ cov @ model.A.T + model.Q)
 
 
-def _whitened(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray):
+class _Constants(NamedTuple):
+    """A (model, trigger) pair and the products of it that every step reads."""
+
+    model: LinearGaussianModel
+    trigger: TriggerConfig
+    phi_c: NDArray  # Phi C
+    phi_c_t: NDArray  # (Phi C)'
+    phi_r_phi: NDArray  # Phi R Phi'
+    eye: NDArray  # I_n
+
+
+def _constants(model: LinearGaussianModel, trigger: TriggerConfig) -> _Constants:
+    phi = trigger.phi
+    phi_c = phi @ model.C
+    return _Constants(model, trigger, phi_c, phi_c.T, phi @ model.R @ phi.T, np.eye(model.n))
+
+
+def _whitened(const: _Constants, cov: NDArray):
     """cov (Phi C)' and the symmetrized N_z = Phi S Phi' of (..., n, n) prior
     covariances."""
-    phi_c = trigger.phi @ model.C
-    cross = cov @ phi_c.T
-    return cross, symmetrize(phi_c @ cross + trigger.phi @ model.R @ trigger.phi.T)
+    cross = cov @ const.phi_c_t
+    return cross, symmetrize(const.phi_c @ cross + const.phi_r_phi)
 
 
-def _cache(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray):
+def _checked(lam: NDArray) -> NDArray:
+    """The (..., p) eigenvalues of N_z, checked for what roundoff can break."""
+    if not ((lam[..., 0] > 0.0).all() and np.isfinite(lam[..., -1]).all()):
+        raise ValueError("N_z lost definiteness or overflowed: eigenvalues must be > 0 and finite")
+    return lam
+
+
+def _cache(const: _Constants, cov: NDArray):
     """Measurement geometry and silence-ball step from (B, n, n) prior covariances.
 
     Returns (gain, cache); neither depends on the measurements.  Everything
@@ -113,17 +137,15 @@ def _cache(model: LinearGaussianModel, trigger: TriggerConfig, cov: NDArray):
     gain is U V' Phi, the send branch takes the Joseph-stabilized update, and
     the silent branch adds U diag(d) U' for the ball's eigenframe second
     moments d.  Each factor divides by lam once, so no lam^2 can underflow.
-    N_z is checked only for what roundoff can break: every lam > 0 and finite.
+    N_z is checked only for what roundoff can break (``_checked``).
     """
-    cross, n_z = _whitened(model, trigger, cov)
+    cross, n_z = _whitened(const, cov)
     lam, vec = np.linalg.eigh(n_z)
-    if not ((lam[:, 0] > 0.0).all() and np.isfinite(lam[:, -1]).all()):
-        raise ValueError("N_z lost definiteness or overflowed: eigenvalues must be > 0 and finite")
-    prob, d = _ball_full(lam, trigger.threshold)
+    prob, d = _ball_full(_checked(lam), const.trigger.threshold)
     u = cross @ vec / lam[:, None, :]
-    gain = u @ (vec.swapaxes(1, 2) @ trigger.phi)
-    a = np.eye(model.n) - gain @ model.C
-    p_z = symmetrize(a @ cov @ a.swapaxes(1, 2) + gain @ model.R @ gain.swapaxes(1, 2))
+    gain = u @ (vec.swapaxes(1, 2) @ const.trigger.phi)
+    a = const.eye - gain @ const.model.C
+    p_z = symmetrize(a @ cov @ a.swapaxes(1, 2) + gain @ const.model.R @ gain.swapaxes(1, 2))
     p_silent = symmetrize(p_z + (u * d[:, None, :]) @ u.swapaxes(1, 2))
     return gain, StepCache(P_z=p_z, P_silent=p_silent, prob0=prob)
 
@@ -148,8 +170,10 @@ class EventTriggeredFilter:
 
     def __init__(self, model: LinearGaussianModel, trigger: TriggerConfig):
         _check_inputs(model, trigger)
-        self.model = model
-        self.trigger = trigger
+        self._const = _constants(model, trigger)
+
+    model = property(lambda self: self._const.model)  # read-only: _const derives from it
+    trigger = property(lambda self: self._const.trigger)  # read-only: _const derives from it
 
     # -- the batched recursion -------------------------------------------------
 
@@ -166,7 +190,7 @@ class EventTriggeredFilter:
         """
         innovation = ys - xhat @ self.model.C.T
         gamma = decide(self.trigger, innovation)
-        gain, cache = _cache(self.model, self.trigger, cov)
+        gain, cache = _cache(self._const, cov)
         sent = gamma.astype(bool)
         xhat = np.where(sent[:, None], xhat + (gain @ innovation[:, :, None])[:, :, 0], xhat)
         cov = np.where(sent[:, None, None], cache.P_z, cache.P_silent)
@@ -226,4 +250,4 @@ def prior_cache(model: LinearGaussianModel, trigger: TriggerConfig) -> StepCache
     only, which is what lets the rate bootstrap run before any measurement.
     """
     _check_inputs(model, trigger)
-    return _take(_cache(model, trigger, model.x0_cov[None])[1], 0)
+    return _take(_cache(_constants(model, trigger), model.x0_cov[None])[1], 0)

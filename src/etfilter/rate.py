@@ -7,7 +7,8 @@ Two predictors for the probability that step k stays silent:
 * two-step: conditions on everything up to k-2 by marginalizing over whether
   step k-1 transmitted.  The k-1 cache holds both branch posteriors; each is
   propagated one step, and the branch probabilities mix through the cached
-  one-step silence probability of step k-1.
+  one-step silence probability of step k-1.  Each probability needs only the
+  eigenvalues of its branch N_z, checked as the filter checks its own.
 
 A bootstrap provides the expected rates at the first two steps, where no
 filtering history exists yet; it is built purely from the model prior.
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import StepCache, _predict_cov, _whitened, prior_cache
+from . import estimator
+from .estimator import StepCache, prior_cache
 from .model import LinearGaussianModel
-from .numerics import ball_moments
 from .trigger import TriggerConfig
 
 __all__ = ["RatePrediction", "RateState", "bootstrap_rates", "rate_one_step", "rate_two_step"]
@@ -59,15 +60,15 @@ def rate_one_step(cache: StepCache) -> RatePrediction:
 def rate_two_step(state: RateState) -> RatePrediction:
     """Expected transmission indicator for step k given information to k-2.
 
-    The send- and silent-branch covariances of every step are evaluated as
-    one batch of ball moments.
+    The send- and silent-branch N_z of every step are evaluated as one batch
+    of ball probabilities, from their eigenvalues alone.
     """
     cache = state.cache_prev
-    model = state.model
-    trigger = state.trigger
-    cov = _predict_cov(model, np.stack([cache.P_z, cache.P_silent]))
-    n_z = _whitened(model, trigger, cov)[1]
-    probs = ball_moments(n_z.reshape(-1, trigger.p, trigger.p), trigger.threshold).prob
+    model, trigger = state.model, state.trigger
+    cov = estimator._predict_cov(model, np.stack([cache.P_z, cache.P_silent]))
+    n_z = estimator._whitened(estimator._constants(model, trigger), cov)[1]
+    lam = estimator._checked(np.linalg.eigvalsh(n_z.reshape(-1, trigger.p, trigger.p)))
+    probs = estimator._ball_full(lam, trigger.threshold)[0]
     p_sent, p_silent = probs.reshape(2, -1)
     prob0 = p_sent + state.prob0_prev * (p_silent - p_sent)
     if np.ndim(cache.prob0) == 0:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from etfilter.estimator import EventTriggeredFilter, _cache, prior_cache
+from etfilter.estimator import EventTriggeredFilter, _cache, _constants, prior_cache
 from etfilter.harness import CASE_BOUNDS
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
 from etfilter.numerics import ball_moments
@@ -41,6 +41,15 @@ class TestConstruction:
         )
         with pytest.raises(ValueError):
             EventTriggeredFilter(model, make_config(np.eye(1)))
+
+
+    @pytest.mark.parametrize("name", ["model", "trigger"])
+    def test_model_and_trigger_are_read_only(self, name):
+        """The filter derives its per-step constants from both once, so
+        neither may be swapped afterwards."""
+        _, _, filt = _tracking_filter()
+        with pytest.raises(AttributeError):
+            setattr(filt, name, getattr(filt, name))
 
 
 class TestAlwaysSendEquivalence:
@@ -184,7 +193,7 @@ class TestRoundoffCheck:
     def test_indefinite_prior_raises(self):
         cov = -1e6 * np.eye(3)[None]
         with pytest.raises(ValueError, match="N_z"):
-            _cache(tracking_preset(), make_config(CASE_BOUNDS["case1"]), cov)
+            _cache(_constants(tracking_preset(), make_config(CASE_BOUNDS["case1"])), cov)
 
 
 class TestChangeOfUnits:
@@ -367,7 +376,7 @@ class TestMeasurementGeometry:
         run = EventTriggeredFilter(model, trig).run(simulate(model, 30, rng).measurements)
         # The time-0 prior and the prior of every later step.
         priors = np.concatenate([model.x0_cov[None], model.A @ run.P[:-1] @ model.A.T + model.Q])
-        gain, cache = _cache(model, trig, priors)
+        gain, cache = _cache(_constants(model, trig), priors)
         for i, cov in enumerate(priors):
             s = model.C @ cov @ model.C.T + model.R
             want_gain = np.linalg.solve(s, model.C @ cov).T

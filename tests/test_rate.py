@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -6,9 +7,11 @@ import numpy as np
 import pytest
 
 from etfilter.estimator import EventTriggeredFilter, StepCache, prior_cache
-from etfilter.model import TRUE_INITIAL_STATE, simulate, tracking_preset
+from etfilter.harness import CASE_BOUNDS
+from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
+from etfilter.numerics import ball_moments
 from etfilter.rate import RateState, bootstrap_rates, rate_one_step, rate_two_step
-from etfilter.trigger import make_config
+from etfilter.trigger import TriggerConfig, make_config
 
 import oracles
 
@@ -113,6 +116,89 @@ class TestRateTwoStep:
             rates = (*bootstrap_rates(model, tiny), two)
         assert all(math.isfinite(r) and 0.0 <= r <= 1.0 for r in rates)
         assert rates == (1.0, 1.0, 1.0)
+
+
+class TestTwoStepReference:
+    @pytest.mark.parametrize("case", ["case1", "case3"])
+    def test_matches_explicit_branch_covariances(self, case):
+        """Every step's prediction equals the mixture of public ``ball_moments``
+        probabilities of N_z = Phi (C (A P A' + Q) C' + R) Phi', formed
+        explicitly from each branch posterior P of the step before."""
+        model, trig, filt = _setup(CASE_BOUNDS[case])
+        traj = simulate(model, 40, np.random.default_rng(54), x0=np.array(TRUE_INITIAL_STATE))
+        c = filt.run(traj.measurements).cache
+        prev = StepCache(P_z=c.P_z[:-1], P_silent=c.P_silent[:-1], prob0=c.prob0[:-1])
+        got = rate_two_step(
+            RateState(prob0_prev=prev.prob0, cache_prev=prev, model=model, trigger=trig)
+        ).gamma_hat
+
+        def prob(cov):
+            s = model.C @ (model.A @ cov @ model.A.T + model.Q) @ model.C.T + model.R
+            return ball_moments(trig.phi @ s @ trig.phi.T, trig.threshold).prob
+
+        for k, prob0 in enumerate(prev.prob0):
+            p_sent, p_silent = prob(prev.P_z[k]), prob(prev.P_silent[k])
+            want = 1.0 - (p_sent + prob0 * (p_silent - p_sent))
+            assert got[k] == pytest.approx(want, rel=1e-14, abs=0.0), k
+
+
+class TestTwoStepRoundoffCheck:
+    """The rate path checks its branch N_z only for what roundoff can break,
+    as the filter does, and either failure is a ValueError naming N_z."""
+
+    def test_overflowing_branch_covariance_raises(self):
+        one = np.eye(1)
+        model = LinearGaussianModel(A=2 * one, C=one, Q=one, R=one, x0_mean=[0.0], x0_cov=one)
+        trig = TriggerConfig(one, 3.0)
+        cache = StepCache(P_z=one, P_silent=1e308 * one, prob0=0.5)
+        state = RateState(prob0_prev=0.5, cache_prev=cache, model=model, trigger=trig)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="N_z"):
+                rate_two_step(state)
+
+    def test_indefinite_branch_covariance_raises(self):
+        model, trig, _ = _setup()
+        cache = StepCache(P_z=np.eye(3), P_silent=-1e6 * np.eye(3), prob0=0.5)
+        state = RateState(prob0_prev=0.5, cache_prev=cache, model=model, trigger=trig)
+        with pytest.raises(ValueError, match="N_z"):
+            rate_two_step(state)
+
+
+class TestHotPathSkipsValidator:
+    def test_filter_and_rates_never_reach_the_boundary_validator(self, monkeypatch):
+        """Inputs are validated when the filter is built; after that neither
+        the filter nor the rate predictors may call ``validated_eigh``."""
+        model, trig, filt = _setup()
+        bootstrap_rates(model, trig)
+        rngs = [np.random.default_rng(55), np.random.default_rng(56)]
+        ys = simulate(model, 20, rngs, x0=np.array(TRUE_INITIAL_STATE)).measurements
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("validated_eigh reached after construction")
+
+        bound = [
+            name
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "etfilter" and hasattr(module, "validated_eigh")
+        ]
+        assert {"etfilter.numerics", "etfilter.estimator"} <= set(bound)
+        for name in bound:
+            monkeypatch.setattr(sys.modules[name], "validated_eigh", refuse)
+
+        _, state = filt.init(ys[0, 0])
+        for k in range(1, 21):
+            _, state = filt.step(state, ys[0, k])
+            cache = state.cache
+            rate_two_step(
+                RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=trig)
+            )
+            rate_one_step(cache)
+        c = filt.run(ys).cache
+        prev = StepCache(P_z=c.P_z[1], P_silent=c.P_silent[1], prob0=c.prob0[1])
+        pred = rate_two_step(
+            RateState(prob0_prev=prev.prob0, cache_prev=prev, model=model, trigger=trig)
+        )
+        assert pred.gamma_hat.shape == (21,)
 
 
 class TestNeverSend:
