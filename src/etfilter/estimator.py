@@ -15,7 +15,9 @@ measurement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -106,12 +108,31 @@ class _Constants(NamedTuple):
     phi_c_t: NDArray  # (Phi C)'
     phi_r_phi: NDArray  # Phi R Phi'
     eye: NDArray  # I_n
+    lead: NDArray  # Phi C A
+    lead_t: NDArray  # (Phi C A)'
+    floor: NDArray  # Phi C Q C' Phi' + Phi R Phi', symmetrized
 
 
+@lru_cache(maxsize=8)
 def _constants(model: LinearGaussianModel, trigger: TriggerConfig) -> _Constants:
+    """The constants of a (model, trigger) pair, derived once per pair.
+
+    Keyed on object identity: both classes compare and hash by identity and
+    hold read-only arrays, so a cached entry cannot go stale.  N_z of the
+    prior that follows a posterior P is lead P lead' + floor, which is
+    Phi C (A P A' + Q) C' Phi' + Phi R Phi'.
+    """
     phi = trigger.phi
     phi_c = phi @ model.C
-    return _Constants(model, trigger, phi_c, phi_c.T, phi @ model.R @ phi.T, np.eye(model.n))
+    phi_r_phi = phi @ model.R @ phi.T
+    lead = phi_c @ model.A
+    floor = symmetrize(phi_c @ model.Q @ phi_c.T + phi_r_phi)
+    const = _Constants(
+        model, trigger, phi_c, phi_c.T, phi_r_phi, np.eye(model.n), lead, lead.T, floor
+    )
+    for array in const[2:]:  # every caller shares them
+        array.setflags(write=False)
+    return const
 
 
 def _whitened(const: _Constants, cov: NDArray):
@@ -123,7 +144,10 @@ def _whitened(const: _Constants, cov: NDArray):
 
 def _checked(lam: NDArray) -> NDArray:
     """The (..., p) eigenvalues of N_z, checked for what roundoff can break."""
-    if not ((lam[..., 0] > 0.0).all() and np.isfinite(lam[..., -1]).all()):
+    # min and max propagate NaN, which fails both comparisons; ``initial``
+    # lets an empty stack pass.
+    low, high = lam[..., 0].min(initial=math.inf), lam[..., -1].max(initial=0.0)
+    if not (low > 0.0 and high < math.inf):
         raise ValueError("N_z lost definiteness or overflowed: eigenvalues must be > 0 and finite")
     return lam
 

@@ -19,7 +19,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearGaussianModel:
     """x_{k+1} = A x_k + w_k,  y_k = C x_k + v_k with w ~ N(0, Q), v ~ N(0, R).
 
@@ -27,6 +27,8 @@ class LinearGaussianModel:
     singular PSD matrix (deterministic components are then pinned exactly).
     R only needs to be PSD here -- noise-free simulation is well defined -- but
     the filter additionally requires it to be strictly positive definite.
+    Every field is stored as a read-only float copy, and a model compares and
+    hashes by identity, so whatever is derived from one model stays valid.
     """
 
     A: NDArray
@@ -57,6 +59,8 @@ class LinearGaussianModel:
                 raise ValueError(f"{name} must have shape ({dim}, {dim}), got {cov.shape}")
             fields[name] = cov
         for name, value in fields.items():
+            value = np.array(value, dtype=float)
+            value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     @property

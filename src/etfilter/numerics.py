@@ -226,8 +226,9 @@ def _contour_moments(lam: NDArray, radius2: float) -> tuple[NDArray, NDArray]:
     probability inside the sum, so they stay finite when it underflows.
     """
     log_ratio = np.log(lam) + (math.log(2.0) - math.log(radius2))  # log(2 lam / radius2)
-    log_a = np.minimum(-log_ratio, 0.0)
-    v = np.exp(log_a)[..., None] + np.exp(np.minimum(log_ratio, 0.0))[..., None] * _Z
+    log_b = np.minimum(log_ratio, 0.0)
+    log_a = log_b - log_ratio  # min(-log_ratio, 0), exactly
+    v = np.exp(log_a)[..., None] + np.exp(log_b)[..., None] * _Z
     r = np.sqrt(1.0 / v)
     terms = r.prod(axis=-2)
     scaled = _im_sum(terms)
@@ -277,7 +278,7 @@ def _ball_full(lam: NDArray, radius2: float) -> tuple[NDArray, NDArray]:
     if radius2 == math.inf:
         return np.ones(lam.shape[:-1]), lam
     prob, d = _contour_moments(lam, radius2)
-    if (d.sum(axis=-1) > (1.0 + _TOL) * lam.sum(axis=-1)).any():
+    if (np.add.reduce(d, axis=-1) > (1.0 + _TOL) * np.add.reduce(lam, axis=-1)).any():
         raise RuntimeError(
             "truncated second moment exceeded the untruncated trace; contour sum is inconsistent"
         )

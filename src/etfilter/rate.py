@@ -5,10 +5,12 @@ Two predictors for the probability that step k stays silent:
 * one-step: conditions on everything up to k-1; the silence probability is
   already in the cache (``prob0``), so prediction is just its complement.
 * two-step: conditions on everything up to k-2 by marginalizing over whether
-  step k-1 transmitted.  The k-1 cache holds both branch posteriors; each is
-  propagated one step, and the branch probabilities mix through the cached
-  one-step silence probability of step k-1.  Each probability needs only the
-  eigenvalues of its branch N_z, checked as the filter checks its own.
+  step k-1 transmitted.  The k-1 cache holds both branch posteriors P; the
+  N_z of the step after each is one product lead P lead' + floor of the
+  cached (model, trigger) constants, and the branch probabilities mix through
+  the cached one-step silence probability of step k-1.  Each probability
+  needs only the eigenvalues of its branch N_z, checked as the filter checks
+  its own.
 
 A bootstrap provides the expected rates at the first two steps, where no
 filtering history exists yet; it is built purely from the model prior.
@@ -23,6 +25,7 @@ import numpy as np
 from . import estimator
 from .estimator import StepCache, prior_cache
 from .model import LinearGaussianModel
+from .numerics import symmetrize
 from .trigger import TriggerConfig
 
 __all__ = ["RatePrediction", "RateState", "bootstrap_rates", "rate_one_step", "rate_two_step"]
@@ -60,15 +63,17 @@ def rate_one_step(cache: StepCache) -> RatePrediction:
 def rate_two_step(state: RateState) -> RatePrediction:
     """Expected transmission indicator for step k given information to k-2.
 
-    The send- and silent-branch N_z of every step are evaluated as one batch
-    of ball probabilities, from their eigenvalues alone.
+    The send- and silent-branch N_z of every step are formed in one product
+    and evaluated as one batch of ball probabilities, from their eigenvalues
+    alone.
     """
     cache = state.cache_prev
-    model, trigger = state.model, state.trigger
-    cov = estimator._predict_cov(model, np.stack([cache.P_z, cache.P_silent]))
-    n_z = estimator._whitened(estimator._constants(model, trigger), cov)[1]
-    lam = estimator._checked(np.linalg.eigvalsh(n_z.reshape(-1, trigger.p, trigger.p)))
-    probs = estimator._ball_full(lam, trigger.threshold)[0]
+    const = estimator._constants(state.model, state.trigger)
+    p = state.trigger.p
+    branches = np.array((cache.P_z, cache.P_silent))
+    n_z = symmetrize(const.lead @ branches @ const.lead_t + const.floor)
+    lam = estimator._checked(np.linalg.eigvalsh(n_z.reshape(-1, p, p)))
+    probs = estimator._ball_full(lam, state.trigger.threshold)[0]
     p_sent, p_silent = probs.reshape(2, -1)
     prob0 = p_sent + state.prob0_prev * (p_silent - p_sent)
     if np.ndim(cache.prob0) == 0:

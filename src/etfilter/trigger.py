@@ -20,24 +20,25 @@ from .numerics import chi_square_quantile, symmetrize, validated_eigh
 __all__ = ["TriggerConfig", "decide", "make_config"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriggerConfig:
     """Frozen trigger parameters.
 
     ``phi`` is the whitener of the bound, phi.T @ phi = inv(nbar) (upper
-    triangular from ``make_config``), stored as a float array, and
+    triangular from ``make_config``), stored as a read-only float copy, and
     ``threshold`` the squared radius of the silence ball, set by
     ``make_config`` to the upper-alpha chi-square quantile with ``p`` degrees
     of freedom, stored as a float.  0 sends always and ``inf`` never.
     A whitener that is not a finite, full-rank square matrix, or a bool,
     non-real, NaN or negative threshold, raises ValueError, on ``replace`` too.
+    A config compares and hashes by identity.
     """
 
     phi: NDArray
     threshold: float
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
+        phi = np.array(self.phi, dtype=float)
         if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
             raise ValueError(f"phi must be a square matrix, got shape {phi.shape}")
         if not np.isfinite(phi).all():
@@ -47,6 +48,7 @@ class TriggerConfig:
         t = self.threshold
         if isinstance(t, bool) or not isinstance(t, numbers.Real) or not t >= 0.0:
             raise ValueError(f"threshold must be a real number >= 0 (inf never sends), got {t!r}")
+        phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "threshold", float(t))
 

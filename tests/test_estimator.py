@@ -5,7 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from etfilter.estimator import EventTriggeredFilter, _cache, _constants, prior_cache
+from etfilter.estimator import (
+    EventTriggeredFilter,
+    _cache,
+    _checked,
+    _constants,
+    prior_cache,
+)
 from etfilter.harness import CASE_BOUNDS
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
 from etfilter.numerics import ball_moments
@@ -194,6 +200,15 @@ class TestRoundoffCheck:
         cov = -1e6 * np.eye(3)[None]
         with pytest.raises(ValueError, match="N_z"):
             _cache(_constants(tracking_preset(), make_config(CASE_BOUNDS["case1"])), cov)
+
+    @pytest.mark.parametrize("column", [0, -1])
+    def test_nan_eigenvalue_raises(self, column):
+        """A NaN smallest or largest eigenvalue fails the check like a
+        nonpositive or infinite one."""
+        lam = np.array([[1.0, 2.0], [3.0, 4.0]])
+        lam[1, column] = math.nan
+        with pytest.raises(ValueError, match="N_z"):
+            _checked(lam)
 
 
 class TestChangeOfUnits:

@@ -132,6 +132,30 @@ class TestModelValidation:
             )
 
 
+class TestModelIdentity:
+    def test_compares_and_hashes_by_identity(self):
+        m = tracking_preset()
+        assert m == m
+        assert m != tracking_preset()
+        assert hash(m) == hash(m)
+        assert len({m, m, tracking_preset()}) == 2
+
+    def test_fields_are_read_only_copies(self):
+        """The model owns its arrays: they cannot be written through the
+        model, and writing to the caller's arrays leaves the model as built."""
+        a = 0.8 * np.eye(2)
+        q = 0.5 * np.eye(2)
+        m = LinearGaussianModel(
+            A=a, C=np.ones((1, 2)), Q=q, R=np.eye(1), x0_mean=np.zeros(2), x0_cov=np.eye(2)
+        )
+        for name in ("A", "C", "Q", "R", "x0_mean", "x0_cov"):
+            with pytest.raises(ValueError):
+                getattr(m, name)[0] = 1.0
+        a[0, 0] = 1.0
+        q[0, 0] = 1.0
+        assert m.A[0, 0] == 0.8 and m.Q[0, 0] == 0.5
+
+
 class TestSimulate:
     def test_shapes(self):
         rng = np.random.default_rng(0)

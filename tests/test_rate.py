@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from etfilter import estimator
 from etfilter.estimator import EventTriggeredFilter, StepCache, prior_cache
 from etfilter.harness import CASE_BOUNDS
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
@@ -100,6 +101,14 @@ class TestRateTwoStep:
             model, CASE1, trig.threshold, state.xhat, state.P, 60_000, rng
         )
         assert pred == pytest.approx(emp, abs=0.02)
+
+    def test_empty_stack_gives_empty_prediction(self):
+        model, trig, _ = _setup()
+        empty = StepCache(P_z=np.zeros((0, 3, 3)), P_silent=np.zeros((0, 3, 3)), prob0=np.zeros(0))
+        pred = rate_two_step(
+            RateState(prob0_prev=empty.prob0, cache_prev=empty, model=model, trigger=trig)
+        )
+        assert pred.gamma_hat.shape == (0,)
 
     def test_underflowed_silence_probability_gives_finite_rates(self):
         """At threshold 1e-305 the silence probability underflows to ~5e-307;
@@ -199,6 +208,47 @@ class TestHotPathSkipsValidator:
             RateState(prob0_prev=prev.prob0, cache_prev=prev, model=model, trigger=trig)
         )
         assert pred.gamma_hat.shape == (21,)
+
+
+class TestTwoStepReadsCachedConstants:
+    def test_branch_n_z_come_from_one_product_of_cached_constants(self, monkeypatch):
+        """After the filter is built, the two-step predictor neither propagates
+        nor whitens a covariance and derives no constants, for one cache or a
+        stack; a new trigger object gets constants of its own."""
+        model, trig, filt = _setup()
+        ys = simulate(model, 20, np.random.default_rng(57), x0=np.array(TRUE_INITIAL_STATE))
+        ys = ys.measurements
+        _, state = filt.init(ys[0])
+        caches = [state.cache]
+        for k in range(1, 21):
+            _, state = filt.step(state, ys[k])
+            caches.append(state.cache)
+        stack = filt.run(ys).cache
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the two-step predictor propagated or whitened a covariance")
+
+        monkeypatch.setattr(estimator, "_predict_cov", refuse)
+        monkeypatch.setattr(estimator, "_whitened", refuse)
+
+        def predict(cache, trigger=trig):
+            return rate_two_step(
+                RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=trigger)
+            ).gamma_hat
+
+        misses = estimator._constants.cache_info().misses
+        single = [predict(cache) for cache in caches]
+        batched = predict(stack)
+        assert estimator._constants.cache_info().misses == misses
+        assert batched.shape == (21,)
+        np.testing.assert_allclose(batched, single, rtol=1e-14, atol=0.0)
+
+        assert not np.any(predict(stack, replace(trig, threshold=2.0 * trig.threshold)) == batched)
+        # Phi and the threshold scaled together leave every ball probability
+        # as it was, which stale constants of the old Phi would not.
+        scaled = replace(trig, phi=2.0 * trig.phi, threshold=4.0 * trig.threshold)
+        np.testing.assert_allclose(predict(stack, scaled), batched, rtol=1e-13, atol=0.0)
+        assert estimator._constants.cache_info().misses == misses + 2
 
 
 class TestNeverSend:

@@ -33,6 +33,21 @@ class TestMakeConfig:
         assert np.array_equal(decide(nested, ys), decide(identity, ys))
         assert decide(nested, ys[1]) == decide(identity, ys[1])
 
+    def test_compares_and_hashes_by_identity(self):
+        cfg = make_config(CASE1, 0.05)
+        assert cfg == cfg
+        assert cfg != make_config(CASE1, 0.05)
+        assert hash(cfg) == hash(cfg)
+        assert len({cfg, cfg, make_config(CASE1, 0.05)}) == 2
+
+    def test_whitener_is_a_read_only_copy(self):
+        phi = np.eye(2)
+        cfg = TriggerConfig(phi, 3.0)
+        with pytest.raises(ValueError):
+            cfg.phi[0, 0] = 2.0
+        phi[0, 0] = 2.0
+        assert cfg.phi[0, 0] == 1.0
+
     def test_threshold_scales_with_alpha(self):
         loose = make_config(CASE1, 0.5)
         tight = make_config(CASE1, 0.01)
