@@ -94,16 +94,13 @@ def _check_inputs(model: LinearGaussianModel, trigger: TriggerConfig) -> None:
     validated_eigh(model.R, "R", definite=True)
 
 
-def _predict_cov(model: LinearGaussianModel, cov: NDArray) -> NDArray:
-    """Time update A P A' + Q of (..., n, n) posterior covariances."""
-    return symmetrize(model.A @ cov @ model.A.T + model.Q)
-
-
 class _Constants(NamedTuple):
     """A (model, trigger) pair and the products of it that every step reads."""
 
     model: LinearGaussianModel
     trigger: TriggerConfig
+    a_t: NDArray  # A'
+    c_t: NDArray  # C'
     phi_c: NDArray  # Phi C
     phi_c_t: NDArray  # (Phi C)'
     phi_r_phi: NDArray  # Phi R Phi'
@@ -128,18 +125,12 @@ def _constants(model: LinearGaussianModel, trigger: TriggerConfig) -> _Constants
     lead = phi_c @ model.A
     floor = symmetrize(phi_c @ model.Q @ phi_c.T + phi_r_phi)
     const = _Constants(
-        model, trigger, phi_c, phi_c.T, phi_r_phi, np.eye(model.n), lead, lead.T, floor
+        model, trigger, model.A.T, model.C.T, phi_c, phi_c.T, phi_r_phi, np.eye(model.n), lead,
+        lead.T, floor,
     )
     for array in const[2:]:  # every caller shares them
         array.setflags(write=False)
     return const
-
-
-def _whitened(const: _Constants, cov: NDArray):
-    """cov (Phi C)' and the symmetrized N_z = Phi S Phi' of (..., n, n) prior
-    covariances."""
-    cross = cov @ const.phi_c_t
-    return cross, symmetrize(const.phi_c @ cross + const.phi_r_phi)
 
 
 def _checked(lam: NDArray) -> NDArray:
@@ -162,9 +153,14 @@ def _cache(const: _Constants, cov: NDArray):
     the silent branch adds U diag(d) U' for the ball's eigenframe second
     moments d.  Each factor divides by lam once, so no lam^2 can underflow.
     N_z is checked only for what roundoff can break (``_checked``).
+
+    Neither cov nor N_z = Phi C cov C' Phi' + Phi R Phi' is symmetrized:
+    ``eigh`` reads only the lower triangle of N_z, and cov enters only
+    through cross = cov (Phi C)' and the Joseph product, which is
+    symmetrized itself.
     """
-    cross, n_z = _whitened(const, cov)
-    lam, vec = np.linalg.eigh(n_z)
+    cross = cov @ const.phi_c_t
+    lam, vec = np.linalg.eigh(const.phi_c @ cross + const.phi_r_phi)
     prob, d = _ball_full(_checked(lam), const.trigger.threshold)
     u = cross @ vec / lam[:, None, :]
     gain = u @ (vec.swapaxes(1, 2) @ const.trigger.phi)
@@ -201,20 +197,22 @@ class EventTriggeredFilter:
 
     # -- the batched recursion -------------------------------------------------
 
-    def _predict(self, xhat: NDArray, cov: NDArray):
-        return xhat @ self.model.A.T, _predict_cov(self.model, cov)
+    def _advance(self, xhat: NDArray, cov: NDArray, ys: NDArray, predict: bool = True):
+        """Update B trials with this step's measurements (B, p), from the
+        previous step's posterior (B, n), (B, n, n), or, without ``predict``,
+        from this step's prior.
 
-    def _advance(self, xhat: NDArray, cov: NDArray, ys: NDArray):
-        """Update B trials with this step's measurements (B, p), from this
-        step's prior (B, n), (B, n, n).
-
-        Received steps take the Kalman update; silent steps keep the predicted
-        mean and take the silent-branch covariance.  Returns (gamma, xhat, P,
-        cache), each with a leading trial axis.
+        The time update is A xhat and A P A' + Q.  Received steps take the
+        Kalman update; silent steps keep the predicted mean and take the
+        silent-branch covariance.  Returns (gamma, xhat, P, cache), each with
+        a leading trial axis.
         """
-        innovation = ys - xhat @ self.model.C.T
-        gamma = decide(self.trigger, innovation)
-        gain, cache = _cache(self._const, cov)
+        const = self._const
+        if predict:
+            xhat, cov = xhat @ const.a_t, const.model.A @ cov @ const.a_t + const.model.Q
+        innovation = ys - xhat @ const.c_t
+        gamma = decide(const.trigger, innovation)
+        gain, cache = _cache(const, cov)
         sent = gamma.astype(bool)
         xhat = np.where(sent[:, None], xhat + (gain @ innovation[:, :, None])[:, :, 0], xhat)
         cov = np.where(sent[:, None, None], cache.P_z, cache.P_silent)
@@ -224,20 +222,22 @@ class EventTriggeredFilter:
 
     def _one(self, y) -> NDArray:
         y = np.asarray(y, dtype=float)
-        if y.shape != (self.model.p,):
-            raise ValueError(f"measurement must have shape ({self.model.p},), got {y.shape}")
+        p = self._const.trigger.p
+        if y.shape != (p,):
+            raise ValueError(f"measurement must have shape ({p},), got {y.shape}")
         return y[None]
 
     def init(self, y0) -> tuple[int, EstimatorState]:
         """Consume the time-0 measurement against the model prior."""
-        m = self.model
-        gamma, xhat, cov, cache = self._advance(m.x0_mean[None], m.x0_cov[None], self._one(y0))
+        m = self._const.model
+        gamma, xhat, cov, cache = self._advance(
+            m.x0_mean[None], m.x0_cov[None], self._one(y0), predict=False
+        )
         return int(gamma[0]), EstimatorState(xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
 
     def step(self, state: EstimatorState, y) -> tuple[StepOutput, EstimatorState]:
         """Advance one step with ``y``, the measurement of the step after ``state``."""
-        prior = self._predict(state.xhat[None], state.P[None])
-        gamma, xhat, cov, cache = self._advance(*prior, self._one(y))
+        gamma, xhat, cov, cache = self._advance(state.xhat[None], state.P[None], self._one(y))
         state = EstimatorState(xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
         return StepOutput(gamma=int(gamma[0])), state
 
@@ -245,7 +245,7 @@ class EventTriggeredFilter:
         """Filter a measurement array of shape (K+1, p), or a (B, K+1, p) stack
         of independent trials advanced together, one step per pass."""
         ys = np.asarray(measurements, dtype=float)
-        m = self.model
+        m = self._const.model
         if ys.ndim not in (2, 3) or ys.shape[-1] != m.p or ys.size == 0:
             raise ValueError(
                 f"measurements must have shape (K+1, {m.p}) or (B, K+1, {m.p}), got {ys.shape}"
@@ -255,9 +255,7 @@ class EventTriggeredFilter:
         c = np.broadcast_to(m.x0_cov, (len(batch), m.n, m.n))
         steps = []
         for k in range(batch.shape[1]):
-            if k:
-                x, c = self._predict(x, c)
-            g, x, c, cache = self._advance(x, c, batch[:, k])
+            g, x, c, cache = self._advance(x, c, batch[:, k], predict=k > 0)
             steps.append((g, x, c, cache.P_z, cache.P_silent, cache.prob0))
         out = [np.stack(field, axis=1) for field in zip(*steps)]
         if ys.ndim == 2:

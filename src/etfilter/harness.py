@@ -3,9 +3,9 @@
 Trials are mutually independent: trial ``i`` gets its own generator derived
 from ``SeedSequence([seed, i])``, so any execution order (or process pool)
 produces the same per-trial results.  Each fixed-size chunk of consecutive
-trials is simulated as one stack and filtered as one stack, and chunks are
-combined in chunk order, which makes every reduction bitwise identical no
-matter how many workers are used.
+trials is simulated once, as one stack, and filtered as one stack under each
+case's trigger, and chunks are combined in chunk order, which makes every
+reduction bitwise identical no matter how many workers are used.
 """
 
 from __future__ import annotations
@@ -128,35 +128,45 @@ class ExperimentSummary:
     avg_rates: NDArray
 
 
-def _chunk_worker(config: ExperimentConfig, lo: int):
+def _chunk_worker(configs: tuple[ExperimentConfig, ...], lo: int) -> list:
     """Simulate the trials of the chunk starting at ``lo``, one generator each,
-    then filter them as one stack."""
-    model, trigger = tracking_preset(), config.trigger
-    hi = min(lo + _CHUNK, config.trials)
-    rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, i])) for i in range(lo, hi)]
-    traj = simulate(model, config.steps - 1, rngs, x0=TRUE_INITIAL_STATE)
-    run = EventTriggeredFilter(model, trigger).run(traj.measurements)
-    err = run.xhat - traj.states
-    rates = None
-    row = min(_RATE_TRIAL, config.trials - 1) - lo
-    if 0 <= row < hi - lo:
-        c = run.cache
-        alg1 = 1.0 - c.prob0[row]
-        # Step k's two-step prediction reads the cache of step k-1; at step 0
-        # there is no history and both predictors read the prior cache.
-        prev = _take(c, (row, slice(None, -1)))
-        two_step = rate_two_step(
-            RateState(prob0_prev=prev.prob0, cache_prev=prev, model=model, trigger=trigger)
-        ).gamma_hat
-        rates = (alg1, np.concatenate([alg1[:1], two_step]))
-    return run.gamma.sum(axis=0), (err * err).sum(axis=0), rates
+    then filter them as one stack under each config's trigger.
+
+    The configs differ in their trigger only, so the trajectories, which do
+    not depend on it, are simulated once for all of them.  Returns one
+    (send counts, squared-error sums, rates) triple per config.
+    """
+    model, first = tracking_preset(), configs[0]
+    hi = min(lo + _CHUNK, first.trials)
+    rngs = [np.random.default_rng(np.random.SeedSequence([first.seed, i])) for i in range(lo, hi)]
+    traj = simulate(model, first.steps - 1, rngs, x0=TRUE_INITIAL_STATE)
+    row = min(_RATE_TRIAL, first.trials - 1) - lo
+    out = []
+    for config in configs:
+        trigger = config.trigger
+        run = EventTriggeredFilter(model, trigger).run(traj.measurements)
+        err = run.xhat - traj.states
+        rates = None
+        if 0 <= row < hi - lo:
+            c = run.cache
+            alg1 = 1.0 - c.prob0[row]
+            # Step k's two-step prediction reads the cache of step k-1; at step 0
+            # there is no history and both predictors read the prior cache.
+            prev = _take(c, (row, slice(None, -1)))
+            two_step = rate_two_step(
+                RateState(prob0_prev=prev.prob0, cache_prev=prev, model=model, trigger=trigger)
+            ).gamma_hat
+            rates = (alg1, np.concatenate([alg1[:1], two_step]))
+        out.append((run.gamma.sum(axis=0), (err * err).sum(axis=0), rates))
+    return out
 
 
-def run_monte_carlo(config: ExperimentConfig) -> ExperimentSummary:
-    """Run the benchmark ``config`` and aggregate RMS error and communication rates."""
-    chunk = partial(_chunk_worker, config)
-    starts = range(0, config.trials, _CHUNK)
-    workers = min(config.jobs, len(starts))
+def _run_cases(configs: tuple[ExperimentConfig, ...]) -> list[ExperimentSummary]:
+    """Run configs that differ only in their case over shared trajectories,
+    and combine each config's chunks in chunk order; one summary per config."""
+    chunk = partial(_chunk_worker, configs)
+    starts = range(0, configs[0].trials, _CHUNK)
+    workers = min(configs[0].jobs, len(starts))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only by parallel runs
 
@@ -164,22 +174,31 @@ def run_monte_carlo(config: ExperimentConfig) -> ExperimentSummary:
             results = list(pool.map(chunk, starts))
     else:
         results = [chunk(lo) for lo in starts]
+    summaries = []
+    for config, per_chunk in zip(configs, zip(*results)):
+        counts, sq_sums, rates = zip(*per_chunk)
+        alg1, alg2 = next(r for r in rates if r is not None)
+        empirical = sum(counts) / float(config.trials)
+        se = np.sqrt(empirical * (1.0 - empirical) / config.trials)
+        rms = np.sqrt(sum(sq_sums) / config.trials)
+        avg = np.array([float(empirical.mean()), float(alg1.mean()), float(alg2.mean())])
+        summaries.append(
+            ExperimentSummary(
+                config=config,
+                rms=rms,
+                rate_empirical=empirical,
+                rate_se=se,
+                rate_alg1=alg1,
+                rate_alg2=alg2,
+                avg_rates=avg,
+            )
+        )
+    return summaries
 
-    counts, sq_sums, rates = zip(*results)
-    alg1, alg2 = next(r for r in rates if r is not None)
-    empirical = sum(counts) / float(config.trials)
-    se = np.sqrt(empirical * (1.0 - empirical) / config.trials)
-    rms = np.sqrt(sum(sq_sums) / config.trials)
-    avg = np.array([float(empirical.mean()), float(alg1.mean()), float(alg2.mean())])
-    return ExperimentSummary(
-        config=config,
-        rms=rms,
-        rate_empirical=empirical,
-        rate_se=se,
-        rate_alg1=alg1,
-        rate_alg2=alg2,
-        avg_rates=avg,
-    )
+
+def run_monte_carlo(config: ExperimentConfig) -> ExperimentSummary:
+    """Run the benchmark ``config`` and aggregate RMS error and communication rates."""
+    return _run_cases((config,))[0]
 
 
 _SUMMARY_HEADER = "case,avg_empirical,avg_alg1,avg_alg2"
@@ -215,11 +234,15 @@ def emit_csv(summary: ExperimentSummary, output_dir) -> dict[str, Path]:
 def table1(config: ExperimentConfig, output_dir) -> dict[str, ExperimentSummary]:
     """Run all three benchmark cases and print average rates next to the references.
 
-    Every case runs ``config`` with its ``case`` replaced.  Per-case CSV files
+    Every case runs ``config`` with its ``case`` replaced, each chunk's
+    trajectories simulated once and filtered under all three triggers, with
+    the results ``run_monte_carlo`` gives each case alone.  Per-case CSV files
     land in ``<output_dir>/<case>/`` and a combined summary.csv at the top
     level.  Returns the per-case summaries.
     """
-    summaries = {case: run_monte_carlo(replace(config, case=case)) for case in sorted(CASE_BOUNDS)}
+    cases = sorted(CASE_BOUNDS)
+    configs = tuple(replace(config, case=case) for case in cases)
+    summaries = dict(zip(cases, _run_cases(configs)))
 
     print(
         f"{'case':<8}{'empirical':>11}{'alg1':>9}{'alg2':>9}"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -70,6 +71,7 @@ def psd_sqrt(a) -> NDArray:
     return vec * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]
 
 
+@lru_cache(maxsize=64)
 def chi_square_quantile(alpha: float, dof: int) -> float:
     """Upper-tail chi-square quantile: the c with P(X > c) = alpha, X ~ chi2(dof).
 
@@ -88,6 +90,9 @@ def chi_square_quantile(alpha: float, dof: int) -> float:
     and the larger tail follows as log1p(-exp(.)) of the smaller.  The target
     keeps both alpha and 1 - alpha exact, so alpha down to the smallest
     subnormal and up to 1 - 1e-16 keeps full relative accuracy.
+
+    Results are cached on (alpha, dof), so repeated configs skip the
+    bisection; invalid arguments are never cached and raise on every call.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:

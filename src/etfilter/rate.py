@@ -25,7 +25,6 @@ import numpy as np
 from . import estimator
 from .estimator import StepCache, prior_cache
 from .model import LinearGaussianModel
-from .numerics import symmetrize
 from .trigger import TriggerConfig
 
 __all__ = ["RatePrediction", "RateState", "bootstrap_rates", "rate_one_step", "rate_two_step"]
@@ -71,7 +70,7 @@ def rate_two_step(state: RateState) -> RatePrediction:
     const = estimator._constants(state.model, state.trigger)
     p = state.trigger.p
     branches = np.array((cache.P_z, cache.P_silent))
-    n_z = symmetrize(const.lead @ branches @ const.lead_t + const.floor)
+    n_z = const.lead @ branches @ const.lead_t + const.floor  # eigvalsh reads its lower triangle
     lam = estimator._checked(np.linalg.eigvalsh(n_z.reshape(-1, p, p)))
     probs = estimator._ball_full(lam, state.trigger.threshold)[0]
     p_sent, p_silent = probs.reshape(2, -1)

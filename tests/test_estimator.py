@@ -14,7 +14,7 @@ from etfilter.estimator import (
 )
 from etfilter.harness import CASE_BOUNDS
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
-from etfilter.numerics import ball_moments
+from etfilter.numerics import ball_moments, symmetrize
 from etfilter.trigger import TriggerConfig, make_config
 
 import oracles
@@ -405,6 +405,34 @@ class TestMeasurementGeometry:
             for got, want in pairs:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (case, i)
             assert cache.prob0[i] == pytest.approx(bm.prob, rel=1e-12), (case, i)
+
+    @pytest.mark.parametrize(
+        "case, tol",
+        # The stiff model's N_z eigenvalue ratio of 1e5 amplifies the roundoff
+        # of the prior itself (4.5e-14 in the gain).
+        [("tracking-case1", 1e-14), ("tracking-case3", 1e-14), ("random-p3", 1e-14),
+         ("stiff-p3", 1e-13)],
+    )
+    def test_reads_only_the_lower_triangle_of_n_z(self, case, tol, request):
+        """The filter symmetrizes neither its prior A P A' + Q nor N_z, since
+        ``eigh`` reads the lower triangle of N_z alone: an unsymmetrized prior
+        and its symmetric part give the same step within roundoff, and both
+        branch posteriors stay exactly symmetric."""
+        model, nbar = _geometry_case(case, request)
+        const = _constants(model, make_config(nbar, 0.05))
+        rng = np.random.default_rng(43)
+        run = EventTriggeredFilter(model, const.trigger).run(simulate(model, 30, rng).measurements)
+        priors = model.A @ run.P[:-1] @ model.A.T + model.Q
+        assert not np.array_equal(priors, priors.swapaxes(1, 2))
+        gain, cache = _cache(const, priors)
+        sym_gain, sym_cache = _cache(const, symmetrize(priors))
+        pairs = ((gain, sym_gain), (cache.P_z, sym_cache.P_z), (cache.P_silent, sym_cache.P_silent))
+        for got, want in pairs:
+            scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+            assert (np.abs(got - want) <= tol * scale).all()
+        np.testing.assert_allclose(cache.prob0, sym_cache.prob0, rtol=tol, atol=0.0)
+        for p in (cache.P_z, cache.P_silent):
+            assert np.array_equal(p, p.swapaxes(1, 2))
 
 
 class TestStatisticalConsistency:

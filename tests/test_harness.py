@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -227,6 +228,27 @@ class TestTable1:
         combined = list(csv.reader((Path(tmp_path) / "summary.csv").open()))
         assert len(combined) == 4
         assert [row[0] for row in combined[1:]] == ["case1", "case2", "case3"]
+
+    def test_simulates_each_chunk_once_for_all_cases(self, monkeypatch, tmp_path):
+        """The trajectories do not depend on the trigger: each 200-trial chunk
+        is simulated once for the three cases, and each case's summary equals
+        the one ``run_monte_carlo`` gives it alone."""
+        config = ExperimentConfig(trials=250, steps=6, seed=11)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[2]))
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate", spy)
+        summaries = table1(config, tmp_path)
+        assert calls == [200, 50]
+        for case, got in summaries.items():
+            want = run_monte_carlo(replace(config, case=case))
+            assert got.config == want.config
+            fields = ("rms", "rate_empirical", "rate_se", "rate_alg1", "rate_alg2", "avg_rates")
+            for field in fields:
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (case, field)
 
     def test_exact_reference_alpha_keeps_the_references(self, capsys, tmp_path):
         """alpha = 1/20 as a Fraction runs at the reference level 0.05, so the

@@ -68,6 +68,17 @@ class TestChiSquareQuantile:
         with pytest.raises(ValueError):
             chi_square_quantile(0.05, dof)
 
+    def test_repeated_call_is_a_cache_hit_and_bad_alpha_raises_every_time(self):
+        """Each config builds its trigger from the same (alpha, dof); the
+        bisection runs once for it, while an invalid alpha is never cached."""
+        first = chi_square_quantile(0.0123, 3)
+        hits = chi_square_quantile.cache_info().hits
+        assert chi_square_quantile(0.0123, 3) == first
+        assert chi_square_quantile.cache_info().hits == hits + 1
+        for _ in range(2):
+            with pytest.raises(ValueError, match="alpha"):
+                chi_square_quantile(1.5, 3)
+
 
 class TestFactorPrecision:
     """The trigger's whitener phi: upper triangular with phi.T @ phi = inv(nbar)."""

@@ -228,8 +228,9 @@ class TestTwoStepReadsCachedConstants:
         def refuse(*_args, **_kwargs):
             raise AssertionError("the two-step predictor propagated or whitened a covariance")
 
-        monkeypatch.setattr(estimator, "_predict_cov", refuse)
-        monkeypatch.setattr(estimator, "_whitened", refuse)
+        # The filter's time update lives in ``_advance`` and its whitening in ``_cache``.
+        monkeypatch.setattr(estimator.EventTriggeredFilter, "_advance", refuse)
+        monkeypatch.setattr(estimator, "_cache", refuse)
 
         def predict(cache, trigger=trig):
             return rate_two_step(
@@ -249,6 +250,43 @@ class TestTwoStepReadsCachedConstants:
         scaled = replace(trig, phi=2.0 * trig.phi, threshold=4.0 * trig.threshold)
         np.testing.assert_allclose(predict(stack, scaled), batched, rtol=1e-13, atol=0.0)
         assert estimator._constants.cache_info().misses == misses + 2
+
+
+class TestPerStepCallStructure:
+    def test_one_eigensolve_and_one_ball_call_per_step_and_per_prediction(self, monkeypatch):
+        """A filter step runs one ``eigh`` and one ``_ball_full``; a two-step
+        prediction runs one ``eigvalsh`` and one ``_ball_full``, for one cache
+        and for a stack of them alike."""
+        model, trig, filt = _setup()
+        ys = simulate(model, 10, np.random.default_rng(58), x0=np.array(TRUE_INITIAL_STATE))
+        ys = ys.measurements
+        _, state = filt.init(ys[0])
+        stack = filt.run(ys).cache
+        calls = {}
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(np.linalg, "eigh")
+        spy(np.linalg, "eigvalsh")
+        spy(estimator, "_ball_full")
+
+        for k in range(1, 11):
+            calls.clear()
+            _, state = filt.step(state, ys[k])
+            assert calls == {"eigh": 1, "_ball_full": 1}, k
+        for cache in (state.cache, stack):
+            calls.clear()
+            rate_two_step(
+                RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=trig)
+            )
+            assert calls == {"eigvalsh": 1, "_ball_full": 1}
 
 
 class TestNeverSend:
