@@ -94,6 +94,14 @@ def _check_inputs(model: LinearGaussianModel, trigger: TriggerConfig) -> None:
     validated_eigh(model.R, "R", definite=True)
 
 
+def _check_unstacked(trigger: TriggerConfig) -> None:
+    """Raise for a stack of whiteners where one trial's trigger must be given."""
+    if trigger.phi.ndim != 2:
+        raise ValueError(
+            f"trigger stacks {len(trigger.phi)} whiteners; one whitener, not a stack, must be given"
+        )
+
+
 class _Constants(NamedTuple):
     """A (model, trigger) pair and the products of it that every step reads."""
 
@@ -117,16 +125,18 @@ def _constants(model: LinearGaussianModel, trigger: TriggerConfig) -> _Constants
     Keyed on object identity: both classes compare and hash by identity and
     hold read-only arrays, so a cached entry cannot go stale.  N_z of the
     prior that follows a posterior P is lead P lead' + floor, which is
-    Phi C (A P A' + Q) C' Phi' + Phi R Phi'.
+    Phi C (A P A' + Q) C' Phi' + Phi R Phi'.  A stacked trigger gives every
+    product of Phi the same leading axis.
     """
     phi = trigger.phi
     phi_c = phi @ model.C
-    phi_r_phi = phi @ model.R @ phi.T
+    phi_c_t = phi_c.swapaxes(-1, -2)
+    phi_r_phi = phi @ model.R @ phi.swapaxes(-1, -2)
     lead = phi_c @ model.A
-    floor = symmetrize(phi_c @ model.Q @ phi_c.T + phi_r_phi)
+    floor = symmetrize(phi_c @ model.Q @ phi_c_t + phi_r_phi)
     const = _Constants(
-        model, trigger, model.A.T, model.C.T, phi_c, phi_c.T, phi_r_phi, np.eye(model.n), lead,
-        lead.T, floor,
+        model, trigger, model.A.T, model.C.T, phi_c, phi_c_t, phi_r_phi, np.eye(model.n), lead,
+        lead.swapaxes(-1, -2), floor,
     )
     for array in const[2:]:  # every caller shares them
         array.setflags(write=False)
@@ -186,6 +196,10 @@ class EventTriggeredFilter:
         whitened innovation covariance N_z is positive definite at every step.
     trigger : TriggerConfig
         Whitener and threshold; the whitener's order must match the model's p.
+        A (B, p, p) stack of whiteners filters a stack of B trials, each under
+        its own whitener, in ``run``; ``init`` and ``step`` take a stack of
+        one at most.  ``decide`` checks the stack's length at every step,
+        before any matrix work.
     """
 
     def __init__(self, model: LinearGaussianModel, trigger: TriggerConfig):
@@ -243,7 +257,8 @@ class EventTriggeredFilter:
 
     def run(self, measurements) -> FilterRun:
         """Filter a measurement array of shape (K+1, p), or a (B, K+1, p) stack
-        of independent trials advanced together, one step per pass."""
+        of independent trials advanced together, one step per pass.  A stacked
+        trigger must hold one whitener per trial."""
         ys = np.asarray(measurements, dtype=float)
         m = self._const.model
         if ys.ndim not in (2, 3) or ys.shape[-1] != m.p or ys.size == 0:
@@ -270,6 +285,8 @@ def prior_cache(model: LinearGaussianModel, trigger: TriggerConfig) -> StepCache
 
     Entirely data independent: it depends on the model prior and the trigger
     only, which is what lets the rate bootstrap run before any measurement.
+    The trigger holds one whitener.
     """
     _check_inputs(model, trigger)
+    _check_unstacked(trigger)
     return _take(_cache(_constants(model, trigger), model.x0_cov[None])[1], 0)

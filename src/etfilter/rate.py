@@ -64,8 +64,10 @@ def rate_two_step(state: RateState) -> RatePrediction:
 
     The send- and silent-branch N_z of every step are formed in one product
     and evaluated as one batch of ball probabilities, from their eigenvalues
-    alone.
+    alone.  The predictor follows one trial, so the trigger holds one
+    whitener.
     """
+    estimator._check_unstacked(state.trigger)
     cache = state.cache_prev
     const = estimator._constants(state.model, state.trigger)
     p = state.trigger.p

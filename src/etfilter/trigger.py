@@ -25,13 +25,15 @@ class TriggerConfig:
     """Frozen trigger parameters.
 
     ``phi`` is the whitener of the bound, phi.T @ phi = inv(nbar) (upper
-    triangular from ``make_config``), stored as a read-only float copy, and
-    ``threshold`` the squared radius of the silence ball, set by
-    ``make_config`` to the upper-alpha chi-square quantile with ``p`` degrees
-    of freedom, stored as a float.  0 sends always and ``inf`` never.
-    A whitener that is not a finite, full-rank square matrix, or a bool,
-    non-real, NaN or negative threshold, raises ValueError, on ``replace`` too.
-    A config compares and hashes by identity.
+    triangular from ``make_config``), or a (B, p, p) stack of whiteners that
+    judges a (B, p) stack of innovations row by row, stored as a read-only
+    float copy.  ``threshold`` is the squared radius of the silence ball,
+    shared by every whitener of a stack, set by ``make_config`` to the
+    upper-alpha chi-square quantile with ``p`` degrees of freedom, stored as a
+    float.  0 sends always and ``inf`` never.  A whitener that is not a
+    finite, full-rank square matrix (for a stack: every member of a non-empty
+    stack), or a bool, non-real, NaN or negative threshold, raises ValueError,
+    on ``replace`` too.  A config compares and hashes by identity.
     """
 
     phi: NDArray
@@ -39,11 +41,13 @@ class TriggerConfig:
 
     def __post_init__(self):
         phi = np.array(self.phi, dtype=float)
-        if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
-            raise ValueError(f"phi must be a square matrix, got shape {phi.shape}")
+        if phi.ndim not in (2, 3) or phi.shape[-1] != phi.shape[-2] or phi.size == 0:
+            raise ValueError(
+                f"phi must be a square matrix or a non-empty stack of them, got shape {phi.shape}"
+            )
         if not np.isfinite(phi).all():
             raise ValueError("phi has non-finite entries")
-        if np.linalg.matrix_rank(phi) < phi.shape[0]:
+        if (np.linalg.matrix_rank(phi) < phi.shape[-1]).any():
             raise ValueError("phi is singular; a whitener must have full rank")
         t = self.threshold
         if isinstance(t, bool) or not isinstance(t, numbers.Real) or not t >= 0.0:
@@ -55,7 +59,7 @@ class TriggerConfig:
     @property
     def p(self) -> int:
         """Measurement dimension: the order of the whitener."""
-        return self.phi.shape[0]
+        return self.phi.shape[-1]
 
 
 def make_config(nbar, alpha: float = 0.05) -> TriggerConfig:
@@ -84,19 +88,25 @@ def decide(config: TriggerConfig, innovation) -> int | NDArray:
 
     The statistic is computed as the squared norm of the whitened innovation,
     which equals innovation.T @ inv(nbar) @ innovation but stays nonnegative in
-    floats.  Returns the send decision gamma: an int for one innovation, an
-    int array with one entry per row for a stack.  Ties on the boundary stay
-    silent (gamma = 0); a NaN or inf entry raises ValueError instead of
-    reading as silence.
+    floats.  A stacked trigger takes a stack of as many innovations and
+    whitens each row by its own whitener.  Returns the send decision gamma:
+    an int for one innovation, an int array with one entry per row for a
+    stack.  Ties on the boundary stay silent (gamma = 0); a NaN or inf entry
+    raises ValueError instead of reading as silence.
     """
     y = np.asarray(innovation, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[-1] != config.p:
+    phi, p = config.phi, config.p
+    if phi.ndim == 3 and y.shape != phi.shape[:2]:
         raise ValueError(
-            f"innovation must have shape ({config.p},) or (B, {config.p}), got {y.shape}"
+            f"trigger stacks {len(phi)} whiteners: innovation must have shape "
+            f"({len(phi)}, {p}), got {y.shape}"
         )
+    if y.ndim not in (1, 2) or y.shape[-1] != p:
+        raise ValueError(f"innovation must have shape ({p},) or (B, {p}), got {y.shape}")
     if not np.isfinite(y).all():
         raise ValueError("innovation contains NaN or inf; it cannot be judged silent")
-    z = y @ config.phi.T
+    # One whitener keeps the plain product, the faster form at one row.
+    z = y @ phi.T if phi.ndim == 2 else (phi @ y[..., None])[..., 0]
     stat = (z * z).sum(axis=-1)
     gamma = (stat > config.threshold).astype(np.int64)
     return int(gamma) if y.ndim == 1 else gamma

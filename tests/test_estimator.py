@@ -7,9 +7,11 @@ import pytest
 
 from etfilter.estimator import (
     EventTriggeredFilter,
+    FilterRun,
     _cache,
     _checked,
     _constants,
+    _take,
     prior_cache,
 )
 from etfilter.harness import CASE_BOUNDS
@@ -310,6 +312,106 @@ class TestBatchedRecursion:
             ):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             assert np.allclose(batch.cache.prob0[i], single.cache.prob0, rtol=1e-12, atol=0.0)
+
+
+    def test_row_agrees_with_its_run_at_another_stack_position(self):
+        """A trial's last bits may depend on its position in the stack:
+        numpy's vector loops hand the tail of an array to a scalar loop.  The
+        first 50 of 150 case-2 trials, filtered alone and inside the whole
+        stack, take the same decisions and agree to roundoff."""
+        model = tracking_preset()
+        filt = EventTriggeredFilter(model, make_config(CASE_BOUNDS["case2"]))
+        rngs = [np.random.default_rng(np.random.SeedSequence([11, i])) for i in range(150)]
+        ys = simulate(model, 5, rngs, x0=TRUE_INITIAL_STATE).measurements
+        alone, inside = filt.run(ys[:50]), filt.run(ys)
+        assert np.array_equal(alone.gamma, inside.gamma[:50])
+        for got, want in (
+            (inside.xhat[:50], alone.xhat),
+            (inside.P[:50], alone.P),
+            (inside.cache.prob0[:50], alone.cache.prob0),
+        ):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _stacked(triggers, trials):
+    """One trigger that whitens ``trials`` rows by each of ``triggers`` in turn."""
+    phi = np.repeat([t.phi for t in triggers], trials, axis=0)
+    return TriggerConfig(phi, triggers[0].threshold)
+
+
+def _assert_runs_close(got, want, tol=1e-13):
+    assert np.array_equal(got.gamma, want.gamma)
+    for a, b in (
+        (got.xhat, want.xhat),
+        (got.P, want.P),
+        (got.cache.P_z, want.cache.P_z),
+        (got.cache.P_silent, want.cache.P_silent),
+        (got.cache.prob0, want.cache.prob0),
+    ):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= tol * np.abs(b).max()
+
+
+class TestStackedTrigger:
+    """A (B, p, p) stack of whiteners filters B trials, each under its own."""
+
+    def test_rows_equal_each_case_run(self):
+        model = tracking_preset()
+        triggers = [make_config(CASE_BOUNDS[case]) for case in sorted(CASE_BOUNDS)]
+        rngs = [np.random.default_rng(np.random.SeedSequence([21, i])) for i in range(9)]
+        ys = simulate(model, 30, rngs, x0=TRUE_INITIAL_STATE).measurements
+        stacked = EventTriggeredFilter(model, _stacked(triggers, 9)).run(np.tile(ys, (3, 1, 1)))
+        for i, trigger in enumerate(triggers):
+            rows = slice(9 * i, 9 * (i + 1))
+            got = FilterRun(
+                gamma=stacked.gamma[rows],
+                xhat=stacked.xhat[rows],
+                P=stacked.P[rows],
+                cache=_take(stacked.cache, rows),
+            )
+            _assert_runs_close(got, EventTriggeredFilter(model, trigger).run(ys))
+        # Over the same measurements, the halved bound (case 2) sends the most
+        # and the widest (case 3) the least.
+        case1, case2, case3 = stacked.gamma.reshape(3, -1).sum(axis=1)
+        assert case2 > case1 > case3
+
+    def test_stack_of_one_behaves_like_its_whitener(self):
+        model, trig, filt = _tracking_filter()
+        one = EventTriggeredFilter(model, replace(trig, phi=trig.phi[None]))
+        ys = simulate(model, 20, np.random.default_rng(5)).measurements
+        _assert_runs_close(one.run(ys), filt.run(ys))
+        _assert_runs_close(one.run(ys[None]), filt.run(ys[None]))
+        (g1, s1), (g2, s2) = one.init(ys[0]), filt.init(ys[0])
+        for k in range(1, 21):
+            assert g1 == g2
+            for a, b in ((s1.xhat, s2.xhat), (s1.P, s2.P), (s1.cache.P_silent, s2.cache.P_silent)):
+                assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+            assert s1.cache.prob0 == pytest.approx(s2.cache.prob0, rel=1e-13, abs=0.0)
+            (out1, s1), (out2, s2) = one.step(s1, ys[k]), filt.step(s2, ys[k])
+            g1, g2 = out1.gamma, out2.gamma
+
+    def test_run_rejects_a_stack_of_another_length(self):
+        model, trig, _ = _tracking_filter()
+        filt = EventTriggeredFilter(model, _stacked([trig], 4))
+        ys = simulate(model, 5, np.random.default_rng(6)).measurements
+        for batch in (np.tile(ys, (3, 1, 1)), ys):
+            with pytest.raises(ValueError, match=r"trigger stacks 4 whiteners: .* shape \(4, 2\)"):
+                filt.run(batch)
+
+    def test_init_and_step_reject_a_stack_of_several(self):
+        """Without the check a (1, p) row would broadcast against every
+        whitener of the stack and ``init`` would return row 0."""
+        model, trig, filt = _tracking_filter()
+        stacked = EventTriggeredFilter(model, _stacked([trig], 30))
+        _, state = filt.init(np.zeros(2))
+        for call in (lambda: stacked.init(np.zeros(2)), lambda: stacked.step(state, np.zeros(2))):
+            with pytest.raises(ValueError, match="trigger stacks 30 whiteners"):
+                call()
+
+    def test_prior_cache_rejects_a_stack(self):
+        model, trig, _ = _tracking_filter()
+        with pytest.raises(ValueError, match="one whitener, not a stack"):
+            prior_cache(model, _stacked([trig], 1))
 
 
 class TestRunBookkeeping:

@@ -231,8 +231,10 @@ class TestTable1:
 
     def test_simulates_each_chunk_once_for_all_cases(self, monkeypatch, tmp_path):
         """The trajectories do not depend on the trigger: each 200-trial chunk
-        is simulated once for the three cases, and each case's summary equals
-        the one ``run_monte_carlo`` gives it alone."""
+        is simulated once for the three cases and filtered as one stack.  Each
+        case's decisions, so its empirical rates, equal those ``run_monte_carlo``
+        gives it alone; the other floats agree to roundoff, as a trial's last
+        bits may depend on its position in the stack."""
         config = ExperimentConfig(trials=250, steps=6, seed=11)
         calls = []
 
@@ -246,9 +248,11 @@ class TestTable1:
         for case, got in summaries.items():
             want = run_monte_carlo(replace(config, case=case))
             assert got.config == want.config
-            fields = ("rms", "rate_empirical", "rate_se", "rate_alg1", "rate_alg2", "avg_rates")
-            for field in fields:
+            for field in ("rate_empirical", "rate_se"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), (case, field)
+            for field in ("rms", "rate_alg1", "rate_alg2", "avg_rates"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), (case, field)
 
     def test_exact_reference_alpha_keeps_the_references(self, capsys, tmp_path):
         """alpha = 1/20 as a Fraction runs at the reference level 0.05, so the

@@ -110,6 +110,20 @@ class TestRateTwoStep:
         )
         assert pred.gamma_hat.shape == (0,)
 
+    def test_rejects_a_stacked_trigger(self):
+        """The predictor follows one trial: a stack of whiteners, even of one,
+        raises instead of broadcasting the cache against it."""
+        model, trig, filt = _setup()
+        _, state = filt.init(np.zeros(2))
+        stacked = replace(trig, phi=np.stack([trig.phi] * 3))
+        for t in (stacked, replace(trig, phi=trig.phi[None])):
+            with pytest.raises(ValueError, match="one whitener, not a stack"):
+                rate_two_step(
+                    RateState(prob0_prev=0.5, cache_prev=state.cache, model=model, trigger=t)
+                )
+            with pytest.raises(ValueError, match="one whitener, not a stack"):
+                bootstrap_rates(model, t)
+
     def test_underflowed_silence_probability_gives_finite_rates(self):
         """At threshold 1e-305 the silence probability underflows to ~5e-307;
         the two-step mixture is still defined and every step all but surely sends."""

@@ -104,6 +104,23 @@ class TestMakeConfig:
         with pytest.raises(ValueError, match="non-finite"):
             make_config(np.array([[bad, 0.0], [0.0, 1.0]]), 0.05)
 
+    @pytest.mark.parametrize(
+        "bad", [np.zeros((2, 2)), np.full((2, 2), np.nan)], ids=["singular", "nan"]
+    )
+    def test_rejects_a_stack_with_one_bad_member(self, bad):
+        phi = np.stack([np.eye(2), bad, 2.0 * np.eye(2)])
+        with pytest.raises(ValueError, match="phi"):
+            TriggerConfig(phi, 3.0)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 2, 3), (2, 2, 2, 2)])
+    def test_rejects_an_empty_or_non_square_stack(self, shape):
+        with pytest.raises(ValueError, match="phi must be a square matrix or a non-empty stack"):
+            TriggerConfig(np.ones(shape), 3.0)
+
+    def test_stack_keeps_its_dimension(self):
+        cfg = TriggerConfig(np.stack([np.eye(3)] * 4), 3.0)
+        assert cfg.p == 3 and cfg.phi.shape == (4, 3, 3)
+
     def test_rejects_stack_of_bounds(self):
         with pytest.raises(ValueError, match="square matrix"):
             make_config(np.array([CASE1, CASE1]), 0.05)
@@ -176,3 +193,27 @@ class TestDecide:
         for gamma, scale in ((0, 1 + 1e-9), (1, 1 - 1e-9)):
             assert decide(replace(rotated, threshold=want * scale), y) == gamma
         assert decide(rotated, y) == decide(cfg, y)
+
+
+class TestStackedDecide:
+    def test_each_row_is_judged_by_its_own_whitener(self):
+        rng = np.random.default_rng(12)
+        configs = [make_config(random_spd(rng, 2), 0.05) for _ in range(6)]
+        stacked = TriggerConfig(np.stack([c.phi for c in configs]), configs[0].threshold)
+        ys = rng.normal(size=(6, 2)) * 4.0
+        want = [decide(c, y) for c, y in zip(configs, ys)]
+        assert decide(stacked, ys).tolist() == want
+        assert 0 < sum(want) < 6
+        # Row 0 sits between its statistics under the first two whiteners, so
+        # swapping them flips its decision.
+        s0, s1 = (float(np.sum((c.phi @ ys[0]) ** 2)) for c in configs[:2])
+        edge = replace(stacked, threshold=0.5 * (s0 + s1))
+        swapped = replace(edge, phi=edge.phi[[1, 0, 2, 3, 4, 5]])
+        assert decide(edge, ys)[0] == int(s0 > s1)
+        assert decide(swapped, ys)[0] == int(s1 > s0)
+
+    @pytest.mark.parametrize("shape", [(2,), (5, 2), (1, 2)])
+    def test_rejects_a_stack_of_innovations_of_another_length(self, shape):
+        stacked = TriggerConfig(np.stack([np.eye(2)] * 3), 3.0)
+        with pytest.raises(ValueError, match=r"trigger stacks 3 whiteners: .* shape \(3, 2\)"):
+            decide(stacked, np.zeros(shape))
