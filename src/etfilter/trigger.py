@@ -105,8 +105,7 @@ def decide(config: TriggerConfig, innovation) -> int | NDArray:
         raise ValueError(f"innovation must have shape ({p},) or (B, {p}), got {y.shape}")
     if not np.isfinite(y).all():
         raise ValueError("innovation contains NaN or inf; it cannot be judged silent")
-    # One whitener keeps the plain product, the faster form at one row.
-    z = y @ phi.T if phi.ndim == 2 else (phi @ y[..., None])[..., 0]
+    z = (phi @ y[..., None])[..., 0]
     stat = (z * z).sum(axis=-1)
     gamma = (stat > config.threshold).astype(np.int64)
     return int(gamma) if y.ndim == 1 else gamma

@@ -313,7 +313,6 @@ class TestBatchedRecursion:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             assert np.allclose(batch.cache.prob0[i], single.cache.prob0, rtol=1e-12, atol=0.0)
 
-
     def test_row_agrees_with_its_run_at_another_stack_position(self):
         """A trial's last bits may depend on its position in the stack:
         numpy's vector loops hand the tail of an array to a scalar loop.  The
