@@ -55,8 +55,7 @@ class StepCache:
 
 
 def _take(batched, index):
-    """The trials ``index`` selects from a batched StepCache (an int drops the
-    trial axis)."""
+    """The trials ``index`` selects from a batched StepCache (an int drops their axis)."""
     return StepCache(batched.P_z[index], batched.P_silent[index], batched.prob0[index])
 
 
@@ -145,9 +144,9 @@ def _constants(model: LinearGaussianModel, trigger: TriggerConfig) -> _Constants
 
 def _checked(lam: NDArray) -> NDArray:
     """The (..., p) eigenvalues of N_z, checked for what roundoff can break."""
-    # min and max propagate NaN, which fails both comparisons; ``initial``
-    # lets an empty stack pass.
-    low, high = lam[..., 0].min(initial=math.inf), lam[..., -1].max(initial=0.0)
+    # NaN propagates and fails both comparisons; ``initial`` lets an empty stack pass.
+    low = np.minimum.reduce(lam[..., 0], axis=None, initial=math.inf)
+    high = np.maximum.reduce(lam[..., -1], axis=None, initial=0.0)
     if not (low > 0.0 and high < math.inf):
         raise ValueError("N_z lost definiteness or overflowed: eigenvalues must be > 0 and finite")
     return lam
@@ -156,13 +155,15 @@ def _checked(lam: NDArray) -> NDArray:
 def _cache(const: _Constants, cov: NDArray):
     """Measurement geometry and silence-ball step from (B, n, n) prior covariances.
 
-    Returns (gain, cache); neither depends on the measurements.  Everything
-    comes from one eigendecomposition N_z = V diag(lam) V': with
-    U = cov (Phi C)' V diag(1 / lam), the whitened gain in the eigenframe, the
-    gain is U V' Phi, the send branch takes the Joseph-stabilized update, and
-    the silent branch adds U diag(d) U' for the ball's eigenframe second
-    moments d.  Each factor divides by lam once, so no lam^2 can underflow.
-    N_z is checked only for what roundoff can break (``_checked``).
+    Returns (gain, P_z, P_silent, prob0), plain arrays with a leading trial
+    axis, the last three a StepCache's fields; none depends on the
+    measurements.  Everything comes from one eigendecomposition
+    N_z = V diag(lam) V': with U = cov (Phi C)' V diag(1 / lam), the whitened
+    gain in the eigenframe, the gain is U V' Phi, the send branch takes the
+    Joseph-stabilized update, and the silent branch adds U diag(d) U' for the
+    ball's eigenframe second moments d.  Each factor divides by lam once, so
+    no lam^2 can underflow.  N_z is checked only for what roundoff can break
+    (``_checked``).
 
     Neither cov nor N_z = Phi C cov C' Phi' + Phi R Phi' is symmetrized:
     ``eigh`` reads only the lower triangle of N_z, and cov enters only
@@ -177,7 +178,13 @@ def _cache(const: _Constants, cov: NDArray):
     a = const.eye - gain @ const.model.C
     p_z = symmetrize(a @ cov @ a.swapaxes(1, 2) + gain @ const.model.R @ gain.swapaxes(1, 2))
     p_silent = symmetrize(p_z + (u * d[:, None, :]) @ u.swapaxes(1, 2))
-    return gain, StepCache(P_z=p_z, P_silent=p_silent, prob0=prob)
+    return gain, p_z, p_silent, prob
+
+
+def _state(advanced) -> tuple[int, EstimatorState]:
+    """The decision and state of a one-row ``_advance``, wrapped once."""
+    gamma, xhat, cov, p_z, p_silent, prob = advanced
+    return int(gamma[0]), EstimatorState(xhat[0], cov[0], StepCache(p_z[0], p_silent[0], prob[0]))
 
 
 class EventTriggeredFilter:
@@ -204,7 +211,9 @@ class EventTriggeredFilter:
 
     def __init__(self, model: LinearGaussianModel, trigger: TriggerConfig):
         _check_inputs(model, trigger)
-        self._const = _constants(model, trigger)
+        # A stack (one per table1 chunk) is never reused: caching it would only pin it.
+        derive = _constants.__wrapped__ if trigger.phi.ndim == 3 else _constants
+        self._const = derive(model, trigger)
 
     model = property(lambda self: self._const.model)  # read-only: _const derives from it
     trigger = property(lambda self: self._const.trigger)  # read-only: _const derives from it
@@ -218,19 +227,18 @@ class EventTriggeredFilter:
 
         The time update is A xhat and A P A' + Q.  Received steps take the
         Kalman update; silent steps keep the predicted mean and take the
-        silent-branch covariance.  Returns (gamma, xhat, P, cache), each with
-        a leading trial axis.
+        silent-branch covariance.  Returns (gamma, xhat, P, P_z, P_silent,
+        prob0), plain arrays with a leading trial axis, for the callers to wrap.
         """
         const = self._const
         if predict:
             xhat, cov = xhat @ const.a_t, const.model.A @ cov @ const.a_t + const.model.Q
         innovation = ys - xhat @ const.c_t
         gamma = decide(const.trigger, innovation)
-        gain, cache = _cache(const, cov)
-        sent = gamma.astype(bool)
-        xhat = np.where(sent[:, None], xhat + (gain @ innovation[:, :, None])[:, :, 0], xhat)
-        cov = np.where(sent[:, None, None], cache.P_z, cache.P_silent)
-        return gamma, xhat, cov, cache
+        gain, p_z, p_silent, prob = _cache(const, cov)
+        xhat = np.where(gamma[:, None], xhat + (gain @ innovation[:, :, None])[:, :, 0], xhat)
+        cov = np.where(gamma[:, None, None], p_z, p_silent)
+        return gamma, xhat, cov, p_z, p_silent, prob
 
     # -- public recursion ------------------------------------------------------
 
@@ -244,16 +252,12 @@ class EventTriggeredFilter:
     def init(self, y0) -> tuple[int, EstimatorState]:
         """Consume the time-0 measurement against the model prior."""
         m = self._const.model
-        gamma, xhat, cov, cache = self._advance(
-            m.x0_mean[None], m.x0_cov[None], self._one(y0), predict=False
-        )
-        return int(gamma[0]), EstimatorState(xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
+        return _state(self._advance(m.x0_mean[None], m.x0_cov[None], self._one(y0), predict=False))
 
     def step(self, state: EstimatorState, y) -> tuple[StepOutput, EstimatorState]:
         """Advance one step with ``y``, the measurement of the step after ``state``."""
-        gamma, xhat, cov, cache = self._advance(state.xhat[None], state.P[None], self._one(y))
-        state = EstimatorState(xhat=xhat[0], P=cov[0], cache=_take(cache, 0))
-        return StepOutput(gamma=int(gamma[0])), state
+        gamma, state = _state(self._advance(state.xhat[None], state.P[None], self._one(y)))
+        return StepOutput(gamma), state
 
     def run(self, measurements) -> FilterRun:
         """Filter a measurement array of shape (K+1, p), or a (B, K+1, p) stack
@@ -270,14 +274,13 @@ class EventTriggeredFilter:
         c = np.broadcast_to(m.x0_cov, (len(batch), m.n, m.n))
         steps = []
         for k in range(batch.shape[1]):
-            g, x, c, cache = self._advance(x, c, batch[:, k], predict=k > 0)
-            steps.append((g, x, c, cache.P_z, cache.P_silent, cache.prob0))
+            steps.append(self._advance(x, c, batch[:, k], predict=k > 0))
+            x, c = steps[-1][1:3]
         out = [np.stack(field, axis=1) for field in zip(*steps)]
         if ys.ndim == 2:
             out = [field[0] for field in out]
-        gamma, xhat, cov, p_z, p_silent, prob0 = out
-        cache = StepCache(P_z=p_z, P_silent=p_silent, prob0=prob0)
-        return FilterRun(gamma=gamma, xhat=xhat, P=cov, cache=cache)
+        gamma, xhat, cov, *cache = out
+        return FilterRun(gamma=gamma, xhat=xhat, P=cov, cache=StepCache(*cache))
 
 
 def prior_cache(model: LinearGaussianModel, trigger: TriggerConfig) -> StepCache:
@@ -289,4 +292,5 @@ def prior_cache(model: LinearGaussianModel, trigger: TriggerConfig) -> StepCache
     """
     _check_inputs(model, trigger)
     _check_unstacked(trigger)
-    return _take(_cache(_constants(model, trigger), model.x0_cov[None])[1], 0)
+    _, p_z, p_silent, prob = _cache(_constants(model, trigger), model.x0_cov[None])
+    return StepCache(p_z[0], p_silent[0], prob[0])

@@ -202,17 +202,12 @@ def _contour(count: int) -> tuple[NDArray, NDArray]:
 
 
 _Z, _W = _contour(_NODES)
-# (Im w, Re w) pairs: Im sum_k w_k t_k is their dot product with t viewed as (Re t, Im t).
+# (Im w, Re w) pairs: Im sum_k w_k t_k over the last axis of a complex t is
+# t.view(float) @ _W_RI, the same dot product in the same order for every row.
 _W_RI = np.column_stack([_W.imag, _W.real]).ravel()
 
-
-def _im_sum(terms: NDArray) -> NDArray:
-    """Im sum_k w_k terms_k over the last axis, in the same order for every row."""
-    return terms.view(float) @ _W_RI
-
-
 # What the weights make of 1 / s: dividing by it gives prob = 1 where Phi rounds to 1.
-_W_NORM = float(_im_sum(np.ones(_Z.size, dtype=complex)))
+_W_NORM = float(np.ones(_Z.size, dtype=complex).view(float) @ _W_RI)
 
 # Accuracy contract of the kernel: the roundoff floor exp(0.171 N) eps of the
 # contour sum, about 5e-14 at N = 32.
@@ -226,20 +221,20 @@ def _contour_moments(lam: NDArray, radius2: float) -> tuple[NDArray, NDArray]:
     (a, b) = (1, 2 lam / radius2) when 2 lam <= radius2, else
     (radius2 / (2 lam), 1): |v| stays between about 0.5 and 50, and the real
     factors a enter in log space, so no product over- or underflows.  With
-    r = sqrt(1 / v) (Im z > 0 keeps v off the branch cut), prod v^(-1/2) is
-    prod r and 1 / v_i is r_i^2.  The second moments are divided by the
-    probability inside the sum, so they stay finite when it underflows.
+    inv = 1 / v, prod v^(-1/2) is the product of the sqrt(inv) (Im z > 0 keeps
+    v off the branch cut), and the chi2_3 factor of direction i is inv_i
+    itself.  The second moments are divided by the probability inside the
+    sum, so they stay finite when it underflows.
     """
     log_ratio = np.log(lam) + (math.log(2.0) - math.log(radius2))  # log(2 lam / radius2)
     log_b = np.minimum(log_ratio, 0.0)
     log_a = log_b - log_ratio  # min(-log_ratio, 0), exactly
-    v = np.exp(log_a)[..., None] + np.exp(log_b)[..., None] * _Z
-    r = np.sqrt(1.0 / v)
-    terms = r.prod(axis=-2)
-    scaled = _im_sum(terms)
-    prob = scaled / _W_NORM * np.exp(0.5 * log_a.sum(axis=-1))
+    inv = 1.0 / (np.exp(log_a)[..., None] + np.exp(log_b)[..., None] * _Z)
+    terms = np.multiply.reduce(np.sqrt(inv), axis=-2)
+    scaled = terms.view(float) @ _W_RI
+    prob = scaled / _W_NORM * np.exp(0.5 * np.add.reduce(log_a, axis=-1))
     # lam_i / (1 + 2 lam_i z / radius2) = min(lam_i, radius2 / 2) / v_i
-    ratio = _im_sum(terms[..., None, :] * (r * r)) / scaled[..., None]
+    ratio = (terms[..., None, :] * inv).view(float) @ _W_RI / scaled[..., None]
     return prob, np.minimum(lam, 0.5 * radius2) * ratio
 
 

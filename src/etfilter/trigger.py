@@ -106,6 +106,6 @@ def decide(config: TriggerConfig, innovation) -> int | NDArray:
     if not np.isfinite(y).all():
         raise ValueError("innovation contains NaN or inf; it cannot be judged silent")
     z = (phi @ y[..., None])[..., 0]
-    stat = (z * z).sum(axis=-1)
+    stat = np.add.reduce(z * z, axis=-1)
     gamma = (stat > config.threshold).astype(np.int64)
     return int(gamma) if y.ndim == 1 else gamma

@@ -407,6 +407,19 @@ class TestStackedTrigger:
             with pytest.raises(ValueError, match="trigger stacks 30 whiteners"):
                 call()
 
+    def test_a_stack_derives_its_constants_uncached(self):
+        """A stack of whiteners is built for one use (one per table1 chunk), so
+        its constants bypass the identity-keyed cache, which a one-whitener
+        trigger still hits on its second filter."""
+        model, trig, _ = _tracking_filter()
+        before = _constants.cache_info()
+        EventTriggeredFilter(model, _stacked([trig], 30))
+        assert _constants.cache_info() == before
+        EventTriggeredFilter(model, trig)
+        hits = _constants.cache_info().hits
+        EventTriggeredFilter(model, trig)
+        assert _constants.cache_info().hits == hits + 1
+
     def test_prior_cache_rejects_a_stack(self):
         model, trig, _ = _tracking_filter()
         with pytest.raises(ValueError, match="one whitener, not a stack"):
@@ -492,7 +505,7 @@ class TestMeasurementGeometry:
         run = EventTriggeredFilter(model, trig).run(simulate(model, 30, rng).measurements)
         # The time-0 prior and the prior of every later step.
         priors = np.concatenate([model.x0_cov[None], model.A @ run.P[:-1] @ model.A.T + model.Q])
-        gain, cache = _cache(_constants(model, trig), priors)
+        gain, p_zs, p_silents, prob0 = _cache(_constants(model, trig), priors)
         for i, cov in enumerate(priors):
             s = model.C @ cov @ model.C.T + model.R
             want_gain = np.linalg.solve(s, model.C @ cov).T
@@ -502,10 +515,10 @@ class TestMeasurementGeometry:
             bm = ball_moments(0.5 * (n_z + n_z.T), trig.threshold)
             k_w = want_gain @ np.linalg.inv(trig.phi)
             p_silent = p_z + k_w @ bm.conditional @ k_w.T
-            pairs = ((gain[i], want_gain), (cache.P_z[i], p_z), (cache.P_silent[i], p_silent))
+            pairs = ((gain[i], want_gain), (p_zs[i], p_z), (p_silents[i], p_silent))
             for got, want in pairs:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (case, i)
-            assert cache.prob0[i] == pytest.approx(bm.prob, rel=1e-12), (case, i)
+            assert prob0[i] == pytest.approx(bm.prob, rel=1e-12), (case, i)
 
     @pytest.mark.parametrize(
         "case, tol",
@@ -525,14 +538,14 @@ class TestMeasurementGeometry:
         run = EventTriggeredFilter(model, const.trigger).run(simulate(model, 30, rng).measurements)
         priors = model.A @ run.P[:-1] @ model.A.T + model.Q
         assert not np.array_equal(priors, priors.swapaxes(1, 2))
-        gain, cache = _cache(const, priors)
-        sym_gain, sym_cache = _cache(const, symmetrize(priors))
-        pairs = ((gain, sym_gain), (cache.P_z, sym_cache.P_z), (cache.P_silent, sym_cache.P_silent))
+        gain, p_z, p_silent, prob0 = _cache(const, priors)
+        sym_gain, sym_p_z, sym_p_silent, sym_prob0 = _cache(const, symmetrize(priors))
+        pairs = ((gain, sym_gain), (p_z, sym_p_z), (p_silent, sym_p_silent))
         for got, want in pairs:
             scale = np.abs(want).max(axis=(1, 2), keepdims=True)
             assert (np.abs(got - want) <= tol * scale).all()
-        np.testing.assert_allclose(cache.prob0, sym_cache.prob0, rtol=tol, atol=0.0)
-        for p in (cache.P_z, cache.P_silent):
+        np.testing.assert_allclose(prob0, sym_prob0, rtol=tol, atol=0.0)
+        for p in (p_z, p_silent):
             assert np.array_equal(p, p.swapaxes(1, 2))
 
 

@@ -268,9 +268,10 @@ class TestTwoStepReadsCachedConstants:
 
 class TestPerStepCallStructure:
     def test_one_eigensolve_and_one_ball_call_per_step_and_per_prediction(self, monkeypatch):
-        """A filter step runs one ``eigh`` and one ``_ball_full``; a two-step
-        prediction runs one ``eigvalsh`` and one ``_ball_full``, for one cache
-        and for a stack of them alike."""
+        """A filter step runs one ``eigh`` and one ``_ball_full`` and wraps one
+        StepCache, and a whole run wraps one StepCache, none per step; a
+        two-step prediction runs one ``eigvalsh`` and one ``_ball_full``, for
+        one cache and for a stack of them alike."""
         model, trig, filt = _setup()
         ys = simulate(model, 10, np.random.default_rng(58), x0=np.array(TRUE_INITIAL_STATE))
         ys = ys.measurements
@@ -290,11 +291,15 @@ class TestPerStepCallStructure:
         spy(np.linalg, "eigh")
         spy(np.linalg, "eigvalsh")
         spy(estimator, "_ball_full")
+        spy(estimator, "StepCache")
 
         for k in range(1, 11):
             calls.clear()
             _, state = filt.step(state, ys[k])
-            assert calls == {"eigh": 1, "_ball_full": 1}, k
+            assert calls == {"eigh": 1, "_ball_full": 1, "StepCache": 1}, k
+        calls.clear()
+        filt.run(ys)
+        assert calls == {"eigh": 11, "_ball_full": 11, "StepCache": 1}
         for cache in (state.cache, stack):
             calls.clear()
             rate_two_step(
