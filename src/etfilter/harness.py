@@ -6,12 +6,12 @@ produces the same per-trial results.  Each fixed-size chunk of consecutive
 trials is simulated once, as one stack, and filtered once, as one stack that
 repeats it under each case's whitener, and chunks are combined in chunk
 order, which makes every reduction bitwise identical no matter how many
-workers are used.
+workers are used.  The harness computes and writes CSV files and leaves
+stdout to ``etfilter.cli``.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
@@ -238,46 +238,20 @@ def emit_csv(summary: ExperimentSummary, output_dir) -> dict[str, Path]:
 
 
 def table1(config: ExperimentConfig, output_dir) -> dict[str, ExperimentSummary]:
-    """Run all three benchmark cases and print average rates next to the references.
+    """Run all three benchmark cases, write their CSVs and return the summaries.
 
     Every case runs ``config`` with its ``case`` replaced.  Each chunk's
     trajectories are simulated once and filtered in one stack that holds them
     under each of the three whiteners.  Each case's decisions and empirical
     rates are those ``run_monte_carlo`` gives it alone; its other floats agree
     to about 1e-15 relative, as a trial's last bits may depend on its position
-    in the stack.  Per-case CSV files
-    land in ``<output_dir>/<case>/`` and a combined summary.csv at the top
-    level.  Returns the per-case summaries.
+    in the stack.  Per-case CSV files land in ``<output_dir>/<case>/`` and a
+    combined summary.csv at the top level.  Writes nothing to stdout:
+    ``etfilter table1`` reports the summaries next to ``TABLE1_REFERENCE``.
     """
     cases = sorted(CASE_BOUNDS)
     configs = tuple(replace(config, case=case) for case in cases)
     summaries = dict(zip(cases, _run_cases(configs)))
-
-    print(
-        f"{'case':<8}{'empirical':>11}{'alg1':>9}{'alg2':>9}"
-        f"{'ref_emp':>10}{'ref_alg1':>10}{'ref_alg2':>10}{'max|diff|':>11}"
-    )
-    for case, summary in summaries.items():
-        avg, ref = summary.avg_rates, TABLE1_REFERENCE[case]
-        delta = max(abs(avg[i] - ref[i]) for i in range(3))
-        print(
-            f"{case:<8}{avg[0]:>11.4f}{avg[1]:>9.4f}{avg[2]:>9.4f}"
-            f"{ref[0]:>10.4f}{ref[1]:>10.4f}{ref[2]:>10.4f}{delta:>11.4f}"
-        )
-    reference = ExperimentConfig  # class attributes hold the field defaults
-    if (config.alpha, config.steps) != (reference.alpha, reference.steps):
-        print(
-            f"note: the references were produced at alpha={reference.alpha} and "
-            f"{reference.steps} steps and do not apply to this run"
-        )
-    elif config.trials != _REFERENCE_TRIALS:
-        widened = 0.02 * math.sqrt(_REFERENCE_TRIALS / config.trials)
-        print(
-            f"note: references were produced at {_REFERENCE_TRIALS} trials; at "
-            f"{config.trials} trials the Monte Carlo comparison band widens to roughly "
-            f"+/-{widened:.3f}"
-        )
-
     out = Path(output_dir)
     for case, summary in summaries.items():
         emit_csv(summary, out / case)

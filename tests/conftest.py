@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from etfilter.harness import CASE_BOUNDS, ExperimentConfig, ExperimentSummary, run_monte_carlo
+from etfilter.harness import ExperimentConfig, ExperimentSummary, table1
 from etfilter.model import LinearGaussianModel, tracking_preset
 
 
@@ -18,22 +18,19 @@ class BenchmarkResults:
 
 
 @pytest.fixture(scope="session")
-def benchmark_results() -> BenchmarkResults:
+def benchmark_results(tmp_path_factory) -> BenchmarkResults:
     """Full three-case Monte Carlo run shared by the expensive tests.
 
-    ETFILTER_ACCEPTANCE_TRIALS scales the run; below the reference 5000 trials
-    the rate comparison band widens from 0.02 to 0.035.  Up to two worker
-    processes share the run; criterion 9 shows the job count never changes
-    the numbers.
+    The run is ``table1`` into a temporary directory, the stacked path that
+    ``etfilter table1`` runs.  ETFILTER_ACCEPTANCE_TRIALS scales it; below the
+    reference 5000 trials the rate comparison band widens from 0.02 to 0.035.
+    Up to two worker processes share the run; criterion 9 shows the job count
+    never changes the numbers.
     """
     trials = int(os.environ.get("ETFILTER_ACCEPTANCE_TRIALS", "5000"))
     jobs = min(2, os.cpu_count() or 1)
-    summaries = {
-        case: run_monte_carlo(
-            ExperimentConfig(case=case, trials=trials, steps=101, seed=1234, jobs=jobs)
-        )
-        for case in sorted(CASE_BOUNDS)
-    }
+    config = ExperimentConfig(trials=trials, steps=101, seed=1234, jobs=jobs)
+    summaries = table1(config, tmp_path_factory.mktemp("table1"))
     return BenchmarkResults(
         summaries=summaries,
         trials=trials,

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
@@ -9,7 +10,17 @@ import pytest
 
 import etfilter
 from etfilter import estimator, harness, model, numerics, rate, trigger
-from etfilter.cli import main
+from etfilter.cli import _reference_note, main
+from etfilter.harness import ExperimentConfig
+
+# The whole stdout of `etfilter table1 --trials 8 --steps 9 --seed 6`, which echoes no path.
+TABLE1_REPORT = """\
+case      empirical     alg1     alg2   ref_emp  ref_alg1  ref_alg2  max|diff|
+case1        0.4167   0.4867   0.4875    0.3812    0.3730    0.3761     0.1137
+case2        0.5694   0.6541   0.6528    0.5684    0.5696    0.5678     0.0850
+case3        0.4028   0.4011   0.4120    0.2798    0.2750    0.2712     0.1408
+note: the references were produced at alpha=0.05 and 101 steps and do not apply to this run
+"""
 
 
 def _run(argv):
@@ -46,9 +57,40 @@ class TestTable1Command:
         code = _run(["table1", "--trials", 8, "--seed", 6, "--out", tmp_path])
         assert code == 0
         printed = capsys.readouterr().out
-        assert "ref_emp" in printed
+        assert "case1" in printed and "ref_emp" in printed
+        assert "widens" in printed  # reduced-trials note
         assert (tmp_path / "case3" / "summary.csv").exists()
         assert (tmp_path / "summary.csv").exists()
+
+    def test_report_bytes(self, tmp_path, capsys):
+        assert _run(["table1", "--trials", 8, "--steps", 9, "--seed", 6, "--out", tmp_path]) == 0
+        assert capsys.readouterr().out == TABLE1_REPORT
+
+
+class TestReferenceNote:
+    def test_exact_reference_alpha_keeps_the_references(self):
+        """alpha = 1/20 as a Fraction runs at the reference level 0.05, so the
+        references apply: the config stores alpha as that float."""
+        config = ExperimentConfig(alpha=Fraction(1, 20), trials=3)
+        assert type(config.alpha) is float and config.alpha == 0.05
+        note = _reference_note(config)
+        assert "do not apply" not in note and "widens" in note
+
+    def test_flags_references_of_other_conditions(self):
+        note = _reference_note(ExperimentConfig(trials=20, steps=5, alpha=0.5, seed=9))
+        assert "do not apply" in note
+        assert "widens" not in note
+
+    def test_band_narrows_above_the_reference_trials_and_widens_below(self):
+        assert _reference_note(ExperimentConfig(trials=5000)) is None
+        assert _reference_note(ExperimentConfig(trials=5200)) == (
+            "note: references were produced at 5000 trials; at 5200 trials the Monte Carlo "
+            "comparison band narrows to roughly +/-0.020"
+        )
+        assert _reference_note(ExperimentConfig(trials=20)) == (
+            "note: references were produced at 5000 trials; at 20 trials the Monte Carlo "
+            "comparison band widens to roughly +/-0.316"
+        )
 
 
 class TestTable1Settings:

@@ -2,7 +2,6 @@ import concurrent.futures
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -220,9 +219,7 @@ class TestTable1:
     def test_runs_all_cases_and_writes_outputs(self, tmp_path, capsys):
         summaries = table1(ExperimentConfig(trials=20, seed=9), output_dir=tmp_path)
         assert sorted(summaries) == ["case1", "case2", "case3"]
-        printed = capsys.readouterr().out
-        assert "case1" in printed and "ref_emp" in printed
-        assert "widens" in printed  # reduced-trials note
+        assert capsys.readouterr().out == ""  # the report is etfilter table1's to print
         for case in summaries:
             assert (Path(tmp_path) / case / "rms.csv").exists()
         combined = list(csv.reader((Path(tmp_path) / "summary.csv").open()))
@@ -253,19 +250,3 @@ class TestTable1:
             for field in ("rms", "rate_alg1", "rate_alg2", "avg_rates"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), (case, field)
-
-    def test_exact_reference_alpha_keeps_the_references(self, capsys, tmp_path):
-        """alpha = 1/20 as a Fraction runs at the reference level 0.05, so the
-        references apply: the config stores alpha as that float."""
-        config = ExperimentConfig(alpha=Fraction(1, 20), trials=3)
-        assert type(config.alpha) is float and config.alpha == 0.05
-        table1(config, tmp_path)
-        printed = capsys.readouterr().out
-        assert "do not apply" not in printed and "widens" in printed
-
-    def test_flags_references_of_other_conditions(self, capsys, tmp_path):
-        table1(ExperimentConfig(trials=20, steps=5, alpha=0.5, seed=9), tmp_path)
-        printed = capsys.readouterr().out
-        assert "do not apply" in printed
-        assert "widens" not in printed
-
