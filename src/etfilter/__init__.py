@@ -6,6 +6,10 @@ MMSE filter for that scheduling rule (silence carries information: the
 posterior is a Gaussian conditioned on a truncated region), two predictors for
 the expected communication rate, and a Monte Carlo harness that reproduces the
 target tracking benchmark.
+
+A stack of trials carries a leading axis, and each product within a trial runs
+per trial (``np.matvec``, ``np.vecdot``, stacked ``@``), never as one BLAS call
+across trials: a trial's floats are the same bits in any stack, command or loop.
 """
 
 from . import estimator, harness, model, numerics, rate, trigger

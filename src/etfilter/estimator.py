@@ -106,8 +106,6 @@ class _Constants(NamedTuple):
 
     model: LinearGaussianModel
     trigger: TriggerConfig
-    a_t: NDArray  # A'
-    c_t: NDArray  # C'
     phi_c: NDArray  # Phi C
     phi_c_t: NDArray  # (Phi C)'
     phi_r_phi: NDArray  # Phi R Phi'
@@ -133,10 +131,8 @@ def _constants(model: LinearGaussianModel, trigger: TriggerConfig) -> _Constants
     phi_r_phi = phi @ model.R @ phi.swapaxes(-1, -2)
     lead = phi_c @ model.A
     floor = symmetrize(phi_c @ model.Q @ phi_c_t + phi_r_phi)
-    const = _Constants(
-        model, trigger, model.A.T, model.C.T, phi_c, phi_c_t, phi_r_phi, np.eye(model.n), lead,
-        lead.swapaxes(-1, -2), floor,
-    )
+    eye, lead_t = np.eye(model.n), lead.swapaxes(-1, -2)
+    const = _Constants(model, trigger, phi_c, phi_c_t, phi_r_phi, eye, lead, lead_t, floor)
     for array in const[2:]:  # every caller shares them
         array.setflags(write=False)
     return const
@@ -230,13 +226,13 @@ class EventTriggeredFilter:
         silent-branch covariance.  Returns (gamma, xhat, P, P_z, P_silent,
         prob0), plain arrays with a leading trial axis, for the callers to wrap.
         """
-        const = self._const
+        const, m = self._const, self._const.model
         if predict:
-            xhat, cov = xhat @ const.a_t, const.model.A @ cov @ const.a_t + const.model.Q
-        innovation = ys - xhat @ const.c_t
+            xhat, cov = np.matvec(m.A, xhat), m.A @ cov @ m.A.T + m.Q
+        innovation = ys - np.matvec(m.C, xhat)
         gamma = decide(const.trigger, innovation)
         gain, p_z, p_silent, prob = _cache(const, cov)
-        xhat = np.where(gamma[:, None], xhat + (gain @ innovation[:, :, None])[:, :, 0], xhat)
+        xhat = np.where(gamma[:, None], xhat + np.matvec(gain, innovation), xhat)
         cov = np.where(gamma[:, None, None], p_z, p_silent)
         return gamma, xhat, cov, p_z, p_silent, prob
 

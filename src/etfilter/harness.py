@@ -242,12 +242,11 @@ def table1(config: ExperimentConfig, output_dir) -> dict[str, ExperimentSummary]
 
     Every case runs ``config`` with its ``case`` replaced.  Each chunk's
     trajectories are simulated once and filtered in one stack that holds them
-    under each of the three whiteners.  Each case's decisions and empirical
-    rates are those ``run_monte_carlo`` gives it alone; its other floats agree
-    to about 1e-15 relative, as a trial's last bits may depend on its position
-    in the stack.  Per-case CSV files land in ``<output_dir>/<case>/`` and a
-    combined summary.csv at the top level.  Writes nothing to stdout:
-    ``etfilter table1`` reports the summaries next to ``TABLE1_REFERENCE``.
+    under each of the three whiteners; each case's summary is the one
+    ``run_monte_carlo`` gives it alone, bit for bit.  Per-case CSV files land
+    in ``<output_dir>/<case>/`` and a combined summary.csv at the top level.
+    Writes nothing to stdout: ``etfilter table1`` reports the summaries next
+    to ``TABLE1_REFERENCE``.
     """
     cases = sorted(CASE_BOUNDS)
     configs = tuple(replace(config, case=case) for case in cases)

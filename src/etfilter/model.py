@@ -115,9 +115,7 @@ def simulate(
         proc_noise[b] = g.standard_normal((steps, n)) @ q_half.T
         states[b, 0] = model.x0_mean + cov_half @ g.standard_normal(n) if x0 is None else x0
     for k in range(steps):
-        # A stack of matrix-vector products rounds every trial as a single
-        # trajectory would; a (B, n) @ A.T product rounds by batch size.
-        states[:, k + 1] = (model.A @ states[:, k, :, None])[:, :, 0] + proc_noise[:, k]
+        states[:, k + 1] = np.matvec(model.A, states[:, k]) + proc_noise[:, k]
     measurements = states @ model.C.T + meas_noise
     pick = 0 if isinstance(rng, np.random.Generator) else slice(None)
     return Trajectory(states=states[pick], measurements=measurements[pick])

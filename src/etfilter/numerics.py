@@ -203,11 +203,12 @@ def _contour(count: int) -> tuple[NDArray, NDArray]:
 
 _Z, _W = _contour(_NODES)
 # (Im w, Re w) pairs: Im sum_k w_k t_k over the last axis of a complex t is
-# t.view(float) @ _W_RI, the same dot product in the same order for every row.
+# np.vecdot(t.view(float), _W_RI), one dot product per row.
 _W_RI = np.column_stack([_W.imag, _W.real]).ravel()
 
-# What the weights make of 1 / s: dividing by it gives prob = 1 where Phi rounds to 1.
-_W_NORM = float(np.ones(_Z.size, dtype=complex).view(float) @ _W_RI)
+# What the weights make of 1 / s, by that same per-row dot product: dividing
+# by it gives prob = 1 exactly where Phi rounds to 1.
+_W_NORM = float(np.vecdot(np.ones(_Z.size, dtype=complex).view(float), _W_RI))
 
 # Accuracy contract of the kernel: the roundoff floor exp(0.171 N) eps of the
 # contour sum, about 5e-14 at N = 32.
@@ -231,10 +232,10 @@ def _contour_moments(lam: NDArray, radius2: float) -> tuple[NDArray, NDArray]:
     log_a = log_b - log_ratio  # min(-log_ratio, 0), exactly
     inv = 1.0 / (np.exp(log_a)[..., None] + np.exp(log_b)[..., None] * _Z)
     terms = np.multiply.reduce(np.sqrt(inv), axis=-2)
-    scaled = terms.view(float) @ _W_RI
+    scaled = np.vecdot(terms.view(float), _W_RI)
     prob = scaled / _W_NORM * np.exp(0.5 * np.add.reduce(log_a, axis=-1))
     # lam_i / (1 + 2 lam_i z / radius2) = min(lam_i, radius2 / 2) / v_i
-    ratio = (terms[..., None, :] * inv).view(float) @ _W_RI / scaled[..., None]
+    ratio = np.vecdot((terms[..., None, :] * inv).view(float), _W_RI) / scaled[..., None]
     return prob, np.minimum(lam, 0.5 * radius2) * ratio
 
 

@@ -105,7 +105,7 @@ def decide(config: TriggerConfig, innovation) -> int | NDArray:
         raise ValueError(f"innovation must have shape ({p},) or (B, {p}), got {y.shape}")
     if not np.isfinite(y).all():
         raise ValueError("innovation contains NaN or inf; it cannot be judged silent")
-    z = (phi @ y[..., None])[..., 0]
+    z = np.matvec(phi, y)
     stat = np.add.reduce(z * z, axis=-1)
     gamma = (stat > config.threshold).astype(np.int64)
     return int(gamma) if y.ndim == 1 else gamma

@@ -14,15 +14,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from etfilter import cli
 from etfilter.estimator import EventTriggeredFilter
-from etfilter.harness import (
-    CASE_BOUNDS,
-    TABLE1_REFERENCE,
-    ExperimentConfig,
-    emit_csv,
-    run_monte_carlo,
-    table1,
-)
+from etfilter.harness import CASE_BOUNDS, TABLE1_REFERENCE
 from etfilter.model import TRUE_INITIAL_STATE, simulate, tracking_preset
 from etfilter.numerics import ball_moments, chi_square_quantile
 from etfilter.rate import RateState, rate_one_step, rate_two_step
@@ -299,19 +293,25 @@ def test_criterion_8_rate_and_accuracy_orderings(benchmark_results):
 
 
 def test_criterion_9_outputs_reproducible_across_worker_counts(tmp_path):
-    """simulate's three CSVs and table1's ten, over one 200-trial chunk and
-    one 50-trial chunk."""
-    base = dict(case="case1", trials=250, steps=25, seed=99)
+    """``etfilter simulate --case N`` and ``etfilter table1`` over a 200-trial
+    and a 50-trial chunk: every csv file is byte-identical for 1 and 2 workers,
+    and each case's three files from ``simulate`` equal those of ``table1``."""
     files = {}
     for jobs in (1, 2):
-        config, root = ExperimentConfig(jobs=jobs, **base), tmp_path / f"jobs{jobs}"
-        emit_csv(run_monte_carlo(config), root / "simulate")
-        table1(config, root / "table1")
-        files[jobs] = {p.relative_to(root): p.read_bytes() for p in root.rglob("*.csv")}
-    same = len(files[1]) == 13 and files[1] == files[2]
+        root = tmp_path / f"jobs{jobs}"
+        flags = ["--trials", "250", "--steps", "30", "--seed", "9", "--jobs", str(jobs)]
+        codes = [cli.main(["table1", *flags, "--out", str(root / "table1")])]
+        for case in CASE_BOUNDS:
+            out = ["--out", str(root / "simulate" / case)]
+            codes.append(cli.main(["simulate", "--case", case, *flags, *out]))
+        assert codes == [0] * 4
+        files[jobs] = {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*.csv")}
+    per_case = [f"{case}/{name}.csv" for case in CASE_BOUNDS for name in ("rms", "rates", "summary")]
+    mismatch = [f for f in per_case if files[1][f"simulate/{f}"] != files[1][f"table1/{f}"]]
+    same = len(files[1]) == 19 and files[1] == files[2] and not mismatch
     _verdict(
         9,
-        "csv outputs are byte-identical for 1 and 2 worker processes",
+        "csv outputs are byte-identical for 1 and 2 workers and between simulate and table1",
         same,
-        "byte mismatch between worker counts",
+        f"byte mismatch between worker counts or in {mismatch}",
     )

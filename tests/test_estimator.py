@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from etfilter.estimator import (
     EventTriggeredFilter,
     FilterRun,
+    StepCache,
     _cache,
     _checked,
     _constants,
@@ -280,56 +282,65 @@ class TestHugeBound:
         assert np.abs(huge.conditional - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _fields(run):
+    return run.gamma, run.xhat, run.P, run.cache.P_z, run.cache.P_silent, run.cache.prob0
+
+
+def _assert_runs_equal(got, want):
+    for a, b in zip(_fields(got), _fields(want)):
+        assert np.array_equal(a, b)
+
+
+def _stepped(filt, ys):
+    """The FilterRun of one trial's measurements fed to ``init`` and ``step``."""
+    steps = [filt.init(ys[0])]
+    for y in ys[1:]:
+        out, state = filt.step(steps[-1][1], y)
+        steps.append((out.gamma, state))
+    rows = (_fields(FilterRun(g, s.xhat, s.P, s.cache)) for g, s in steps)
+    gamma, xhat, cov, *cache = map(np.array, zip(*rows))
+    return FilterRun(gamma, xhat, cov, StepCache(*cache))
+
+
+def _rows(run, index):
+    """The trials ``index`` selects from a stacked FilterRun."""
+    return FilterRun(run.gamma[index], run.xhat[index], run.P[index], _take(run.cache, index))
+
+
+@lru_cache(maxsize=None)
+def _trials_and_single_runs(name):
+    """A filter, 203 trials of 7 time points and each trial's run alone, on a
+    tracking case or on a random (n, p) model under a random bound."""
+    if name.startswith("case"):
+        model, trig, x0 = tracking_preset(), make_config(CASE_BOUNDS[name]), TRUE_INITIAL_STATE
+    else:
+        n, p = map(int, name.split("-")[1].split("x"))
+        rng = np.random.default_rng(14)
+        model, x0 = random_model(rng, n, p), None
+        trig = make_config(random_spd(rng, p), 0.1)
+    filt = EventTriggeredFilter(model, trig)
+    rngs = [np.random.default_rng(np.random.SeedSequence([8, i])) for i in range(203)]
+    ys = simulate(model, 6, rngs, x0=x0).measurements
+    return filt, ys, [filt.run(y) for y in ys]
+
+
 class TestBatchedRecursion:
     """``run`` filters a stack of trials together; every row must be the run
-    of that trial alone."""
+    of that trial alone, bit for bit, whatever the stack's size."""
 
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_rows_equal_single_runs(self, p):
-        if p == 2:
-            model, trig, filt = _tracking_filter()
-            x0 = np.array(TRUE_INITIAL_STATE)
-        else:
-            rng = np.random.default_rng(14)
-            model = random_model(rng, 3, 3)
-            trig = make_config(random_spd(rng, 3), 0.1)
-            filt = EventTriggeredFilter(model, trig)
-            x0 = None
-        rngs = [np.random.default_rng(np.random.SeedSequence([8, i])) for i in range(9)]
-        ys = simulate(model, 30, rngs, x0=x0).measurements
-        batch = filt.run(ys)
-        assert batch.cache.P_silent.shape == (9, 31, model.n, model.n)
-        assert batch.gamma.shape == batch.cache.prob0.shape == (9, 31)
-        assert 0 < batch.gamma.mean() < 1
-        for i in range(9):
-            single = filt.run(ys[i])
-            assert np.array_equal(batch.gamma[i], single.gamma)
-            for got, want in (
-                (batch.xhat[i], single.xhat),
-                (batch.P[i], single.P),
-                (batch.cache.P_z[i], single.cache.P_z),
-                (batch.cache.P_silent[i], single.cache.P_silent),
-            ):
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            assert np.allclose(batch.cache.prob0[i], single.cache.prob0, rtol=1e-12, atol=0.0)
-
-    def test_row_agrees_with_its_run_at_another_stack_position(self):
-        """A trial's last bits may depend on its position in the stack:
-        numpy's vector loops hand the tail of an array to a scalar loop.  The
-        first 50 of 150 case-2 trials, filtered alone and inside the whole
-        stack, take the same decisions and agree to roundoff."""
-        model = tracking_preset()
-        filt = EventTriggeredFilter(model, make_config(CASE_BOUNDS["case2"]))
-        rngs = [np.random.default_rng(np.random.SeedSequence([11, i])) for i in range(150)]
-        ys = simulate(model, 5, rngs, x0=TRUE_INITIAL_STATE).measurements
-        alone, inside = filt.run(ys[:50]), filt.run(ys)
-        assert np.array_equal(alone.gamma, inside.gamma[:50])
-        for got, want in (
-            (inside.xhat[:50], alone.xhat),
-            (inside.P[:50], alone.P),
-            (inside.cache.prob0[:50], alone.cache.prob0),
-        ):
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    @pytest.mark.parametrize("trials", [1, 2, 9, 50, 150, 203])
+    @pytest.mark.parametrize(
+        "name", ["case1", "case2", "case3", "random-3x3", "random-4x2", "random-2x1", "random-5x4"]
+    )
+    def test_rows_equal_single_runs(self, name, trials):
+        filt, ys, singles = _trials_and_single_runs(name)
+        batch = filt.run(ys[:trials])
+        assert batch.cache.P_silent.shape == (trials, 7, filt.model.n, filt.model.n)
+        assert batch.gamma.shape == batch.cache.prob0.shape == (trials, 7)
+        for i in range(trials):
+            _assert_runs_equal(_rows(batch, i), singles[i])
+        if trials == 203:
+            assert 0 < batch.gamma.mean() < 1
 
 
 def _stacked(triggers, trials):
@@ -338,37 +349,15 @@ def _stacked(triggers, trials):
     return TriggerConfig(phi, triggers[0].threshold)
 
 
-def _assert_runs_close(got, want, tol=1e-13):
-    assert np.array_equal(got.gamma, want.gamma)
-    for a, b in (
-        (got.xhat, want.xhat),
-        (got.P, want.P),
-        (got.cache.P_z, want.cache.P_z),
-        (got.cache.P_silent, want.cache.P_silent),
-        (got.cache.prob0, want.cache.prob0),
-    ):
-        assert a.shape == b.shape
-        assert np.abs(a - b).max() <= tol * np.abs(b).max()
-
-
 class TestStackedTrigger:
     """A (B, p, p) stack of whiteners filters B trials, each under its own."""
 
     def test_rows_equal_each_case_run(self):
-        model = tracking_preset()
-        triggers = [make_config(CASE_BOUNDS[case]) for case in sorted(CASE_BOUNDS)]
-        rngs = [np.random.default_rng(np.random.SeedSequence([21, i])) for i in range(9)]
-        ys = simulate(model, 30, rngs, x0=TRUE_INITIAL_STATE).measurements
-        stacked = EventTriggeredFilter(model, _stacked(triggers, 9)).run(np.tile(ys, (3, 1, 1)))
-        for i, trigger in enumerate(triggers):
-            rows = slice(9 * i, 9 * (i + 1))
-            got = FilterRun(
-                gamma=stacked.gamma[rows],
-                xhat=stacked.xhat[rows],
-                P=stacked.P[rows],
-                cache=_take(stacked.cache, rows),
-            )
-            _assert_runs_close(got, EventTriggeredFilter(model, trigger).run(ys))
+        filters, ys, _ = zip(*map(_trials_and_single_runs, sorted(CASE_BOUNDS)))
+        trigger = _stacked([f.trigger for f in filters], 203)
+        stacked = EventTriggeredFilter(tracking_preset(), trigger).run(np.concatenate(ys))
+        for i, filt in enumerate(filters):
+            _assert_runs_equal(_rows(stacked, slice(203 * i, 203 * (i + 1))), filt.run(ys[i]))
         # Over the same measurements, the halved bound (case 2) sends the most
         # and the widest (case 3) the least.
         case1, case2, case3 = stacked.gamma.reshape(3, -1).sum(axis=1)
@@ -378,16 +367,9 @@ class TestStackedTrigger:
         model, trig, filt = _tracking_filter()
         one = EventTriggeredFilter(model, replace(trig, phi=trig.phi[None]))
         ys = simulate(model, 20, np.random.default_rng(5)).measurements
-        _assert_runs_close(one.run(ys), filt.run(ys))
-        _assert_runs_close(one.run(ys[None]), filt.run(ys[None]))
-        (g1, s1), (g2, s2) = one.init(ys[0]), filt.init(ys[0])
-        for k in range(1, 21):
-            assert g1 == g2
-            for a, b in ((s1.xhat, s2.xhat), (s1.P, s2.P), (s1.cache.P_silent, s2.cache.P_silent)):
-                assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
-            assert s1.cache.prob0 == pytest.approx(s2.cache.prob0, rel=1e-13, abs=0.0)
-            (out1, s1), (out2, s2) = one.step(s1, ys[k]), filt.step(s2, ys[k])
-            g1, g2 = out1.gamma, out2.gamma
+        _assert_runs_equal(one.run(ys), filt.run(ys))
+        _assert_runs_equal(one.run(ys[None]), filt.run(ys[None]))
+        _assert_runs_equal(_stepped(one, ys), _stepped(filt, ys))
 
     def test_run_rejects_a_stack_of_another_length(self):
         model, trig, _ = _tracking_filter()
@@ -429,21 +411,11 @@ class TestStackedTrigger:
 class TestRunBookkeeping:
     def test_run_matches_manual_loop(self):
         model, trig, filt = _tracking_filter()
-        rng = np.random.default_rng(40)
-        traj = simulate(model, 30, rng)
-        run = filt.run(traj.measurements)
-        g, state = filt.init(traj.measurements[0])
-        assert run.gamma[0] == g
-        assert np.array_equal(run.xhat[0], state.xhat)
-        for k in range(1, 31):
-            out, state = filt.step(state, traj.measurements[k])
-            assert run.gamma[k] == out.gamma
-            assert np.array_equal(run.xhat[k], state.xhat)
-            assert np.array_equal(run.P[k], state.P)
-            assert run.cache.prob0[k] == state.cache.prob0
-            assert np.array_equal(run.cache.P_z[k], state.cache.P_z)
-            assert np.array_equal(run.cache.P_silent[k], state.cache.P_silent)
-            assert np.array_equal(state.P, state.cache.P_z if out.gamma else state.cache.P_silent)
+        ys = simulate(model, 30, np.random.default_rng(40)).measurements
+        run = filt.run(ys)
+        _assert_runs_equal(run, _stepped(filt, ys))
+        branch = np.where(run.gamma[:, None, None], run.cache.P_z, run.cache.P_silent)
+        assert np.array_equal(run.P, branch)
 
     @pytest.mark.parametrize("shape", [(11,), (2, 3, 11, 2), (0, 2), (4, 11, 3)])
     def test_run_rejects_bad_shape(self, shape):
@@ -523,8 +495,9 @@ class TestMeasurementGeometry:
     @pytest.mark.parametrize(
         "case, tol",
         # The stiff model's N_z eigenvalue ratio of 1e5 amplifies the roundoff
-        # of the prior itself (4.5e-14 in the gain).
-        [("tracking-case1", 1e-14), ("tracking-case3", 1e-14), ("random-p3", 1e-14),
+        # of the prior itself (4.5e-14 in the gain); the random model's gain
+        # reaches 1.6e-14 over simulate seeds 43-242.
+        [("tracking-case1", 1e-14), ("tracking-case3", 1e-14), ("random-p3", 2e-14),
          ("stiff-p3", 1e-13)],
     )
     def test_reads_only_the_lower_triangle_of_n_z(self, case, tol, request):

@@ -17,7 +17,8 @@ from etfilter.harness import (
     table1,
 )
 from etfilter.estimator import EventTriggeredFilter
-from etfilter.model import LinearGaussianModel, simulate
+from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
+from etfilter.rate import RateState, rate_one_step, rate_two_step
 from etfilter.trigger import make_config
 
 SMALL = dict(trials=40, steps=30, seed=77)
@@ -229,9 +230,8 @@ class TestTable1:
     def test_simulates_each_chunk_once_for_all_cases(self, monkeypatch, tmp_path):
         """The trajectories do not depend on the trigger: each 200-trial chunk
         is simulated once for the three cases and filtered as one stack.  Each
-        case's decisions, so its empirical rates, equal those ``run_monte_carlo``
-        gives it alone; the other floats agree to roundoff, as a trial's last
-        bits may depend on its position in the stack."""
+        case's summary equals the one ``run_monte_carlo`` gives it alone, bit
+        for bit, the short last chunk included."""
         config = ExperimentConfig(trials=250, steps=6, seed=11)
         calls = []
 
@@ -245,8 +245,28 @@ class TestTable1:
         for case, got in summaries.items():
             want = run_monte_carlo(replace(config, case=case))
             assert got.config == want.config
-            for field in ("rate_empirical", "rate_se"):
+            fields = ("rms", "rate_empirical", "rate_se", "rate_alg1", "rate_alg2", "avg_rates")
+            for field in fields:
                 assert np.array_equal(getattr(got, field), getattr(want, field)), (case, field)
-            for field in ("rms", "rate_alg1", "rate_alg2", "avg_rates"):
-                a, b = getattr(got, field), getattr(want, field)
-                assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), (case, field)
+
+    def test_rates_of_the_designated_trial_equal_the_online_loop(self, tmp_path):
+        """Each case's rate_alg1 and rate_alg2 are those of trial 40 filtered
+        alone by init and step, with rate_two_step called before each step,
+        bit for bit, although table1 filters that trial in a 600-row stack."""
+        config = ExperimentConfig(trials=250, steps=30, seed=5)
+        model = tracking_preset()
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 40]))
+        ys = simulate(model, config.steps - 1, rng, x0=TRUE_INITIAL_STATE).measurements
+        for case, summary in table1(config, tmp_path).items():
+            trig = summary.config.trigger
+            filt = EventTriggeredFilter(model, trig)
+            _, state = filt.init(ys[0])
+            alg1 = [rate_one_step(state.cache).gamma_hat]
+            alg2 = alg1[:]
+            for y in ys[1:]:
+                rate_state = RateState(state.cache.prob0, state.cache, model, trig)
+                alg2.append(rate_two_step(rate_state).gamma_hat)
+                _, state = filt.step(state, y)
+                alg1.append(rate_one_step(state.cache).gamma_hat)
+            assert np.array_equal(summary.rate_alg1, alg1), case
+            assert np.array_equal(summary.rate_alg2, alg2), case

@@ -322,8 +322,8 @@ class TestBatchedBallMoments:
         assert batch.prob.shape == (len(stack),)
         for i, n in enumerate(stack):
             one = ball_moments(n, r2)
-            for got, want in ((batch.prob[i], one.prob), (batch.conditional[i], one.conditional)):
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (i, p)
+            assert batch.prob[i] == one.prob, (i, p)
+            assert np.array_equal(batch.conditional[i], one.conditional), (i, p)
 
     def test_validates_every_row(self):
         good = np.eye(2)
@@ -397,6 +397,16 @@ class TestContourKernel:
         bm = _quiet(ball_moments, n, r2)
         assert bm.prob == pytest.approx(prob, rel=1e-10)
         assert np.diag(bm.conditional) == pytest.approx([cond_b, cond_a, cond_b], rel=1e-10)
+
+    @pytest.mark.parametrize("rows", [1, 7, 203])
+    def test_tiny_kernel_has_probability_exactly_one(self, rows):
+        """A kernel 1e30 times narrower than the ball rounds the real part of
+        Phi to 1 at every node, and the probability comes from the same
+        per-row dot product as its normaliser, so it is 1 exactly on every
+        row of a stack, with no clamp needed."""
+        for p in (1, 2, 3):
+            prob, _ = numerics._contour_moments(np.full((rows, p), 1e-30), 1.0)
+            assert (prob == 1.0).all(), p
 
     def test_tiny_ball_keeps_conditional_moment(self):
         """On the unit kernel the ball z'z <= 1e-200 has probability

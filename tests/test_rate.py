@@ -228,16 +228,11 @@ class TestTwoStepReadsCachedConstants:
     def test_branch_n_z_come_from_one_product_of_cached_constants(self, monkeypatch):
         """After the filter is built, the two-step predictor neither propagates
         nor whitens a covariance and derives no constants, for one cache or a
-        stack; a new trigger object gets constants of its own."""
+        stack, and a stack predicts each step as a call on its cache alone
+        does, bit for bit; a new trigger object gets constants of its own."""
         model, trig, filt = _setup()
         ys = simulate(model, 20, np.random.default_rng(57), x0=np.array(TRUE_INITIAL_STATE))
-        ys = ys.measurements
-        _, state = filt.init(ys[0])
-        caches = [state.cache]
-        for k in range(1, 21):
-            _, state = filt.step(state, ys[k])
-            caches.append(state.cache)
-        stack = filt.run(ys).cache
+        stack = filt.run(ys.measurements).cache
 
         def refuse(*_args, **_kwargs):
             raise AssertionError("the two-step predictor propagated or whitened a covariance")
@@ -252,11 +247,11 @@ class TestTwoStepReadsCachedConstants:
             ).gamma_hat
 
         misses = estimator._constants.cache_info().misses
-        single = [predict(cache) for cache in caches]
+        single = [predict(estimator._take(stack, k)) for k in range(21)]
         batched = predict(stack)
         assert estimator._constants.cache_info().misses == misses
         assert batched.shape == (21,)
-        np.testing.assert_allclose(batched, single, rtol=1e-14, atol=0.0)
+        assert np.array_equal(batched, single)
 
         assert not np.any(predict(stack, replace(trig, threshold=2.0 * trig.threshold)) == batched)
         # Phi and the threshold scaled together leave every ball probability
