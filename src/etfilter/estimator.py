@@ -16,7 +16,6 @@ measurement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -27,17 +26,10 @@ from .model import LinearGaussianModel
 from .numerics import _ball_full, symmetrize, validated_eigh
 from .trigger import TriggerConfig, decide
 
-__all__ = [
-    "EstimatorState",
-    "EventTriggeredFilter",
-    "FilterRun",
-    "StepCache",
-    "StepOutput",
-    "prior_cache",
-]
+__all__ = ["EstimatorState", "EventTriggeredFilter", "FilterRun", "StepCache", "StepOutput"]
 
-@dataclass(frozen=True)
-class StepCache:
+
+class StepCache(NamedTuple):
     """Step-k byproducts consumed by the rate predictors: both branch
     posteriors and the silence probability.
 
@@ -54,27 +46,19 @@ class StepCache:
     prob0: float
 
 
-def _take(batched, index):
-    """The trials ``index`` selects from a batched StepCache (an int drops their axis)."""
-    return StepCache(batched.P_z[index], batched.P_silent[index], batched.prob0[index])
-
-
-@dataclass(frozen=True)
-class EstimatorState:
+class EstimatorState(NamedTuple):
     xhat: NDArray
     P: NDArray
     cache: StepCache
 
 
-@dataclass(frozen=True)
-class StepOutput:
+class StepOutput(NamedTuple):
     """Per-step result beside the new state: the send decision."""
 
     gamma: int
 
 
-@dataclass(frozen=True)
-class FilterRun:
+class FilterRun(NamedTuple):
     """Per-step results of a whole run: one entry per time step, and a leading
     trial axis when a stack of trials was filtered.  ``cache`` holds every
     step's StepCache, its fields stacked the same way."""
@@ -91,14 +75,6 @@ def _check_inputs(model: LinearGaussianModel, trigger: TriggerConfig) -> None:
             f"trigger dimension {trigger.p} does not match measurement dimension {model.p}"
         )
     validated_eigh(model.R, "R", definite=True)
-
-
-def _check_unstacked(trigger: TriggerConfig) -> None:
-    """Raise for a stack of whiteners where one trial's trigger must be given."""
-    if trigger.phi.ndim != 2:
-        raise ValueError(
-            f"trigger stacks {len(trigger.phi)} whiteners; one whitener, not a stack, must be given"
-        )
 
 
 class _Constants(NamedTuple):
@@ -278,15 +254,3 @@ class EventTriggeredFilter:
         gamma, xhat, cov, *cache = out
         return FilterRun(gamma=gamma, xhat=xhat, P=cov, cache=StepCache(*cache))
 
-
-def prior_cache(model: LinearGaussianModel, trigger: TriggerConfig) -> StepCache:
-    """Time-0 cache: both branch posteriors and the silence probability.
-
-    Entirely data independent: it depends on the model prior and the trigger
-    only, which is what lets the rate bootstrap run before any measurement.
-    The trigger holds one whitener.
-    """
-    _check_inputs(model, trigger)
-    _check_unstacked(trigger)
-    _, p_z, p_silent, prob = _cache(_constants(model, trigger), model.x0_cov[None])
-    return StepCache(p_z[0], p_silent[0], prob[0])

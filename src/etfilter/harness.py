@@ -16,11 +16,12 @@ import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .estimator import EventTriggeredFilter, _take
+from .estimator import EventTriggeredFilter, StepCache
 from .model import TRUE_INITIAL_STATE, simulate, tracking_preset
 from .rate import RateState, rate_two_step
 from .trigger import TriggerConfig, make_config
@@ -110,8 +111,7 @@ class ExperimentConfig:
         return make_config(nbar, self.alpha)
 
 
-@dataclass(frozen=True)
-class ExperimentSummary:
+class ExperimentSummary(NamedTuple):
     """Aggregated benchmark results of the run ``config``.
 
     rms has one column per state of the tracking preset (position, velocity,
@@ -155,11 +155,11 @@ def _chunk_worker(configs: tuple[ExperimentConfig, ...], lo: int) -> list:
         err = run.xhat[rows] - traj.states
         rates = None
         if 0 <= row < b:
-            c = _take(run.cache, i * b + row)
+            c = StepCache(*(f[i * b + row] for f in run.cache))
             alg1 = 1.0 - c.prob0
             # Step k's two-step prediction reads the cache of step k-1; at step 0
             # there is no history and both predictors read the prior cache.
-            prev = _take(c, slice(None, -1))
+            prev = StepCache(*(f[:-1] for f in c))
             state = RateState(prev.prob0, prev, model, config.trigger)
             two_step = rate_two_step(state).gamma_hat
             rates = (alg1, np.concatenate([alg1[:1], two_step]))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -72,8 +73,7 @@ class LinearGaussianModel:
         return self.C.shape[0]
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """States x_0..x_K (shape (K+1, n)) and measurements y_0..y_K (shape (K+1, p)),
     both with a leading trial axis for a stack of trials."""
 

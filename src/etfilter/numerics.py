@@ -15,8 +15,8 @@ pure; the contour nodes are computed once at import.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -71,7 +71,7 @@ def psd_sqrt(a) -> NDArray:
     return vec * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def chi_square_quantile(alpha: float, dof: int) -> float:
     """Upper-tail chi-square quantile: the c with P(X > c) = alpha, X ~ chi2(dof).
 
@@ -91,13 +91,14 @@ def chi_square_quantile(alpha: float, dof: int) -> float:
     keeps both alpha and 1 - alpha exact, so alpha down to the smallest
     subnormal and up to 1 - 1e-16 keeps full relative accuracy.
 
-    Results are cached on (alpha, dof), so repeated configs skip the
-    bisection; invalid arguments are never cached and raise on every call.
+    Results are cached on (alpha, dof) and their types, so repeated configs
+    skip the bisection and a bool dof never hits the entry of 1; invalid
+    arguments are never cached and raise on every call.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    if int(dof) != dof or dof < 1:
+    if isinstance(dof, (bool, np.bool_)) or int(dof) != dof or dof < 1:
         raise ValueError(f"dof must be a positive integer, got {dof}")
     dof = int(dof)
     target = math.log1p(-alpha) - math.log(alpha)
@@ -157,8 +158,7 @@ def _log_erfc_scaled(y: float) -> float:
     return math.log(series / (z * math.sqrt(math.pi)))
 
 
-@dataclass(frozen=True)
-class BallMoments:
+class BallMoments(NamedTuple):
     """Moments of z ~ N(0, n) over the ball z'z <= radius2.
 
     prob        : P(z'z <= radius2)

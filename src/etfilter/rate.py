@@ -18,27 +18,25 @@ filtering history exists yet; it is built purely from the model prior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import estimator
-from .estimator import StepCache, prior_cache
+from .estimator import StepCache
 from .model import LinearGaussianModel
 from .trigger import TriggerConfig
 
 __all__ = ["RatePrediction", "RateState", "bootstrap_rates", "rate_one_step", "rate_two_step"]
 
 
-@dataclass(frozen=True)
-class RatePrediction:
+class RatePrediction(NamedTuple):
     """Expected transmission indicator: a float, or an array for a batched cache."""
 
     gamma_hat: float
 
 
-@dataclass(frozen=True)
-class RateState:
+class RateState(NamedTuple):
     """Inputs for the two-step predictor of step k.
 
     ``cache_prev`` is the filter cache produced at step k-1 and ``prob0_prev``
@@ -54,6 +52,14 @@ class RateState:
     trigger: TriggerConfig
 
 
+def _check_unstacked(trigger: TriggerConfig) -> None:
+    """Raise for a stack of whiteners where one trial's trigger must be given."""
+    if trigger.phi.ndim != 2:
+        raise ValueError(
+            f"trigger stacks {len(trigger.phi)} whiteners; one whitener, not a stack, must be given"
+        )
+
+
 def rate_one_step(cache: StepCache) -> RatePrediction:
     """Expected transmission indicator for step k given information to k-1."""
     return RatePrediction(gamma_hat=1.0 - cache.prob0)
@@ -67,7 +73,7 @@ def rate_two_step(state: RateState) -> RatePrediction:
     alone.  The predictor follows one trial, so the trigger holds one
     whitener.
     """
-    estimator._check_unstacked(state.trigger)
+    _check_unstacked(state.trigger)
     cache = state.cache_prev
     const = estimator._constants(state.model, state.trigger)
     p = state.trigger.p
@@ -87,9 +93,13 @@ def bootstrap_rates(model: LinearGaussianModel, trigger: TriggerConfig) -> tuple
 
     Step 0 uses the prior innovation covariance directly; step 1 is the
     two-step predictor seeded with the prior cache (there is nothing to
-    condition on yet, so the prediction is unconditional).
+    condition on yet, so the prediction is unconditional).  The prior cache
+    is the filter's time-0 cache, which no measurement changes.  The trigger
+    holds one whitener.
     """
-    cache0 = prior_cache(model, trigger)
+    _check_unstacked(trigger)
+    _, state = estimator.EventTriggeredFilter(model, trigger).init(model.C @ model.x0_mean)
+    cache0 = state.cache
     e0 = 1.0 - cache0.prob0
     e1 = rate_two_step(
         RateState(prob0_prev=cache0.prob0, cache_prev=cache0, model=model, trigger=trigger)

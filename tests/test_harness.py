@@ -176,7 +176,7 @@ class TestStatisticalOutputs:
         population transmission frequency.  The bands combine the intrinsic
         tracking error measured at reference scale with the binomial noise of
         the empirical frequency at the configured trial count."""
-        for case, summary in benchmark_results.summaries.items():
+        for case, summary in benchmark_results.items():
             diff = np.abs(summary.rate_empirical[2:] - summary.rate_alg2[2:])
             noise = float(summary.rate_se[2:].mean())
             assert diff.mean() < 0.02 + noise, case

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from etfilter import numerics
-from etfilter.estimator import EventTriggeredFilter, prior_cache
+from etfilter.estimator import EventTriggeredFilter
 from etfilter.harness import CASE_BOUNDS
 from etfilter.model import LinearGaussianModel, simulate, tracking_preset
 from etfilter.numerics import ball_moments, chi_square_quantile, psd_sqrt
@@ -63,8 +63,9 @@ class TestChiSquareQuantile:
         with pytest.raises(ValueError):
             chi_square_quantile(alpha, 2)
 
-    @pytest.mark.parametrize("dof", [0, -1, 2.5])
+    @pytest.mark.parametrize("dof", [0, -1, 2.5, True])
     def test_rejects_bad_dof(self, dof):
+        chi_square_quantile(0.05, 1)  # a cached (0.05, 1) must not answer for True
         with pytest.raises(ValueError):
             chi_square_quantile(0.05, dof)
 
@@ -254,7 +255,9 @@ class TestBallMomentsGeneral:
             pytest.param(lambda: ball_moments(1e-12 * np.eye(2), 1e-10), id="1e-12-1e-10"),
             pytest.param(lambda: ball_moments(np.eye(2), 100.0), id="1.0-100.0"),
             pytest.param(
-                lambda: prior_cache(tracking_preset(), make_config(CASE_BOUNDS["case1"])),
+                lambda: EventTriggeredFilter(
+                    tracking_preset(), make_config(CASE_BOUNDS["case1"])
+                ).init(np.zeros(2)),
                 id="prior_cache-case1",
             ),
         ],
@@ -293,8 +296,8 @@ class TestBallMomentsGeneral:
         ys = simulate(model, 5, rng).measurements
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cache = prior_cache(model, trig)
             _, state = filt.init(ys[0])
+            cache = state.cache
             for y in ys[1:]:
                 _, state = filt.step(state, y)
         assert cache.prob0 == pytest.approx(prob, rel=1e-9)

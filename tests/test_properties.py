@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from etfilter.estimator import prior_cache
+from etfilter.estimator import EventTriggeredFilter
 from etfilter.numerics import ball_moments, chi_square_quantile
 from etfilter.trigger import make_config
 
@@ -86,7 +86,8 @@ def test_branch_posteriors_are_ordered(seed, n, p, log_bound, alpha):
     """P_z <= P_silent <= the prior the measurement update starts from."""
     rng = np.random.default_rng(seed)
     model = random_model(rng, n, p)
-    cache = prior_cache(model, make_config(10.0**log_bound * random_spd(rng, p), alpha))
+    trigger = make_config(10.0**log_bound * random_spd(rng, p), alpha)
+    cache = EventTriggeredFilter(model, trigger).init(np.zeros(p))[1].cache
     slack = TOL * np.abs(model.x0_cov).max()
     assert _min_eig(cache.P_silent - cache.P_z) >= -slack
     assert _min_eig(model.x0_cov - cache.P_silent) >= -slack

@@ -1,13 +1,13 @@
 import math
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from etfilter import estimator
-from etfilter.estimator import EventTriggeredFilter, StepCache, prior_cache
+from etfilter.estimator import EventTriggeredFilter, StepCache
 from etfilter.harness import CASE_BOUNDS
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
 from etfilter.numerics import ball_moments
@@ -26,6 +26,11 @@ def _setup(nbar=CASE1):
     return model, trig, EventTriggeredFilter(model, trig)
 
 
+def _prior_cache(model, trig):
+    """The filter's time-0 cache, which no measurement changes (``test_data_independent``)."""
+    return EventTriggeredFilter(model, trig).init(np.zeros(model.p))[1].cache
+
+
 def _state_after(filt, measurements, k):
     _, state = filt.init(measurements[0])
     for i in range(1, k + 1):
@@ -36,7 +41,7 @@ def _state_after(filt, measurements, k):
 class TestRateOneStep:
     def test_complements_silence_probability(self):
         model, trig, filt = _setup()
-        cache = prior_cache(model, trig)
+        cache = _prior_cache(model, trig)
         assert rate_one_step(cache).gamma_hat == 1.0 - cache.prob0
 
     def test_matches_sampled_frequency(self):
@@ -63,7 +68,7 @@ class TestRateOneStep:
 class TestRateTwoStep:
     def test_label_and_bounds(self):
         model, trig, filt = _setup()
-        cache = prior_cache(model, trig)
+        cache = _prior_cache(model, trig)
         pred = rate_two_step(
             RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=trig)
         )
@@ -73,11 +78,11 @@ class TestRateTwoStep:
         """The prediction must sit between the send-branch and silent-branch
         conditional rates and reduce to them at the probability extremes."""
         model, trig, filt = _setup()
-        cache = prior_cache(model, trig)
+        cache = _prior_cache(model, trig)
         base = RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=trig)
         mid = rate_two_step(base).gamma_hat
-        all_sent = rate_two_step(replace(base, prob0_prev=0.0)).gamma_hat
-        all_silent = rate_two_step(replace(base, prob0_prev=1.0)).gamma_hat
+        all_sent = rate_two_step(base._replace(prob0_prev=0.0)).gamma_hat
+        all_silent = rate_two_step(base._replace(prob0_prev=1.0)).gamma_hat
         lo, hi = sorted((all_sent, all_silent))
         assert lo <= mid <= hi
         want = all_sent + cache.prob0 * (all_silent - all_sent)
@@ -129,7 +134,7 @@ class TestRateTwoStep:
         the two-step mixture is still defined and every step all but surely sends."""
         model, trig, _ = _setup()
         tiny = replace(trig, threshold=1e-305)
-        cache = prior_cache(model, tiny)
+        cache = _prior_cache(model, tiny)
         assert 0.0 < cache.prob0 < 1e-300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -247,7 +252,7 @@ class TestTwoStepReadsCachedConstants:
             ).gamma_hat
 
         misses = estimator._constants.cache_info().misses
-        single = [predict(estimator._take(stack, k)) for k in range(21)]
+        single = [predict(StepCache(*(f[k] for f in stack))) for k in range(21)]
         batched = predict(stack)
         assert estimator._constants.cache_info().misses == misses
         assert batched.shape == (21,)
@@ -308,7 +313,7 @@ class TestNeverSend:
         model, trig, _ = _setup()
         never = replace(trig, threshold=math.inf)
         assert bootstrap_rates(model, never) == (0.0, 0.0)
-        cache = prior_cache(model, never)
+        cache = _prior_cache(model, never)
         assert rate_one_step(cache).gamma_hat == 0.0
         pred = rate_two_step(
             RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=never)
@@ -323,15 +328,13 @@ class TestAlwaysSend:
         model, trig, _ = _setup()
         always = replace(trig, threshold=0.0)
         assert bootstrap_rates(model, always) == (1.0, 1.0)
-        cache = prior_cache(model, always)
+        cache = _prior_cache(model, always)
         assert rate_one_step(cache).gamma_hat == 1.0
         pred = rate_two_step(
             RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=always)
         )
         assert pred.gamma_hat == 1.0
-        stacked = StepCache(
-            **{f.name: np.stack([getattr(cache, f.name)] * 3) for f in fields(StepCache)}
-        )
+        stacked = StepCache(*(np.stack([f] * 3) for f in cache))
         pred = rate_two_step(
             RateState(prob0_prev=stacked.prob0, cache_prev=stacked, model=model, trigger=always)
         )
@@ -349,7 +352,7 @@ class TestHugeBound:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             e0, e1 = bootstrap_rates(model, trig)
-            cache = prior_cache(model, trig)
+            cache = _prior_cache(model, trig)
             two = rate_two_step(
                 RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=trig)
             ).gamma_hat
@@ -361,14 +364,14 @@ class TestBootstrap:
     def test_first_value_complements_prior_silence(self):
         model, trig, _ = _setup()
         e0, e1 = bootstrap_rates(model, trig)
-        cache = prior_cache(model, trig)
+        cache = _prior_cache(model, trig)
         assert e0 == 1.0 - cache.prob0
         assert 0.0 <= e1 <= 1.0
 
     def test_second_value_is_two_step_from_prior(self):
         model, trig, _ = _setup()
         _, e1 = bootstrap_rates(model, trig)
-        cache = prior_cache(model, trig)
+        cache = _prior_cache(model, trig)
         want = rate_two_step(
             RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=trig)
         ).gamma_hat
