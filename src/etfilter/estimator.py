@@ -86,9 +86,6 @@ class _Constants(NamedTuple):
     phi_c_t: NDArray  # (Phi C)'
     phi_r_phi: NDArray  # Phi R Phi'
     eye: NDArray  # I_n
-    lead: NDArray  # Phi C A
-    lead_t: NDArray  # (Phi C A)'
-    floor: NDArray  # Phi C Q C' Phi' + Phi R Phi', symmetrized
 
 
 @lru_cache(maxsize=8)
@@ -96,19 +93,15 @@ def _constants(model: LinearGaussianModel, trigger: TriggerConfig) -> _Constants
     """The constants of a (model, trigger) pair, derived once per pair.
 
     Keyed on object identity: both classes compare and hash by identity and
-    hold read-only arrays, so a cached entry cannot go stale.  N_z of the
-    prior that follows a posterior P is lead P lead' + floor, which is
-    Phi C (A P A' + Q) C' Phi' + Phi R Phi'.  A stacked trigger gives every
-    product of Phi the same leading axis.
+    hold read-only arrays, so a cached entry cannot go stale.  The filter
+    step and the two-step rate predictor both whiten a prior cov into
+    N_z = Phi C cov C' Phi' + Phi R Phi' from these products.  A stacked
+    trigger gives every product of Phi the same leading axis.
     """
     phi = trigger.phi
     phi_c = phi @ model.C
-    phi_c_t = phi_c.swapaxes(-1, -2)
     phi_r_phi = phi @ model.R @ phi.swapaxes(-1, -2)
-    lead = phi_c @ model.A
-    floor = symmetrize(phi_c @ model.Q @ phi_c_t + phi_r_phi)
-    eye, lead_t = np.eye(model.n), lead.swapaxes(-1, -2)
-    const = _Constants(model, trigger, phi_c, phi_c_t, phi_r_phi, eye, lead, lead_t, floor)
+    const = _Constants(model, trigger, phi_c, phi_c.swapaxes(-1, -2), phi_r_phi, np.eye(model.n))
     for array in const[2:]:  # every caller shares them
         array.setflags(write=False)
     return const
@@ -124,27 +117,42 @@ def _checked(lam: NDArray) -> NDArray:
     return lam
 
 
+def _prior(model: LinearGaussianModel, cov: NDArray) -> NDArray:
+    """The time update A P A' + Q of (B, n, n) posterior covariances."""
+    return model.A @ cov @ model.A.T + model.Q
+
+
+def _silence(const: _Constants, cov: NDArray):
+    """Whiten (B, n, n) prior covariances and take their silence balls.
+
+    Returns (cross, lam, vec, prob0, d): cross = cov (Phi C)', the eigenvalues
+    and eigenvectors of N_z = Phi C cov C' Phi' + Phi R Phi', and the ball's
+    probability and eigenframe second moments (``_ball_full``).  N_z is checked
+    only for what roundoff can break (``_checked``).
+    """
+    cross = cov @ const.phi_c_t
+    lam, vec = np.linalg.eigh(const.phi_c @ cross + const.phi_r_phi)
+    prob, d = _ball_full(_checked(lam), const.trigger.threshold)
+    return cross, lam, vec, prob, d
+
+
 def _cache(const: _Constants, cov: NDArray):
     """Measurement geometry and silence-ball step from (B, n, n) prior covariances.
 
     Returns (gain, P_z, P_silent, prob0), plain arrays with a leading trial
     axis, the last three a StepCache's fields; none depends on the
     measurements.  Everything comes from one eigendecomposition
-    N_z = V diag(lam) V': with U = cov (Phi C)' V diag(1 / lam), the whitened
-    gain in the eigenframe, the gain is U V' Phi, the send branch takes the
-    Joseph-stabilized update, and the silent branch adds U diag(d) U' for the
-    ball's eigenframe second moments d.  Each factor divides by lam once, so
-    no lam^2 can underflow.  N_z is checked only for what roundoff can break
-    (``_checked``).
+    N_z = V diag(lam) V' (``_silence``): with U = cov (Phi C)' V diag(1 / lam),
+    the whitened gain in the eigenframe, the gain is U V' Phi, the send branch
+    takes the Joseph-stabilized update, and the silent branch adds U diag(d) U'
+    for the ball's eigenframe second moments d.  Each factor divides by lam
+    once, so no lam^2 can underflow.
 
-    Neither cov nor N_z = Phi C cov C' Phi' + Phi R Phi' is symmetrized:
-    ``eigh`` reads only the lower triangle of N_z, and cov enters only
-    through cross = cov (Phi C)' and the Joseph product, which is
-    symmetrized itself.
+    Neither cov nor N_z is symmetrized: ``eigh`` reads only the lower
+    triangle of N_z, and cov enters only through cross and the Joseph
+    product, which is symmetrized itself.
     """
-    cross = cov @ const.phi_c_t
-    lam, vec = np.linalg.eigh(const.phi_c @ cross + const.phi_r_phi)
-    prob, d = _ball_full(_checked(lam), const.trigger.threshold)
+    cross, lam, vec, prob, d = _silence(const, cov)
     u = cross @ vec / lam[:, None, :]
     gain = u @ (vec.swapaxes(1, 2) @ const.trigger.phi)
     a = const.eye - gain @ const.model.C
@@ -153,10 +161,63 @@ def _cache(const: _Constants, cov: NDArray):
     return gain, p_z, p_silent, prob
 
 
+# The next step's geometry of the last one-row cache whose branches
+# ``_branch_silence`` evaluated: (constants, P_z, P_silent, the 2-row
+# ``_cache`` output of the priors after a send and after a silence).
+_primed = None
+
+
+def _frozen(a) -> bool:
+    """Whether ``a`` is an array no caller can write, so that its identity pins its values."""
+    return isinstance(a, np.ndarray) and not a.flags.writeable
+
+
+def _branch_silence(const: _Constants, cache: StepCache) -> NDArray:
+    """Silence probabilities of the step after ``cache`` under each branch:
+    rows (after a send, after a silence), of the priors A P A' + Q for P in
+    (P_z, P_silent), each row of length K for a stack of K caches.
+
+    A one-row cache takes both branches' whole ``_cache`` in one 2-row call
+    and keeps it for ``step``: a state whose P is one of these very arrays,
+    read-only, stepped under the same constants, takes its branch's row in
+    place of its own ``_cache`` call.  A row of a stack has the bits of its
+    one-row call, so the filter's output does not change.  A stack of caches
+    takes the probabilities alone.
+    """
+    global _primed
+    m, p_z, p_silent = const.model, cache.P_z, cache.P_silent
+    prior = _prior(m, np.stack((p_z, p_silent)).reshape(-1, m.n, m.n))
+    if np.ndim(cache.prob0) != 0:
+        return _silence(const, prior)[3].reshape(2, -1)
+    geometry = _cache(const, prior)
+    if _frozen(p_z) and _frozen(p_silent):
+        _primed = (const, p_z, p_silent, geometry)
+    return geometry[3]
+
+
+def _primed_row(const: _Constants, cov) -> list | None:
+    """The primed geometry of the branch whose posterior is the array ``cov``, or None."""
+    primed = _primed  # read once: the slot may be refilled meanwhile
+    if primed is not None and primed[0] is const:
+        if cov is primed[1]:
+            return [f[:1] for f in primed[3]]
+        if cov is primed[2]:
+            return [f[1:] for f in primed[3]]
+    return None
+
+
 def _state(advanced) -> tuple[int, EstimatorState]:
-    """The decision and state of a one-row ``_advance``, wrapped once."""
-    gamma, xhat, cov, p_z, p_silent, prob = advanced
-    return int(gamma[0]), EstimatorState(xhat[0], cov[0], StepCache(p_z[0], p_silent[0], prob[0]))
+    """The decision and state of a one-row ``_advance``, wrapped once.
+
+    P is the taken branch's own posterior array, and both posteriors are
+    read-only, so ``step`` can match a primed geometry row by identity.
+    """
+    gamma, xhat, _, p_z, p_silent, prob = advanced
+    gamma, p_z, p_silent = int(gamma[0]), p_z[0], p_silent[0]
+    p_z.setflags(write=False)
+    p_silent.setflags(write=False)
+    cov = p_z if gamma else p_silent
+    return gamma, EstimatorState(xhat[0], cov, StepCache(p_z, p_silent, prob[0]))
 
 
 class EventTriggeredFilter:
@@ -192,10 +253,13 @@ class EventTriggeredFilter:
 
     # -- the batched recursion -------------------------------------------------
 
-    def _advance(self, xhat: NDArray, cov: NDArray, ys: NDArray, predict: bool = True):
+    def _advance(
+        self, xhat: NDArray, cov: NDArray, ys: NDArray, predict: bool = True, geometry=None
+    ):
         """Update B trials with this step's measurements (B, p), from the
         previous step's posterior (B, n), (B, n, n), or, without ``predict``,
-        from this step's prior.
+        from this step's prior.  ``geometry``, when given, is the ``_cache``
+        output of this step's prior, and ``cov`` is not read.
 
         The time update is A xhat and A P A' + Q.  Received steps take the
         Kalman update; silent steps keep the predicted mean and take the
@@ -204,10 +268,12 @@ class EventTriggeredFilter:
         """
         const, m = self._const, self._const.model
         if predict:
-            xhat, cov = np.matvec(m.A, xhat), m.A @ cov @ m.A.T + m.Q
+            xhat = np.matvec(m.A, xhat)
         innovation = ys - np.matvec(m.C, xhat)
         gamma = decide(const.trigger, innovation)
-        gain, p_z, p_silent, prob = _cache(const, cov)
+        if geometry is None:
+            geometry = _cache(const, _prior(m, cov) if predict else cov)
+        gain, p_z, p_silent, prob = geometry
         xhat = np.where(gamma[:, None], xhat + np.matvec(gain, innovation), xhat)
         cov = np.where(gamma[:, None, None], p_z, p_silent)
         return gamma, xhat, cov, p_z, p_silent, prob
@@ -227,8 +293,16 @@ class EventTriggeredFilter:
         return _state(self._advance(m.x0_mean[None], m.x0_cov[None], self._one(y0), predict=False))
 
     def step(self, state: EstimatorState, y) -> tuple[StepOutput, EstimatorState]:
-        """Advance one step with ``y``, the measurement of the step after ``state``."""
-        gamma, state = _state(self._advance(state.xhat[None], state.P[None], self._one(y)))
+        """Advance one step with ``y``, the measurement of the step after ``state``.
+
+        When ``rate_two_step`` last predicted from ``state.cache`` under this
+        filter's model and trigger, it already computed this step's geometry
+        for both branches, and the step takes the row of the branch ``state``
+        took.
+        """
+        ys = self._one(y)
+        geometry = _primed_row(self._const, state.P)
+        gamma, state = _state(self._advance(state.xhat[None], state.P[None], ys, True, geometry))
         return StepOutput(gamma), state
 
     def run(self, measurements) -> FilterRun:

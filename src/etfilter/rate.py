@@ -6,11 +6,11 @@ Two predictors for the probability that step k stays silent:
   already in the cache (``prob0``), so prediction is just its complement.
 * two-step: conditions on everything up to k-2 by marginalizing over whether
   step k-1 transmitted.  The k-1 cache holds both branch posteriors P; the
-  N_z of the step after each is one product lead P lead' + floor of the
-  cached (model, trigger) constants, and the branch probabilities mix through
-  the cached one-step silence probability of step k-1.  Each probability
-  needs only the eigenvalues of its branch N_z, checked as the filter checks
-  its own.
+  step after each has the prior A P A' + Q, and the branch silence
+  probabilities mix through the cached one-step silence probability of step
+  k-1.  Both priors go through the filter's own geometry in one 2-row call,
+  which the filter's next step reuses for the branch it takes, so an online
+  loop that predicts before each step eigendecomposes once per step.
 
 A bootstrap provides the expected rates at the first two steps, where no
 filtering history exists yet; it is built purely from the model prior.
@@ -68,24 +68,25 @@ def rate_one_step(cache: StepCache) -> RatePrediction:
 def rate_two_step(state: RateState) -> RatePrediction:
     """Expected transmission indicator for step k given information to k-2.
 
-    The send- and silent-branch N_z of every step are formed in one product
-    and evaluated as one batch of ball probabilities, from their eigenvalues
-    alone.  The predictor follows one trial, so the trigger holds one
-    whitener.
+    The send- and silent-branch priors of every step are evaluated as one
+    batch of ball probabilities, by the filter's own geometry.  The predictor
+    follows one trial, so the trigger holds one whitener, and ``prob0_prev``
+    is a probability: a value outside [0, 1], NaN included, raises ValueError.
     """
     _check_unstacked(state.trigger)
-    cache = state.cache_prev
+    cache, q = state.cache_prev, state.prob0_prev
+    one = np.ndim(cache.prob0) == 0
+    if one:
+        valid = 0.0 <= q <= 1.0  # NaN fails every comparison
+    else:
+        q = np.asarray(q)
+        valid = np.all((0.0 <= q) & (q <= 1.0))
+    if not valid:
+        raise ValueError(f"prob0_prev must lie in [0, 1], got {state.prob0_prev!r}")
     const = estimator._constants(state.model, state.trigger)
-    p = state.trigger.p
-    branches = np.array((cache.P_z, cache.P_silent))
-    n_z = const.lead @ branches @ const.lead_t + const.floor  # eigvalsh reads its lower triangle
-    lam = estimator._checked(np.linalg.eigvalsh(n_z.reshape(-1, p, p)))
-    probs = estimator._ball_full(lam, state.trigger.threshold)[0]
-    p_sent, p_silent = probs.reshape(2, -1)
-    prob0 = p_sent + state.prob0_prev * (p_silent - p_sent)
-    if np.ndim(cache.prob0) == 0:
-        prob0 = float(prob0[0])
-    return RatePrediction(gamma_hat=1.0 - prob0)
+    p_sent, p_silent = estimator._branch_silence(const, cache)
+    prob0 = p_sent + q * (p_silent - p_sent)
+    return RatePrediction(gamma_hat=1.0 - (float(prob0) if one else prob0))
 
 
 def bootstrap_rates(model: LinearGaussianModel, trigger: TriggerConfig) -> tuple[float, float]:

@@ -410,6 +410,21 @@ class TestRunBookkeeping:
         branch = np.where(run.gamma[:, None, None], run.cache.P_z, run.cache.P_silent)
         assert np.array_equal(run.P, branch)
 
+    def test_one_row_states_hold_read_only_branch_covariances(self):
+        """P is the taken branch's own posterior, and P, P_z and P_silent
+        cannot be written: the two-step predictor's shared geometry is keyed
+        on these arrays' identity."""
+        model, trig, filt = _tracking_filter()
+        ys = simulate(model, 3, np.random.default_rng(44)).measurements
+        gamma, state = filt.init(ys[0])
+        for y in ys[1:]:
+            assert state.P is (state.cache.P_z if gamma else state.cache.P_silent)
+            for cov in (state.P, state.cache.P_z, state.cache.P_silent):
+                with pytest.raises(ValueError, match="read-only"):
+                    cov[0, 0] = 1.0
+            out, state = filt.step(state, y)
+            gamma = out.gamma
+
     @pytest.mark.parametrize("shape", [(11,), (2, 3, 11, 2), (0, 2), (4, 11, 3)])
     def test_run_rejects_bad_shape(self, shape):
         _, _, filt = _tracking_filter()

@@ -129,6 +129,24 @@ class TestRateTwoStep:
             with pytest.raises(ValueError, match="one whitener, not a stack"):
                 bootstrap_rates(model, t)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan, math.inf])
+    def test_rejects_a_prob0_prev_outside_the_unit_interval(self, bad):
+        """``prob0_prev`` is a probability: a value outside [0, 1], NaN
+        included, raises instead of extrapolating the branch mixture, for one
+        cache and for a stack in which a single step is bad."""
+        model, trig, filt = _setup()
+        cache = _prior_cache(model, trig)
+        with pytest.raises(ValueError, match="prob0_prev"):
+            rate_two_step(RateState(prob0_prev=bad, cache_prev=cache, model=model, trigger=trig))
+        ys = simulate(model, 5, np.random.default_rng(59)).measurements
+        stack = filt.run(ys).cache
+        probs = stack.prob0.copy()
+        probs[3] = bad
+        with pytest.raises(ValueError, match="prob0_prev"):
+            rate_two_step(RateState(prob0_prev=probs, cache_prev=stack, model=model, trigger=trig))
+        for edge in (0.0, 1.0):
+            rate_two_step(RateState(prob0_prev=edge, cache_prev=cache, model=model, trigger=trig))
+
     def test_underflowed_silence_probability_gives_finite_rates(self):
         """At threshold 1e-305 the silence probability underflows to ~5e-307;
         the two-step mixture is still defined and every step all but surely sends."""
@@ -231,20 +249,18 @@ class TestHotPathSkipsValidator:
 
 class TestTwoStepReadsCachedConstants:
     def test_branch_n_z_come_from_one_product_of_cached_constants(self, monkeypatch):
-        """After the filter is built, the two-step predictor neither propagates
-        nor whitens a covariance and derives no constants, for one cache or a
-        stack, and a stack predicts each step as a call on its cache alone
-        does, bit for bit; a new trigger object gets constants of its own."""
+        """After the filter is built, the two-step predictor runs no filter
+        recursion and derives no constants, for one cache or a stack, and a
+        stack predicts each step as a call on its cache alone does, bit for
+        bit; a new trigger object gets constants of its own."""
         model, trig, filt = _setup()
         ys = simulate(model, 20, np.random.default_rng(57), x0=np.array(TRUE_INITIAL_STATE))
         stack = filt.run(ys.measurements).cache
 
         def refuse(*_args, **_kwargs):
-            raise AssertionError("the two-step predictor propagated or whitened a covariance")
+            raise AssertionError("the two-step predictor ran the filter recursion")
 
-        # The filter's time update lives in ``_advance`` and its whitening in ``_cache``.
         monkeypatch.setattr(estimator.EventTriggeredFilter, "_advance", refuse)
-        monkeypatch.setattr(estimator, "_cache", refuse)
 
         def predict(cache, trigger=trig):
             return rate_two_step(
@@ -269,14 +285,15 @@ class TestTwoStepReadsCachedConstants:
 class TestPerStepCallStructure:
     def test_one_eigensolve_and_one_ball_call_per_step_and_per_prediction(self, monkeypatch):
         """A filter step runs one ``eigh`` and one ``_ball_full`` and wraps one
-        StepCache, and a whole run wraps one StepCache, none per step; a
-        two-step prediction runs one ``eigvalsh`` and one ``_ball_full``, for
-        one cache and for a stack of them alike."""
+        StepCache, and so does a two-step prediction followed by the step it
+        predicts, which shares the prediction's geometry; a whole run wraps
+        one StepCache, none per step; a prediction on a stack of caches runs
+        one ``eigh`` and one ``_ball_full``."""
         model, trig, filt = _setup()
-        ys = simulate(model, 10, np.random.default_rng(58), x0=np.array(TRUE_INITIAL_STATE))
+        ys = simulate(model, 20, np.random.default_rng(58), x0=np.array(TRUE_INITIAL_STATE))
         ys = ys.measurements
         _, state = filt.init(ys[0])
-        stack = filt.run(ys).cache
+        stack = filt.run(ys[:11]).cache
         calls = {}
 
         def spy(module, name):
@@ -293,19 +310,167 @@ class TestPerStepCallStructure:
         spy(estimator, "_ball_full")
         spy(estimator, "StepCache")
 
+        def predict(cache):
+            rate_two_step(
+                RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=trig)
+            )
+
         for k in range(1, 11):
             calls.clear()
             _, state = filt.step(state, ys[k])
             assert calls == {"eigh": 1, "_ball_full": 1, "StepCache": 1}, k
-        calls.clear()
-        filt.run(ys)
-        assert calls == {"eigh": 11, "_ball_full": 11, "StepCache": 1}
-        for cache in (state.cache, stack):
+        for k in range(11, 21):
             calls.clear()
-            rate_two_step(
-                RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=trig)
-            )
-            assert calls == {"eigvalsh": 1, "_ball_full": 1}
+            predict(state.cache)
+            _, state = filt.step(state, ys[k])
+            assert calls == {"eigh": 1, "_ball_full": 1, "StepCache": 1}, k
+        calls.clear()
+        filt.run(ys[:11])
+        assert calls == {"eigh": 11, "_ball_full": 11, "StepCache": 1}
+        calls.clear()
+        predict(stack)
+        assert calls == {"eigh": 1, "_ball_full": 1}
+
+
+def _predicted_steps(filt, ys, predict):
+    """Step one trial through ``ys``; with ``predict``, make the two-step
+    prediction from each state before stepping it.  Returns the per-step
+    (gamma, xhat, P, P_z, P_silent, prob0) and the predictions."""
+    gamma, state = filt.init(ys[0])
+    rows, preds = [(gamma, *state[:2], *state.cache)], []
+    for y in ys[1:]:
+        if predict:
+            preds.append(_predict(filt, state))
+        out, state = filt.step(state, y)
+        rows.append((out.gamma, *state[:2], *state.cache))
+    return rows, preds
+
+
+def _predict(filt, state, trigger=None):
+    cache = state.cache
+    return rate_two_step(
+        RateState(cache.prob0, cache, filt.model, filt.trigger if trigger is None else trigger)
+    ).gamma_hat
+
+
+def _assert_steps_equal(got, want):
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True)), k
+
+
+class TestSharedBranchGeometry:
+    """A two-step prediction from a one-row cache computes the next step's
+    geometry for both branches, and the step that follows takes the row of
+    the branch it took; the filter's output must be the step's own, bit for
+    bit, and a state the prediction was not made from must never take it."""
+
+    @pytest.mark.parametrize("case", ["case1", "stiff-p3"])
+    def test_predicting_before_each_step_leaves_the_filter_bitwise_unchanged(
+        self, case, request, monkeypatch
+    ):
+        if case == "stiff-p3":
+            model, nbar = request.getfixturevalue("three_output_model"), np.diag([1e4, 1e-2, 8.0])
+        else:
+            model, nbar = tracking_preset(), CASE_BOUNDS[case]
+        filt = EventTriggeredFilter(model, make_config(nbar, 0.05))
+        ys = simulate(model, 100, np.random.default_rng(60), x0=np.array(TRUE_INITIAL_STATE))
+        alone, _ = _predicted_steps(filt, ys.measurements, predict=False)
+        calls = []
+        original = estimator._cache
+        monkeypatch.setattr(estimator, "_cache", lambda *a: calls.append(1) or original(*a))
+        primed, preds = _predicted_steps(filt, ys.measurements, predict=True)
+        # init, then one 2-row call per prediction and none in the steps.
+        assert len(calls) == 101
+        _assert_steps_equal(primed, alone)
+        assert 0 < sum(row[0] for row in alone) < 100
+        assert all(0.0 <= p <= 1.0 for p in preds)
+
+    def test_a_state_the_prediction_was_not_made_from_recomputes(self, monkeypatch):
+        model, trig, filt = _setup()
+        ys = simulate(model, 30, np.random.default_rng(61), x0=np.array(TRUE_INITIAL_STATE))
+        ys = ys.measurements
+        states = [filt.init(ys[0])[1]]
+        for y in ys[1:]:
+            states.append(filt.step(states[-1], y)[1])
+        silent = next(s for s in states[1:] if s.P is s.cache.P_silent)
+        other = next(s for s in states[1:] if s is not silent).cache.P_silent
+        y = ys[-1]
+        calls = []
+        original = estimator._cache
+        monkeypatch.setattr(estimator, "_cache", lambda *a: calls.append(1) or original(*a))
+
+        def stepped(state, f=filt):
+            """The step's output and how many ``_cache`` calls it made."""
+            calls.clear()
+            out, new = f.step(state, y)
+            return (out.gamma, *new[:2], *new.cache), len(calls)
+
+        def fresh(state, f=filt):
+            with monkeypatch.context() as m:
+                m.setattr(estimator, "_primed", None)
+                return stepped(state, f)[0]
+
+        def check(state, computed, f=filt):
+            got, count = stepped(state, f)
+            assert count == (1 if computed else 0)
+            _assert_steps_equal([got], [fresh(state, f)])
+
+        # A cache whose silent branch was replaced: the state that took the
+        # original silent branch recomputes; one that took the replacement reuses.
+        replaced = silent.cache._replace(P_silent=other)
+        _predict(filt, silent._replace(cache=replaced))
+        check(silent, computed=True)
+        check(silent._replace(P=other, cache=replaced), computed=False)
+
+        # A prediction under another trigger object, even one of equal values,
+        # is not this filter's; a filter on that object reuses it.
+        for twin in (replace(trig), replace(trig, threshold=2.0 * trig.threshold)):
+            _predict(filt, silent, twin)
+            check(silent, computed=True)
+            _predict(filt, silent, twin)
+            check(silent, computed=False, f=EventTriggeredFilter(model, twin))
+
+        # A state whose P is a copy of the branch array recomputes.
+        _predict(filt, silent)
+        check(silent._replace(P=silent.P.copy()), computed=True)
+        check(silent, computed=False)
+
+        # A writable cache can change after the prediction, so it primes nothing.
+        mine = StepCache(silent.cache.P_z.copy(), silent.cache.P_silent.copy(), silent.cache.prob0)
+        state = silent._replace(P=mine.P_silent, cache=mine)
+        _predict(filt, state)
+        mine.P_silent[...] = other
+        check(state, computed=True)
+
+    def test_interleaved_filters_equal_each_filter_alone(self):
+        """Case 1 and case 3 predicted and stepped in varying interleavings
+        give each filter's own outputs and predictions."""
+        model = tracking_preset()
+        filters = [
+            EventTriggeredFilter(model, make_config(CASE_BOUNDS[c])) for c in ("case1", "case3")
+        ]
+        ys = simulate(model, 40, np.random.default_rng(62), x0=np.array(TRUE_INITIAL_STATE))
+        ys = ys.measurements
+        alone = [_predicted_steps(f, ys, predict=True) for f in filters]
+        orders = [("p0", "p1", "s0", "s1"), ("p0", "s0", "p1", "s1"),
+                  ("p1", "p0", "s0", "s1"), ("p0", "p1", "s1", "s0")]
+        states, rows, preds = [], [[], []], [[], []]
+        for i, f in enumerate(filters):
+            gamma, state = f.init(ys[0])
+            states.append(state)
+            rows[i].append((gamma, *state[:2], *state.cache))
+        for k in range(1, len(ys)):
+            for op in orders[k % len(orders)]:
+                i = int(op[1])
+                if op[0] == "p":
+                    preds[i].append(_predict(filters[i], states[i]))
+                else:
+                    out, states[i] = filters[i].step(states[i], ys[k])
+                    rows[i].append((out.gamma, *states[i][:2], *states[i].cache))
+        for i in range(2):
+            _assert_steps_equal(rows[i], alone[i][0])
+            assert preds[i] == alone[i][1]
 
 
 class TestNeverSend:
