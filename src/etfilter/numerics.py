@@ -29,6 +29,26 @@ def symmetrize(a: NDArray) -> NDArray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
+def _eigh_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh(a: NDArray) -> tuple[NDArray, NDArray]:
+    """``np.linalg.eigh`` of a float64 (..., p, p) stack, without its wrapper.
+
+    Calls the LAPACK gufunc that ``np.linalg.eigh`` wraps, on the lower
+    triangle, under the same ``errstate``, so the eigenvalues and
+    eigenvectors keep their bits and non-convergence raises the same
+    LinAlgError.  The wrapper's shape and type checks are left to the callers,
+    which pass float64 stacks of square matrices; they cost about 5 us of a
+    roughly 100 us online filter step (numpy 2.4 on a 2-core Xeon).
+    """
+    with np.errstate(
+        call=_eigh_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        return np.linalg._umath_linalg.eigh_lo(a, signature="d->dd")
+
+
 def validated_eigh(a, name: str, definite: bool) -> tuple[NDArray, NDArray, NDArray]:
     """Check a symmetric positive (semi)definite matrix, or a (B, p, p) stack of
     them, and return its symmetric part with the eigenvalues and eigenvectors.
@@ -52,7 +72,7 @@ def validated_eigh(a, name: str, definite: bool) -> tuple[NDArray, NDArray, NDAr
         raise ValueError(f"{name} is not symmetric within 1e-12 relative")
     if asym.any():  # an exactly symmetric m is its own symmetric part, even near overflow
         m = symmetrize(m)
-    lam, vec = np.linalg.eigh(m)
+    lam, vec = _eigh(m)
     low = lam[..., 0]
     if definite and not (low > 0.0).all():
         raise ValueError(f"{name} is not positive definite (min eigenvalue {low.min():.3e})")

@@ -10,7 +10,10 @@ Two predictors for the probability that step k stays silent:
   probabilities mix through the cached one-step silence probability of step
   k-1.  Both priors go through the filter's own geometry in one 2-row call,
   which the filter's next step reuses for the branch it takes, so an online
-  loop that predicts before each step eigendecomposes once per step.
+  loop that predicts before each step eigendecomposes once per step.  That
+  eigensolve calls the LAPACK gufunc ``np.linalg.eigh`` wraps directly,
+  under the same ``errstate`` and with the same bits, since the wrapper was
+  about 5 us of a roughly 100 us online step (numpy 2.4 on a 2-core Xeon).
 
 A bootstrap provides the expected rates at the first two steps, where no
 filtering history exists yet; it is built purely from the model prior.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from etfilter import numerics
-from etfilter.estimator import EventTriggeredFilter
+from etfilter.estimator import EventTriggeredFilter, _checked, _constants, _silence
 from etfilter.harness import CASE_BOUNDS
 from etfilter.model import LinearGaussianModel, simulate, tracking_preset
 from etfilter.numerics import ball_moments, chi_square_quantile, psd_sqrt
@@ -420,6 +420,70 @@ class TestContourKernel:
             bm = _quiet(ball_moments, np.eye(p), 1e-200)
             assert bm.prob == pytest.approx(prob, rel=1e-12, abs=0.0), p
             assert np.abs(bm.conditional - cond * np.eye(p)).max() <= rel * cond, p
+
+
+class TestEighGufunc:
+    """``numerics._eigh`` calls the LAPACK gufunc behind ``np.linalg.eigh``
+    directly; it must return the wrapper's very bits, so that a numpy release
+    that changes the private gufunc fails here and not in the figures."""
+
+    @staticmethod
+    def _stack(rows, p, ratio, seed):
+        """(rows, p, p) matrices with eigenvalues spread over ``ratio`` in a
+        random frame, and noise in the upper triangle, which eigh never reads."""
+        rng = np.random.default_rng(seed)
+        frame = np.linalg.qr(rng.normal(size=(rows, p, p)))[0]
+        lam = ratio ** rng.uniform(0.0, 1.0, size=(rows, p)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+        stack = (frame * lam[:, None, :]) @ frame.swapaxes(1, 2)
+        upper = np.triu(rng.normal(size=(rows, p, p)), 1)
+        return stack + upper * np.abs(stack).max(axis=(1, 2))[:, None, None]
+
+    @pytest.mark.parametrize("rows", [1, 2, 30, 600])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_same_bits_as_numpy_eigh(self, rows, p):
+        for seed, ratio in enumerate((1.0, 1e3, 1e6, 1e12)):
+            stack = self._stack(rows, p, ratio, 1000 * p + rows + seed)
+            lam, vec = numerics._eigh(stack)
+            want = np.linalg.eigh(stack)
+            assert np.array_equal(lam, want.eigenvalues), ratio
+            assert np.array_equal(vec, want.eigenvectors), ratio
+            assert lam.dtype == vec.dtype == np.float64
+            one, want = numerics._eigh(stack[-1]), np.linalg.eigh(stack[-1])  # one (p, p) matrix
+            assert all(np.array_equal(a, b) for a, b in zip(one, want, strict=True)), ratio
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lower_triangle_same_outcome(self, p, bad):
+        """A NaN or an infinity in the lower triangle either gives both the
+        wrapper and ``_eigh`` the same non-finite rows, which ``_checked``
+        rejects as it rejects the filter's N_z, or makes LAPACK fail to
+        converge and both raise LinAlgError."""
+        base = np.repeat(self._stack(1, p, 1e3, p), 3, axis=0)
+        for i, j in zip(*np.tril_indices(p)):
+            stack = base.copy()
+            stack[1, i, j] = bad
+            try:
+                want = np.linalg.eigh(stack)
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                    numerics._eigh(stack)
+                continue
+            lam, vec = numerics._eigh(stack)
+            assert np.array_equal(lam, want.eigenvalues, equal_nan=True), (i, j)
+            assert np.array_equal(vec, want.eigenvectors, equal_nan=True), (i, j)
+            assert np.array_equal(lam[[0, 2]], lam[[0, 0]]), (i, j)  # other rows untouched
+            with pytest.raises(ValueError, match="N_z"):
+                _checked(lam)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_silence_rejects_non_finite_prior(self, bad):
+        """A non-finite prior covariance reaches the filter's eigensolve as a
+        non-finite N_z row and raises ValueError, not a silent probability."""
+        const = _constants(tracking_preset(), make_config(CASE_BOUNDS["case1"]))
+        cov = np.repeat(np.eye(3)[None], 2, axis=0)
+        cov[1, 2, 0] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="N_z"):
+            _silence(const, cov)
 
 
 class TestPsdSqrt:

@@ -284,11 +284,13 @@ class TestTwoStepReadsCachedConstants:
 
 class TestPerStepCallStructure:
     def test_one_eigensolve_and_one_ball_call_per_step_and_per_prediction(self, monkeypatch):
-        """A filter step runs one ``eigh`` and one ``_ball_full`` and wraps one
-        StepCache, and so does a two-step prediction followed by the step it
-        predicts, which shares the prediction's geometry; a whole run wraps
+        """The per-step dispatch floor.  A filter step runs one ``_eigh`` and
+        one ``_ball_full``, wraps one StepCache and selects with one
+        ``np.where`` (the mean), and calls neither ``np.linalg.eigh`` nor
+        ``np.stack``; so does a two-step prediction followed by the step it
+        predicts, which shares the prediction's geometry.  A whole run wraps
         one StepCache, none per step; a prediction on a stack of caches runs
-        one ``eigh`` and one ``_ball_full``."""
+        one ``_eigh`` and one ``_ball_full``."""
         model, trig, filt = _setup()
         ys = simulate(model, 20, np.random.default_rng(58), x0=np.array(TRUE_INITIAL_STATE))
         ys = ys.measurements
@@ -305,8 +307,10 @@ class TestPerStepCallStructure:
 
             monkeypatch.setattr(module, name, counted)
 
+        spy(estimator, "_eigh")
         spy(np.linalg, "eigh")
-        spy(np.linalg, "eigvalsh")
+        spy(np, "stack")
+        spy(np, "where")
         spy(estimator, "_ball_full")
         spy(estimator, "StepCache")
 
@@ -315,21 +319,26 @@ class TestPerStepCallStructure:
                 RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=trig)
             )
 
+        def geometry():
+            return {name: calls.get(name, 0) for name in ("_eigh", "eigh", "_ball_full")}
+
+        floor = {"_eigh": 1, "_ball_full": 1, "StepCache": 1, "where": 1}
         for k in range(1, 11):
             calls.clear()
             _, state = filt.step(state, ys[k])
-            assert calls == {"eigh": 1, "_ball_full": 1, "StepCache": 1}, k
+            assert calls == floor, k
         for k in range(11, 21):
             calls.clear()
             predict(state.cache)
             _, state = filt.step(state, ys[k])
-            assert calls == {"eigh": 1, "_ball_full": 1, "StepCache": 1}, k
+            assert calls == floor, k
         calls.clear()
         filt.run(ys[:11])
-        assert calls == {"eigh": 11, "_ball_full": 11, "StepCache": 1}
+        assert geometry() == {"_eigh": 11, "eigh": 0, "_ball_full": 11}
+        assert calls["StepCache"] == 1
         calls.clear()
         predict(stack)
-        assert calls == {"eigh": 1, "_ball_full": 1}
+        assert geometry() == {"_eigh": 1, "eigh": 0, "_ball_full": 1}
 
 
 def _predicted_steps(filt, ys, predict):
