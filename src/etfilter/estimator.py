@@ -107,13 +107,16 @@ def _constants(model: LinearGaussianModel, trigger: TriggerConfig) -> _Constants
     return const
 
 
+_N_Z_BROKEN = "N_z lost definiteness or overflowed: eigenvalues must be > 0 and finite"
+
+
 def _checked(lam: NDArray) -> NDArray:
     """The (..., p) eigenvalues of N_z, checked for what roundoff can break."""
     # NaN propagates and fails both comparisons; ``initial`` lets an empty stack pass.
     low = np.minimum.reduce(lam[..., 0], axis=None, initial=math.inf)
     high = np.maximum.reduce(lam[..., -1], axis=None, initial=0.0)
     if not (low > 0.0 and high < math.inf):
-        raise ValueError("N_z lost definiteness or overflowed: eigenvalues must be > 0 and finite")
+        raise ValueError(_N_Z_BROKEN)
     return lam
 
 
@@ -128,14 +131,19 @@ def _silence(const: _Constants, cov: NDArray):
     Returns (cross, lam, vec, prob0, d): cross = cov (Phi C)', the eigenvalues
     and eigenvectors of N_z = Phi C cov C' Phi' + Phi R Phi', and the ball's
     probability and eigenframe second moments (``_ball_full``).  N_z is checked
-    only for what roundoff can break (``_checked``).  The eigensolve calls the
+    only for what roundoff can break (``_checked``); a non-finite entry that
+    keeps LAPACK from converging (as some do at p >= 3) raises the same
+    ValueError, chained from the LinAlgError.  The eigensolve calls the
     LAPACK gufunc that ``np.linalg.eigh`` wraps, under the same ``errstate``
     and with the same bits (``numerics._eigh``): the wrapper's checks cost
     about 5 us of a roughly 100 us online step (numpy 2.4 on a 2-core Xeon),
     and its inputs here are float64 stacks by construction.
     """
     cross = cov @ const.phi_c_t
-    lam, vec = _eigh(const.phi_c @ cross + const.phi_r_phi)
+    try:
+        lam, vec = _eigh(const.phi_c @ cross + const.phi_r_phi)
+    except np.linalg.LinAlgError as err:
+        raise ValueError(_N_Z_BROKEN) from err
     prob, d = _ball_full(_checked(lam), const.trigger.threshold)
     return cross, lam, vec, prob, d
 

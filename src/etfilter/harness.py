@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 
 from .estimator import EventTriggeredFilter, StepCache
 from .model import TRUE_INITIAL_STATE, simulate, tracking_preset
-from .rate import RateState, rate_two_step
+from .rate import _two_step_of_run, rate_two_step  # noqa: F401 (bench/run.py hooks the name here)
 from .trigger import TriggerConfig, make_config
 
 __all__ = [
@@ -137,8 +137,11 @@ def _chunk_worker(configs: tuple[ExperimentConfig, ...], lo: int) -> list:
     not depend on it, are simulated once, and the stack repeats them once per
     config under a trigger that stacks each config's whitener over its rows;
     the threshold, set by alpha and p, is shared.  The rate predictors follow
-    each config's designated trial under its own trigger.  Returns one
-    (send counts, squared-error sums, rates) triple per config.
+    each config's designated trial under its own trigger: alg1 is the run's
+    own silence probability, and alg2 takes the branch each step took from
+    the run and whitens only the untaken one (``rate._two_step_of_run``), K
+    rows per config for K + 1 steps.  Returns one (send counts, squared-error
+    sums, rates) triple per config.
     """
     model, first = tracking_preset(), configs[0]
     hi = min(lo + _CHUNK, first.trials)
@@ -159,9 +162,7 @@ def _chunk_worker(configs: tuple[ExperimentConfig, ...], lo: int) -> list:
             alg1 = 1.0 - c.prob0
             # Step k's two-step prediction reads the cache of step k-1; at step 0
             # there is no history and both predictors read the prior cache.
-            prev = StepCache(*(f[:-1] for f in c))
-            state = RateState(prev.prob0, prev, model, config.trigger)
-            two_step = rate_two_step(state).gamma_hat
+            two_step = _two_step_of_run(model, config.trigger, run.gamma[i * b + row], c)
             rates = (alg1, np.concatenate([alg1[:1], two_step]))
         out.append((run.gamma[rows].sum(axis=0), (err * err).sum(axis=0), rates))
     return out
@@ -210,13 +211,14 @@ def run_monte_carlo(config: ExperimentConfig) -> ExperimentSummary:
 _SUMMARY_HEADER = "case,avg_empirical,avg_alg1,avg_alg2"
 
 
-def _write_csv(path: Path, header: str, labels, rows) -> None:
-    """One line per label: the label, then its row's floats in shortest
-    round-trip form (the repr of a Python float)."""
+def _write_csv(path: Path, header: str, labels, rows: NDArray) -> None:
+    """One line per label: the label, then its row of the 2-D float array
+    ``rows`` in shortest round-trip form (the repr of a Python float)."""
+    lines = [header]
+    for label, row in zip(labels, rows.tolist(), strict=True):
+        lines.append(",".join([str(label), *map(repr, row)]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for label, row in zip(labels, rows, strict=True):
-            fh.write(",".join([str(label), *(repr(float(v)) for v in row)]) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def emit_csv(summary: ExperimentSummary, output_dir) -> dict[str, Path]:
@@ -232,8 +234,8 @@ def emit_csv(summary: ExperimentSummary, output_dir) -> dict[str, Path]:
     steps = range(summary.config.steps)
     _write_csv(paths["rms"], "k,rms_position,rms_velocity,rms_acceleration", steps, summary.rms)
     rates = (summary.rate_empirical, summary.rate_alg1, summary.rate_alg2, summary.rate_se)
-    _write_csv(paths["rates"], "k,empirical,alg1,alg2,empirical_se", steps, zip(*rates))
-    _write_csv(paths["summary"], _SUMMARY_HEADER, [summary.config.case], [summary.avg_rates])
+    _write_csv(paths["rates"], "k,empirical,alg1,alg2,empirical_se", steps, np.column_stack(rates))
+    _write_csv(paths["summary"], _SUMMARY_HEADER, [summary.config.case], summary.avg_rates[None])
     return paths
 
 
@@ -254,6 +256,6 @@ def table1(config: ExperimentConfig, output_dir) -> dict[str, ExperimentSummary]
     out = Path(output_dir)
     for case, summary in summaries.items():
         emit_csv(summary, out / case)
-    rows = [s.avg_rates for s in summaries.values()]
+    rows = np.array([s.avg_rates for s in summaries.values()])
     _write_csv(out / "summary.csv", _SUMMARY_HEADER, summaries, rows)
     return summaries

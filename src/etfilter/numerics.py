@@ -6,6 +6,9 @@ draw from ``N(0, n)`` lands inside the ball, and the second moment of the
 draws that do.  Both come from one Laplace inversion on a fixed Talbot
 contour in the eigenframe of ``n``; the ball is rotation invariant, so the
 second moment is diagonal there and the first moment vanishes by symmetry.
+For even p the contour sum takes one complex square root per pair of
+eigendirections, with the exact phase this leaves folded into the weights;
+odd p takes one per direction.
 
 Every moment routine takes a stack of kernels and evaluates it in one
 vectorised pass, so a single matrix is a batch of one.  All functions are
@@ -222,9 +225,19 @@ def _contour(count: int) -> tuple[NDArray, NDArray]:
 
 
 _Z, _W = _contour(_NODES)
-# (Im w, Re w) pairs: Im sum_k w_k t_k over the last axis of a complex t is
-# np.vecdot(t.view(float), _W_RI), one dot product per row.
-_W_RI = np.column_stack([_W.imag, _W.real]).ravel()
+
+
+def _interleaved(w: NDArray) -> NDArray:
+    """(Im w, Re w) pairs: Im sum_k w_k t_k over the last axis of a complex t
+    is np.vecdot(t.view(float), _interleaved(w)), one dot product per row."""
+    return np.column_stack([w.imag, w.real]).ravel()
+
+
+_W_RI = _interleaved(_W)
+
+# The weights turned by the exact phases (-1j) ** m, m = 0..3, for the paired
+# roots of even p; multiplying by a power of -1j only swaps and negates parts.
+_W_TURNED = tuple(_interleaved(_W * (-1j) ** m) for m in range(4))
 
 # What the weights make of 1 / s, by that same per-row dot product: dividing
 # by it gives prob = 1 exactly where Phi rounds to 1.
@@ -233,6 +246,7 @@ _W_NORM = float(np.vecdot(np.ones(_Z.size, dtype=complex).view(float), _W_RI))
 # Accuracy contract of the kernel: the roundoff floor exp(0.171 N) eps of the
 # contour sum, about 5e-14 at N = 32.
 _TOL = 1e-13
+
 
 def _contour_moments(lam: NDArray, radius2: float) -> tuple[NDArray, NDArray]:
     """Ball probability and eigenframe conditional second moments for the
@@ -246,16 +260,34 @@ def _contour_moments(lam: NDArray, radius2: float) -> tuple[NDArray, NDArray]:
     v off the branch cut), and the chi2_3 factor of direction i is inv_i
     itself.  The second moments are divided by the probability inside the
     sum, so they stay finite when it underflows.
+
+    Even p takes one complex square root per pair of directions (i, i + p/2).
+    Im v > 0 puts inv in the open lower half-plane and rot = 1j / v in the
+    open right half-plane, where principal roots multiply:
+    sqrt(x) sqrt(y) = sqrt(x y).  Since sqrt(inv) = e^{-i pi/4} sqrt(rot),
+    prod sqrt(inv) = (-1j) ** (p/2) prod_pairs sqrt(rot_i rot_{i+p/2}), and
+    the chi2_3 factor inv_i = -1j rot_i adds one more -1j; both phases are
+    exact and live in the weights (``_W_TURNED``).  Odd p keeps one root per
+    direction and its bits: pairing all but one direction would put the
+    phase e^{-i pi/4}, which no double holds exactly, into the weights.
     """
     log_ratio = np.log(lam) + (math.log(2.0) - math.log(radius2))  # log(2 lam / radius2)
     log_b = np.minimum(log_ratio, 0.0)
     log_a = log_b - log_ratio  # min(-log_ratio, 0), exactly
-    inv = 1.0 / (np.exp(log_a)[..., None] + np.exp(log_b)[..., None] * _Z)
-    terms = np.multiply.reduce(np.sqrt(inv), axis=-2)
-    scaled = np.vecdot(terms.view(float), _W_RI)
+    half, odd = divmod(lam.shape[-1], 2)
+    # inv = 1 / v for odd p, rot = 1j / v for even p
+    factor = (1.0 if odd else 1j) / (np.exp(log_a)[..., None] + np.exp(log_b)[..., None] * _Z)
+    if odd:
+        terms = np.multiply.reduce(np.sqrt(factor), axis=-2)
+    elif half == 1:  # one pair, so no product over pairs
+        terms = np.sqrt(factor[..., 0, :] * factor[..., 1, :])
+    else:
+        terms = np.multiply.reduce(np.sqrt(factor[..., :half, :] * factor[..., half:, :]), axis=-2)
+    w_prob, w_moment = (_W_RI, _W_RI) if odd else (_W_TURNED[half % 4], _W_TURNED[(half + 1) % 4])
+    scaled = np.vecdot(terms.view(float), w_prob)
     prob = scaled / _W_NORM * np.exp(0.5 * np.add.reduce(log_a, axis=-1))
     # lam_i / (1 + 2 lam_i z / radius2) = min(lam_i, radius2 / 2) / v_i
-    ratio = np.vecdot((terms[..., None, :] * inv).view(float), _W_RI) / scaled[..., None]
+    ratio = np.vecdot((terms[..., None, :] * factor).view(float), w_moment) / scaled[..., None]
     return prob, np.minimum(lam, 0.5 * radius2) * ratio
 
 

@@ -14,6 +14,8 @@ Two predictors for the probability that step k stays silent:
   eigensolve calls the LAPACK gufunc ``np.linalg.eigh`` wraps directly,
   under the same ``errstate`` and with the same bits, since the wrapper was
   about 5 us of a roughly 100 us online step (numpy 2.4 on a 2-core Xeon).
+  Along a trial that ``run`` already filtered, the branch each step took is
+  in the run's cache, so only the untaken branch is whitened.
 
 A bootstrap provides the expected rates at the first two steps, where no
 filtering history exists yet; it is built purely from the model prior.
@@ -24,6 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from numpy.typing import NDArray
 
 from . import estimator
 from .estimator import StepCache
@@ -90,6 +93,26 @@ def rate_two_step(state: RateState) -> RatePrediction:
     p_sent, p_silent = estimator._branch_silence(const, cache)
     prob0 = p_sent + q * (p_silent - p_sent)
     return RatePrediction(gamma_hat=1.0 - (float(prob0) if one else prob0))
+
+
+def _two_step_of_run(
+    model: LinearGaussianModel, trigger: TriggerConfig, gamma: NDArray, cache: StepCache
+) -> NDArray:
+    """``rate_two_step`` of steps 1..K of one trial that ``run`` filtered
+    under ``trigger``, from the trial's K + 1 decisions and caches, bit for bit.
+
+    The branch step k-1 took has the prior that ``run`` whitened at step k, so
+    its silence probability is ``cache.prob0[k]`` with the same bits; only the
+    untaken branch (P_silent after a send, P_z after a silence) goes through
+    ``_prior`` and ``_silence``, K rows instead of 2K.
+    """
+    const = estimator._constants(model, trigger)
+    sent = gamma[:-1] == 1
+    untaken = np.where(sent[:, None, None], cache.P_silent[:-1], cache.P_z[:-1])
+    other = estimator._silence(const, estimator._prior(model, untaken))[3]
+    taken, q = cache.prob0[1:], cache.prob0[:-1]
+    p_sent, p_silent = np.where(sent, taken, other), np.where(sent, other, taken)
+    return 1.0 - (p_sent + q * (p_silent - p_sent))
 
 
 def bootstrap_rates(model: LinearGaussianModel, trigger: TriggerConfig) -> tuple[float, float]:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from etfilter import harness
+from etfilter import estimator, harness
 from etfilter.harness import (
     CASE_BOUNDS,
     TABLE1_REFERENCE,
@@ -16,10 +16,10 @@ from etfilter.harness import (
     run_monte_carlo,
     table1,
 )
-from etfilter.estimator import EventTriggeredFilter
+from etfilter.estimator import EventTriggeredFilter, StepCache, _branch_silence, _constants
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
-from etfilter.rate import RateState, rate_one_step, rate_two_step
-from etfilter.trigger import make_config
+from etfilter.rate import RateState, _two_step_of_run, rate_one_step, rate_two_step
+from etfilter.trigger import TriggerConfig, make_config
 
 SMALL = dict(trials=40, steps=30, seed=77)
 
@@ -270,3 +270,44 @@ class TestTable1:
                 alg1.append(rate_one_step(state.cache).gamma_hat)
             assert np.array_equal(summary.rate_alg1, alg1), case
             assert np.array_equal(summary.rate_alg2, alg2), case
+
+
+class TestTwoStepOfRun:
+    """The harness's two-step prediction takes the branch each step took from
+    the run and whitens only the untaken one."""
+
+    def test_taken_branch_is_the_runs_silence_probability(self):
+        """For every step of the designated trial, filtered in a stack under
+        the three cases' whiteners as table1 filters it, the taken branch of
+        ``rate_two_step``'s 2K-row evaluation is the run's ``prob0[k]``, bit
+        for bit, so the K-row helper returns the stacked predictor's bits."""
+        model, seed, steps = tracking_preset(), 5, 101
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 40]))
+        ys = simulate(model, steps - 1, rng, x0=TRUE_INITIAL_STATE).measurements
+        triggers = [make_config(CASE_BOUNDS[case]) for case in sorted(CASE_BOUNDS)]
+        stacked = TriggerConfig(np.array([t.phi for t in triggers]), triggers[0].threshold)
+        run = EventTriggeredFilter(model, stacked).run(np.repeat(ys[None], 3, axis=0))
+        for i, trig in enumerate(triggers):
+            gamma, cache = run.gamma[i], StepCache(*(f[i] for f in run.cache))
+            prev = StepCache(*(f[:-1] for f in cache))
+            p_sent, p_silent = _branch_silence(_constants(model, trig), prev)
+            taken = np.where(gamma[:-1] == 1, p_sent, p_silent)
+            assert np.array_equal(taken, cache.prob0[1:]), i
+            want = rate_two_step(RateState(prev.prob0, prev, model, trig)).gamma_hat
+            assert np.array_equal(_two_step_of_run(model, trig, gamma, cache), want), i
+
+    def test_prediction_whitens_one_row_per_step_and_case(self, monkeypatch, tmp_path):
+        """A table1 chunk's eigensolves: one per filter step over the whole
+        stack, then one per case over the K untaken branches of its K + 1
+        steps, not 2K."""
+        config = ExperimentConfig(trials=50, steps=12, seed=3)
+        rows = []
+
+        def spy(a):
+            rows.append(len(a))
+            return eigh(a)
+
+        eigh = estimator._eigh
+        monkeypatch.setattr(estimator, "_eigh", spy)
+        table1(config, tmp_path)
+        assert rows == [3 * config.trials] * config.steps + [config.steps - 1] * 3

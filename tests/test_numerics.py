@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from etfilter import numerics
-from etfilter.estimator import EventTriggeredFilter, _checked, _constants, _silence
+from etfilter.estimator import (
+    EventTriggeredFilter,
+    _checked,
+    _Constants,
+    _constants,
+    _silence,
+)
 from etfilter.harness import CASE_BOUNDS
 from etfilter.model import LinearGaussianModel, simulate, tracking_preset
 from etfilter.numerics import ball_moments, chi_square_quantile, psd_sqrt
@@ -309,7 +315,7 @@ class TestBallMomentsGeneral:
 
 
 class TestBatchedBallMoments:
-    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 6])
     def test_rows_equal_single_calls(self, p):
         rng = np.random.default_rng(20 + p)
         r2 = chi_square_quantile(0.05, p)
@@ -407,7 +413,7 @@ class TestContourKernel:
         Phi to 1 at every node, and the probability comes from the same
         per-row dot product as its normaliser, so it is 1 exactly on every
         row of a stack, with no clamp needed."""
-        for p in (1, 2, 3):
+        for p in (1, 2, 3, 4, 6):
             prob, _ = numerics._contour_moments(np.full((rows, p), 1e-30), 1.0)
             assert (prob == 1.0).all(), p
 
@@ -420,6 +426,62 @@ class TestContourKernel:
             bm = _quiet(ball_moments, np.eye(p), 1e-200)
             assert bm.prob == pytest.approx(prob, rel=1e-12, abs=0.0), p
             assert np.abs(bm.conditional - cond * np.eye(p)).max() <= rel * cond, p
+
+
+def _per_direction_moments(lam, radius2):
+    """The kernel with one complex square root per direction and unturned
+    weights: the form ``_contour_moments`` keeps for odd p."""
+    log_ratio = np.log(lam) + (math.log(2.0) - math.log(radius2))
+    log_b = np.minimum(log_ratio, 0.0)
+    log_a = log_b - log_ratio
+    inv = 1.0 / (np.exp(log_a)[..., None] + np.exp(log_b)[..., None] * numerics._Z)
+    terms = np.multiply.reduce(np.sqrt(inv), axis=-2)
+    scaled = np.vecdot(terms.view(float), numerics._W_RI)
+    prob = scaled / numerics._W_NORM * np.exp(0.5 * np.add.reduce(log_a, axis=-1))
+    ratio = np.vecdot((terms[..., None, :] * inv).view(float), numerics._W_RI) / scaled[..., None]
+    return prob, np.minimum(lam, 0.5 * radius2) * ratio
+
+
+class TestPairedRoots:
+    """Even p takes one square root per pair of directions, with the exact
+    phases in the weights; odd p keeps one root per direction."""
+
+    @staticmethod
+    def _lams(p, seed):
+        """Eigenvalues from e^-6 to e^8: random rows, and every direction at
+        each end of the range."""
+        rng = np.random.default_rng(seed)
+        ends = np.array([np.full(p, math.exp(-6.0)), np.full(p, math.exp(8.0))])
+        return np.concatenate([np.exp(rng.uniform(-6.0, 8.0, (400, p))), ends])
+
+    @staticmethod
+    def _radii(p):
+        return [chi_square_quantile(alpha, p) for alpha in (0.5, 0.05, 0.01, 1e-6)]
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_paired_form_matches_per_direction_roots(self, p):
+        lam = self._lams(p, 60 + p)
+        for r2 in self._radii(p):
+            prob, d = numerics._contour_moments(lam, r2)
+            want_prob, want_d = _per_direction_moments(lam, r2)
+            assert np.abs(prob - want_prob).max() <= 2e-14 * np.abs(want_prob).max(), r2
+            assert (np.abs(prob - want_prob) <= 2e-14 * want_prob).all(), r2
+            assert (np.abs(d - want_d) <= 2e-14 * want_d).all(), r2
+
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    def test_odd_p_keeps_per_direction_bits(self, p):
+        lam = self._lams(p, 70 + p)
+        for r2 in self._radii(p):
+            got, want = numerics._contour_moments(lam, r2), _per_direction_moments(lam, r2)
+            assert np.array_equal(got[0], want[0]), r2
+            assert np.array_equal(got[1], want[1]), r2
+
+    def test_turned_weights_are_exact(self):
+        """Turning by a power of -1j only swaps and negates the parts."""
+        im, re = numerics._W.imag, numerics._W.real
+        turned = [(im, re), (-re, im), (-im, -re), (re, -im)]
+        for got, (a, b) in zip(numerics._W_TURNED, turned, strict=True):
+            assert np.array_equal(got, np.column_stack([a, b]).ravel())
 
 
 class TestEighGufunc:
@@ -451,23 +513,40 @@ class TestEighGufunc:
             one, want = numerics._eigh(stack[-1]), np.linalg.eigh(stack[-1])  # one (p, p) matrix
             assert all(np.array_equal(a, b) for a, b in zip(one, want, strict=True)), ratio
 
+    @staticmethod
+    def _whitening_to(n_z):
+        """Constants and a prior stack under which ``_silence`` whitens to the
+        (B, p, p) stack ``n_z`` exactly: zero Phi C, and Phi R Phi' = n_z."""
+        p = n_z.shape[-1]
+        const = _Constants(
+            None, make_config(np.eye(p)), np.zeros((p, 1)), np.zeros((1, p)), n_z, None
+        )
+        return const, np.zeros((len(n_z), 1, 1))
+
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_lower_triangle_same_outcome(self, p, bad):
         """A NaN or an infinity in the lower triangle either gives both the
         wrapper and ``_eigh`` the same non-finite rows, which ``_checked``
         rejects as it rejects the filter's N_z, or makes LAPACK fail to
-        converge and both raise LinAlgError."""
+        converge and both raise LinAlgError (24 of these 60 cases, all at
+        p >= 3: a NaN in any entry, an infinity in some off-diagonal ones).
+        ``_silence`` raises its N_z ValueError either way."""
         base = np.repeat(self._stack(1, p, 1e3, p), 3, axis=0)
         for i, j in zip(*np.tril_indices(p)):
             stack = base.copy()
             stack[1, i, j] = bad
+            with pytest.raises(ValueError, match="N_z lost definiteness") as raised:
+                _silence(*self._whitening_to(stack))
             try:
                 want = np.linalg.eigh(stack)
             except np.linalg.LinAlgError:
                 with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
                     numerics._eigh(stack)
+                assert isinstance(raised.value.__cause__, np.linalg.LinAlgError), (i, j)
+                assert p >= 3, (i, j)
                 continue
+            assert raised.value.__cause__ is None, (i, j)
             lam, vec = numerics._eigh(stack)
             assert np.array_equal(lam, want.eigenvalues, equal_nan=True), (i, j)
             assert np.array_equal(vec, want.eigenvectors, equal_nan=True), (i, j)
