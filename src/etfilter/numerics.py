@@ -6,9 +6,9 @@ draw from ``N(0, n)`` lands inside the ball, and the second moment of the
 draws that do.  Both come from one Laplace inversion on a fixed Talbot
 contour in the eigenframe of ``n``; the ball is rotation invariant, so the
 second moment is diagonal there and the first moment vanishes by symmetry.
-For even p the contour sum takes one complex square root per pair of
-eigendirections, with the exact phase this leaves folded into the weights;
-odd p takes one per direction.
+At p = 2 the contour sum takes one complex square root per node for the
+pair of eigendirections, with the exact phases this leaves folded into the
+weights; every other p takes one per direction.
 
 Every moment routine takes a stack of kernels and evaluates it in one
 vectorised pass, so a single matrix is a batch of one.  All functions are
@@ -235,9 +235,9 @@ def _interleaved(w: NDArray) -> NDArray:
 
 _W_RI = _interleaved(_W)
 
-# The weights turned by the exact phases (-1j) ** m, m = 0..3, for the paired
-# roots of even p; multiplying by a power of -1j only swaps and negates parts.
-_W_TURNED = tuple(_interleaved(_W * (-1j) ** m) for m in range(4))
+# The weights turned by the exact phases -1j (probability) and -1 (moments)
+# of the paired roots at p = 2; these turns only swap and negate parts.
+_W_PAIR = (_interleaved(-1j * _W), _interleaved(-_W))
 
 # What the weights make of 1 / s, by that same per-row dot product: dividing
 # by it gives prob = 1 exactly where Phi rounds to 1.
@@ -261,29 +261,30 @@ def _contour_moments(lam: NDArray, radius2: float) -> tuple[NDArray, NDArray]:
     itself.  The second moments are divided by the probability inside the
     sum, so they stay finite when it underflows.
 
-    Even p takes one complex square root per pair of directions (i, i + p/2).
+    p = 2 takes one complex square root per node for its two directions.
     Im v > 0 puts inv in the open lower half-plane and rot = 1j / v in the
     open right half-plane, where principal roots multiply:
     sqrt(x) sqrt(y) = sqrt(x y).  Since sqrt(inv) = e^{-i pi/4} sqrt(rot),
-    prod sqrt(inv) = (-1j) ** (p/2) prod_pairs sqrt(rot_i rot_{i+p/2}), and
-    the chi2_3 factor inv_i = -1j rot_i adds one more -1j; both phases are
-    exact and live in the weights (``_W_TURNED``).  Odd p keeps one root per
-    direction and its bits: pairing all but one direction would put the
-    phase e^{-i pi/4}, which no double holds exactly, into the weights.
+    sqrt(inv_0) sqrt(inv_1) = -1j sqrt(rot_0 rot_1), and the chi2_3 factor
+    inv_i = -1j rot_i turns it once more; both phases are exact and live in
+    the weights (``_W_PAIR``).  Every other p keeps one root per direction.
+    Odd p cannot pair all its directions without the phase e^{-i pi/4},
+    which no double holds exactly; larger even p would pair (i, i + p/2)
+    with the phases (-1j) ** (p/2) and (-1j) ** (p/2 + 1), but no workload
+    runs p >= 4, so it keeps the per-direction bits.
     """
     log_ratio = np.log(lam) + (math.log(2.0) - math.log(radius2))  # log(2 lam / radius2)
     log_b = np.minimum(log_ratio, 0.0)
     log_a = log_b - log_ratio  # min(-log_ratio, 0), exactly
-    half, odd = divmod(lam.shape[-1], 2)
-    # inv = 1 / v for odd p, rot = 1j / v for even p
-    factor = (1.0 if odd else 1j) / (np.exp(log_a)[..., None] + np.exp(log_b)[..., None] * _Z)
-    if odd:
-        terms = np.multiply.reduce(np.sqrt(factor), axis=-2)
-    elif half == 1:  # one pair, so no product over pairs
+    paired = lam.shape[-1] == 2
+    # rot = 1j / v at p = 2, inv = 1 / v otherwise
+    factor = (1j if paired else 1.0) / (np.exp(log_a)[..., None] + np.exp(log_b)[..., None] * _Z)
+    if paired:
         terms = np.sqrt(factor[..., 0, :] * factor[..., 1, :])
+        w_prob, w_moment = _W_PAIR
     else:
-        terms = np.multiply.reduce(np.sqrt(factor[..., :half, :] * factor[..., half:, :]), axis=-2)
-    w_prob, w_moment = (_W_RI, _W_RI) if odd else (_W_TURNED[half % 4], _W_TURNED[(half + 1) % 4])
+        terms = np.multiply.reduce(np.sqrt(factor), axis=-2)
+        w_prob = w_moment = _W_RI
     scaled = np.vecdot(terms.view(float), w_prob)
     prob = scaled / _W_NORM * np.exp(0.5 * np.add.reduce(log_a, axis=-1))
     # lam_i / (1 + 2 lam_i z / radius2) = min(lam_i, radius2 / 2) / v_i
