@@ -271,7 +271,7 @@ def _contour_moments(lam: NDArray, radius2: float) -> tuple[NDArray, NDArray]:
     Odd p cannot pair all its directions without the phase e^{-i pi/4},
     which no double holds exactly; larger even p would pair (i, i + p/2)
     with the phases (-1j) ** (p/2) and (-1j) ** (p/2 + 1), but no workload
-    runs p >= 4, so it keeps the per-direction bits.
+    runs p >= 4, so those keep their per-direction bits.
     """
     log_ratio = np.log(lam) + (math.log(2.0) - math.log(radius2))  # log(2 lam / radius2)
     log_b = np.minimum(log_ratio, 0.0)
