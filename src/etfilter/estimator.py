@@ -16,7 +16,6 @@ measurement.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -88,23 +87,19 @@ class _Constants(NamedTuple):
     eye: NDArray  # I_n
 
 
-@lru_cache(maxsize=8)
 def _constants(model: LinearGaussianModel, trigger: TriggerConfig) -> _Constants:
-    """The constants of a (model, trigger) pair, derived once per pair.
+    """The constants of a (model, trigger) pair.
 
-    Keyed on object identity: both classes compare and hash by identity and
-    hold read-only arrays, so a cached entry cannot go stale.  The filter
-    step and the two-step rate predictor both whiten a prior cov into
-    N_z = Phi C cov C' Phi' + Phi R Phi' from these products.  A stacked
-    trigger gives every product of Phi the same leading axis.
+    The filter step and the two-step rate predictor both whiten a prior cov
+    into N_z = Phi C cov C' Phi' + Phi R Phi' from these products.  A filter
+    derives them once, when it is built; the online predictor keeps the last
+    pair's in ``_primed``.  A stacked trigger gives every product of Phi the
+    same leading axis.
     """
     phi = trigger.phi
     phi_c = phi @ model.C
     phi_r_phi = phi @ model.R @ phi.swapaxes(-1, -2)
-    const = _Constants(model, trigger, phi_c, phi_c.swapaxes(-1, -2), phi_r_phi, np.eye(model.n))
-    for array in const[2:]:  # every caller shares them
-        array.setflags(write=False)
-    return const
+    return _Constants(model, trigger, phi_c, phi_c.swapaxes(-1, -2), phi_r_phi, np.eye(model.n))
 
 
 _N_Z_BROKEN = "N_z lost definiteness or overflowed: eigenvalues must be > 0 and finite"
@@ -133,11 +128,9 @@ def _silence(const: _Constants, cov: NDArray):
     probability and eigenframe second moments (``_ball_full``).  N_z is checked
     only for what roundoff can break (``_checked``); a non-finite entry that
     keeps LAPACK from converging (as some do at p >= 3) raises the same
-    ValueError, chained from the LinAlgError.  The eigensolve calls the
-    LAPACK gufunc that ``np.linalg.eigh`` wraps, under the same ``errstate``
-    and with the same bits (``numerics._eigh``): the wrapper's checks cost
-    about 5 us of a roughly 100 us online step (numpy 2.4 on a 2-core Xeon),
-    and its inputs here are float64 stacks by construction.
+    ValueError, chained from the LinAlgError.  The eigensolve is
+    ``numerics._eigh``, which skips checks that N_z, a float64 square stack
+    by construction, does not need.
     """
     cross = cov @ const.phi_c_t
     try:
@@ -173,9 +166,10 @@ def _cache(const: _Constants, cov: NDArray):
     return gain, p_z, p_silent, prob
 
 
-# The next step's geometry of the last one-row cache whose branches
-# ``_branch_silence`` evaluated: (constants, P_z, P_silent, the 2-row
-# ``_cache`` output of the priors after a send and after a silence).
+# The online two-step predictor's one piece of state, set by
+# ``_branch_silence``: (constants of the last pair it predicted under, P_z,
+# P_silent, the 2-row ``_cache`` output of the priors after a send and after a
+# silence), the last three None when that cache was writable.
 _primed = None
 
 
@@ -184,35 +178,38 @@ def _frozen(a) -> bool:
     return isinstance(a, np.ndarray) and not a.flags.writeable
 
 
-def _branch_silence(const: _Constants, cache: StepCache) -> NDArray:
-    """Silence probabilities of the step after ``cache`` under each branch:
-    rows (after a send, after a silence), of the priors A P A' + Q for P in
-    (P_z, P_silent), each row of length K for a stack of K caches.
+def _branch_silence(
+    model: LinearGaussianModel, trigger: TriggerConfig, cache: StepCache
+) -> NDArray:
+    """Silence probabilities (after a send, after a silence) of the step after
+    the one-step ``cache``, from the priors A P A' + Q for P in (P_z, P_silent).
 
-    A one-row cache takes both branches' whole ``_cache`` in one 2-row call
-    and keeps it for ``step``: a state whose P is one of these very arrays,
-    read-only, stepped under the same constants, takes its branch's row in
-    place of its own ``_cache`` call.  A row of a stack has the bits of its
-    one-row call, so the filter's output does not change.  A stack of caches
-    takes the probabilities alone.  The two branches are stacked with
+    Both branches take the filter's whole ``_cache`` in one 2-row call, under
+    the constants in ``_primed`` when the slot holds this very (model,
+    trigger) pair and constants derived afresh otherwise.  The constants
+    always go back into the slot, and the geometry with them when both branch
+    arrays are read-only: a state whose P is one of these very arrays, stepped
+    under the same pair, takes its branch's row in place of its own ``_cache``
+    call.  A row of the 2-row call has the bits of its one-row call, so the
+    filter's output does not change.  The two branches are stacked with
     ``np.array``, the same copy ``np.stack`` makes without its Python-level
-    checks, and whitened by ``_silence``'s one eigensolve route.
+    checks.
     """
     global _primed
-    m, p_z, p_silent = const.model, cache.P_z, cache.P_silent
-    prior = _prior(m, np.array((p_z, p_silent)).reshape(-1, m.n, m.n))
-    if np.ndim(cache.prob0) != 0:
-        return _silence(const, prior)[3].reshape(2, -1)
-    geometry = _cache(const, prior)
-    if _frozen(p_z) and _frozen(p_silent):
-        _primed = (const, p_z, p_silent, geometry)
+    p_z, p_silent = cache.P_z, cache.P_silent
+    const = _primed[0] if _primed else None
+    if const is None or const.model is not model or const.trigger is not trigger:
+        const = _constants(model, trigger)
+    geometry = _cache(const, _prior(model, np.array((p_z, p_silent))))
+    frozen = _frozen(p_z) and _frozen(p_silent)
+    _primed = (const, p_z, p_silent, geometry) if frozen else (const, None, None, None)
     return geometry[3]
 
 
 def _primed_row(const: _Constants, cov) -> list | None:
     """The primed geometry of the branch whose posterior is the array ``cov``, or None."""
     primed = _primed  # read once: the slot may be refilled meanwhile
-    if primed is not None and primed[0] is const:
+    if primed and primed[0].model is const.model and primed[0].trigger is const.trigger:
         if cov is primed[1]:
             return [f[:1] for f in primed[3]]
         if cov is primed[2]:
@@ -258,9 +255,7 @@ class EventTriggeredFilter:
 
     def __init__(self, model: LinearGaussianModel, trigger: TriggerConfig):
         _check_inputs(model, trigger)
-        # A stack (one per table1 chunk) is never reused: caching it would only pin it.
-        derive = _constants.__wrapped__ if trigger.phi.ndim == 3 else _constants
-        self._const = derive(model, trigger)
+        self._const = _constants(model, trigger)
 
     model = property(lambda self: self._const.model)  # read-only: _const derives from it
     trigger = property(lambda self: self._const.trigger)  # read-only: _const derives from it
@@ -309,10 +304,10 @@ class EventTriggeredFilter:
     def step(self, state: EstimatorState, y) -> tuple[StepOutput, EstimatorState]:
         """Advance one step with ``y``, the measurement of the step after ``state``.
 
-        When ``rate_two_step`` last predicted from ``state.cache`` under this
-        filter's model and trigger, it already computed this step's geometry
-        for both branches, and the step takes the row of the branch ``state``
-        took.
+        When the last ``rate_two_step`` predicted from ``state.cache`` under
+        this filter's very model and trigger objects, it already computed this
+        step's geometry for both branches (``_primed``), and the step takes the
+        row of the branch ``state`` took.
         """
         ys = self._one(y)
         geometry = _primed_row(self._const, state.P)

@@ -10,10 +10,7 @@ Two predictors for the probability that step k stays silent:
   probabilities mix through the cached one-step silence probability of step
   k-1.  Both priors go through the filter's own geometry in one 2-row call,
   which the filter's next step reuses for the branch it takes, so an online
-  loop that predicts before each step eigendecomposes once per step.  That
-  eigensolve calls the LAPACK gufunc ``np.linalg.eigh`` wraps directly,
-  under the same ``errstate`` and with the same bits, since the wrapper was
-  about 5 us of a roughly 100 us online step (numpy 2.4 on a 2-core Xeon).
+  loop that predicts before each step eigendecomposes once per step.
   Along a trial that ``run`` already filtered, the branch each step took is
   in the run's cache, so only the untaken branch is whitened.
 
@@ -37,7 +34,7 @@ __all__ = ["RatePrediction", "RateState", "bootstrap_rates", "rate_one_step", "r
 
 
 class RatePrediction(NamedTuple):
-    """Expected transmission indicator: a float, or an array for a batched cache."""
+    """Expected transmission indicator of one step, a float."""
 
     gamma_hat: float
 
@@ -45,11 +42,10 @@ class RatePrediction(NamedTuple):
 class RateState(NamedTuple):
     """Inputs for the two-step predictor of step k.
 
-    ``cache_prev`` is the filter cache produced at step k-1 and ``prob0_prev``
+    ``cache_prev`` is the one-step filter cache produced at step k-1 (a
+    scalar ``prob0`` and (n, n) ``P_z`` and ``P_silent``) and ``prob0_prev``
     its one-step silence probability -- both are measurable with respect to the
-    information available at k-2, which is the point of the predictor.  Both
-    may also carry a leading axis of several steps (a batched cache), which
-    are then predicted together.
+    information available at k-2, which is the point of the predictor.
     """
 
     prob0_prev: float
@@ -74,32 +70,32 @@ def rate_one_step(cache: StepCache) -> RatePrediction:
 def rate_two_step(state: RateState) -> RatePrediction:
     """Expected transmission indicator for step k given information to k-2.
 
-    The send- and silent-branch priors of every step are evaluated as one
-    batch of ball probabilities, by the filter's own geometry.  The predictor
-    follows one trial, so the trigger holds one whitener, and ``prob0_prev``
-    is a probability: a value outside [0, 1], NaN included, raises ValueError.
+    The send- and silent-branch priors are evaluated as one 2-row batch of
+    ball probabilities, by the filter's own geometry
+    (``estimator._branch_silence``).  The predictor follows one trial, so the
+    trigger holds one whitener and ``cache_prev`` one step, else ValueError;
+    ``prob0_prev`` is one probability: an array, or a value outside [0, 1],
+    NaN included, raises ValueError.
     """
     _check_unstacked(state.trigger)
-    cache, q = state.cache_prev, state.prob0_prev
-    one = np.ndim(cache.prob0) == 0
-    if one:
-        valid = 0.0 <= q <= 1.0  # NaN fails every comparison
-    else:
-        q = np.asarray(q)
-        valid = np.all((0.0 <= q) & (q <= 1.0))
-    if not valid:
-        raise ValueError(f"prob0_prev must lie in [0, 1], got {state.prob0_prev!r}")
-    const = estimator._constants(state.model, state.trigger)
-    p_sent, p_silent = estimator._branch_silence(const, cache)
-    prob0 = p_sent + q * (p_silent - p_sent)
-    return RatePrediction(gamma_hat=1.0 - (float(prob0) if one else prob0))
+    cache, q, n = state.cache_prev, state.prob0_prev, state.model.n
+    if np.ndim(cache.prob0) or np.shape(cache.P_z) != (n, n) or np.shape(cache.P_silent) != (n, n):
+        raise ValueError(
+            f"cache_prev must hold one step: a scalar prob0 and ({n}, {n}) P_z and P_silent, "
+            f"got shapes {np.shape(cache.prob0)}, {np.shape(cache.P_z)}, {np.shape(cache.P_silent)}"
+        )
+    if np.ndim(q) or not 0.0 <= q <= 1.0:  # NaN fails every comparison
+        raise ValueError(f"prob0_prev must be a scalar in [0, 1], got {q!r}")
+    p_sent, p_silent = estimator._branch_silence(state.model, state.trigger, cache)
+    return RatePrediction(gamma_hat=1.0 - float(p_sent + q * (p_silent - p_sent)))
 
 
 def _two_step_of_run(
     model: LinearGaussianModel, trigger: TriggerConfig, gamma: NDArray, cache: StepCache
 ) -> NDArray:
-    """``rate_two_step`` of steps 1..K of one trial that ``run`` filtered
-    under ``trigger``, from the trial's K + 1 decisions and caches, bit for bit.
+    """The one stacked two-step predictor: ``rate_two_step`` of steps 1..K of
+    one trial that ``run`` filtered under ``trigger``, from the trial's K + 1
+    decisions and caches, bit for bit.
 
     The branch step k-1 took has the prior that ``run`` whitened at step k, so
     its silence probability is ``cache.prob0[k]`` with the same bits; only the

@@ -387,19 +387,6 @@ class TestStackedTrigger:
             with pytest.raises(ValueError, match="trigger stacks 30 whiteners"):
                 call()
 
-    def test_a_stack_derives_its_constants_uncached(self):
-        """A stack of whiteners is built for one use (one per table1 chunk), so
-        its constants bypass the identity-keyed cache, which a one-whitener
-        trigger still hits on its second filter."""
-        model, trig, _ = _tracking_filter()
-        before = _constants.cache_info()
-        EventTriggeredFilter(model, _stacked([trig], 30))
-        assert _constants.cache_info() == before
-        EventTriggeredFilter(model, trig)
-        hits = _constants.cache_info().hits
-        EventTriggeredFilter(model, trig)
-        assert _constants.cache_info().hits == hits + 1
-
 
 class TestRunBookkeeping:
     def test_run_matches_manual_loop(self):

@@ -16,7 +16,7 @@ from etfilter.harness import (
     run_monte_carlo,
     table1,
 )
-from etfilter.estimator import EventTriggeredFilter, StepCache, _branch_silence, _constants
+from etfilter.estimator import EventTriggeredFilter, StepCache, _branch_silence
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
 from etfilter.rate import RateState, _two_step_of_run, rate_one_step, rate_two_step
 from etfilter.trigger import TriggerConfig, make_config
@@ -279,8 +279,8 @@ class TestTwoStepOfRun:
     def test_taken_branch_is_the_runs_silence_probability(self):
         """For every step of the designated trial, filtered in a stack under
         the three cases' whiteners as table1 filters it, the taken branch of
-        ``rate_two_step``'s 2K-row evaluation is the run's ``prob0[k]``, bit
-        for bit, so the K-row helper returns the stacked predictor's bits."""
+        the step's one-row two-branch evaluation is the run's ``prob0[k]``, bit
+        for bit, so the K-row helper returns the per-step predictor's bits."""
         model, seed, steps = tracking_preset(), 5, 101
         rng = np.random.default_rng(np.random.SeedSequence([seed, 40]))
         ys = simulate(model, steps - 1, rng, x0=TRUE_INITIAL_STATE).measurements
@@ -289,11 +289,11 @@ class TestTwoStepOfRun:
         run = EventTriggeredFilter(model, stacked).run(np.repeat(ys[None], 3, axis=0))
         for i, trig in enumerate(triggers):
             gamma, cache = run.gamma[i], StepCache(*(f[i] for f in run.cache))
-            prev = StepCache(*(f[:-1] for f in cache))
-            p_sent, p_silent = _branch_silence(_constants(model, trig), prev)
+            rows = [StepCache(*(f[k] for f in cache)) for k in range(steps - 1)]
+            p_sent, p_silent = np.array([_branch_silence(model, trig, c) for c in rows]).T
             taken = np.where(gamma[:-1] == 1, p_sent, p_silent)
             assert np.array_equal(taken, cache.prob0[1:]), i
-            want = rate_two_step(RateState(prev.prob0, prev, model, trig)).gamma_hat
+            want = [rate_two_step(RateState(c.prob0, c, model, trig)).gamma_hat for c in rows]
             assert np.array_equal(_two_step_of_run(model, trig, gamma, cache), want), i
 
     def test_prediction_whitens_one_row_per_step_and_case(self, monkeypatch, tmp_path):

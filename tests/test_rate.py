@@ -8,10 +8,16 @@ import pytest
 
 from etfilter import estimator
 from etfilter.estimator import EventTriggeredFilter, StepCache
-from etfilter.harness import CASE_BOUNDS
+from etfilter.harness import CASE_BOUNDS, ExperimentConfig, table1
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
 from etfilter.numerics import ball_moments
-from etfilter.rate import RateState, bootstrap_rates, rate_one_step, rate_two_step
+from etfilter.rate import (
+    RateState,
+    _two_step_of_run,
+    bootstrap_rates,
+    rate_one_step,
+    rate_two_step,
+)
 from etfilter.trigger import TriggerConfig, make_config
 
 import oracles
@@ -107,13 +113,19 @@ class TestRateTwoStep:
         )
         assert pred == pytest.approx(emp, abs=0.02)
 
-    def test_empty_stack_gives_empty_prediction(self):
-        model, trig, _ = _setup()
-        empty = StepCache(P_z=np.zeros((0, 3, 3)), P_silent=np.zeros((0, 3, 3)), prob0=np.zeros(0))
-        pred = rate_two_step(
-            RateState(prob0_prev=empty.prob0, cache_prev=empty, model=model, trigger=trig)
-        )
-        assert pred.gamma_hat.shape == (0,)
+    def test_rejects_a_cache_of_other_than_one_step(self):
+        """The predictor reads one step's cache: a stack of caches, even an
+        empty one or one of a single step, raises a ValueError naming
+        ``cache_prev``, as does a stack of covariances beside a scalar prob0."""
+        model, trig, filt = _setup()
+        run = filt.run(simulate(model, 20, np.random.default_rng(63)).measurements).cache
+        stacks = [StepCache(*(f[k] for f in run)) for k in (slice(0, 0), slice(0, 1), slice(None))]
+        assert [len(c.prob0) for c in stacks] == [0, 1, 21]
+        mixed = StepCache(P_z=run.P_z[:2], P_silent=run.P_silent[0], prob0=float(run.prob0[0]))
+        bad_silent = StepCache(P_z=run.P_z[0], P_silent=run.P_silent[:1], prob0=run.prob0[0])
+        for cache in (*stacks, mixed, bad_silent):
+            with pytest.raises(ValueError, match="cache_prev"):
+                rate_two_step(RateState(0.5, cache, model, trig))
 
     def test_rejects_a_stacked_trigger(self):
         """The predictor follows one trial: a stack of whiteners, even of one,
@@ -129,21 +141,17 @@ class TestRateTwoStep:
             with pytest.raises(ValueError, match="one whitener, not a stack"):
                 bootstrap_rates(model, t)
 
-    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "bad", [1.5, -0.1, math.nan, math.inf, np.array([0.5]), np.array([0.5, 0.5])]
+    )
     def test_rejects_a_prob0_prev_outside_the_unit_interval(self, bad):
-        """``prob0_prev`` is a probability: a value outside [0, 1], NaN
-        included, raises instead of extrapolating the branch mixture, for one
-        cache and for a stack in which a single step is bad."""
-        model, trig, filt = _setup()
+        """``prob0_prev`` is one probability: a value outside [0, 1], NaN
+        included, raises instead of extrapolating the branch mixture, and so
+        does an array of probabilities."""
+        model, trig, _ = _setup()
         cache = _prior_cache(model, trig)
         with pytest.raises(ValueError, match="prob0_prev"):
             rate_two_step(RateState(prob0_prev=bad, cache_prev=cache, model=model, trigger=trig))
-        ys = simulate(model, 5, np.random.default_rng(59)).measurements
-        stack = filt.run(ys).cache
-        probs = stack.prob0.copy()
-        probs[3] = bad
-        with pytest.raises(ValueError, match="prob0_prev"):
-            rate_two_step(RateState(prob0_prev=probs, cache_prev=stack, model=model, trigger=trig))
         for edge in (0.0, 1.0):
             rate_two_step(RateState(prob0_prev=edge, cache_prev=cache, model=model, trigger=trig))
 
@@ -173,19 +181,17 @@ class TestTwoStepReference:
         model, trig, filt = _setup(CASE_BOUNDS[case])
         traj = simulate(model, 40, np.random.default_rng(54), x0=np.array(TRUE_INITIAL_STATE))
         c = filt.run(traj.measurements).cache
-        prev = StepCache(P_z=c.P_z[:-1], P_silent=c.P_silent[:-1], prob0=c.prob0[:-1])
-        got = rate_two_step(
-            RateState(prob0_prev=prev.prob0, cache_prev=prev, model=model, trigger=trig)
-        ).gamma_hat
 
         def prob(cov):
             s = model.C @ (model.A @ cov @ model.A.T + model.Q) @ model.C.T + model.R
             return ball_moments(trig.phi @ s @ trig.phi.T, trig.threshold).prob
 
-        for k, prob0 in enumerate(prev.prob0):
-            p_sent, p_silent = prob(prev.P_z[k]), prob(prev.P_silent[k])
-            want = 1.0 - (p_sent + prob0 * (p_silent - p_sent))
-            assert got[k] == pytest.approx(want, rel=1e-14, abs=0.0), k
+        for k in range(len(c.prob0) - 1):
+            prev = StepCache(*(f[k] for f in c))
+            got = rate_two_step(RateState(prev.prob0, prev, model, trig)).gamma_hat
+            p_sent, p_silent = prob(prev.P_z), prob(prev.P_silent)
+            want = 1.0 - (p_sent + prev.prob0 * (p_silent - p_sent))
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), k
 
 
 class TestTwoStepRoundoffCheck:
@@ -239,47 +245,43 @@ class TestHotPathSkipsValidator:
                 RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=trig)
             )
             rate_one_step(cache)
-        c = filt.run(ys).cache
-        prev = StepCache(P_z=c.P_z[1], P_silent=c.P_silent[1], prob0=c.prob0[1])
-        pred = rate_two_step(
-            RateState(prob0_prev=prev.prob0, cache_prev=prev, model=model, trigger=trig)
-        )
-        assert pred.gamma_hat.shape == (21,)
+        run = filt.run(ys)
+        trial = StepCache(*(f[1] for f in run.cache))
+        assert _two_step_of_run(model, trig, run.gamma[1], trial).shape == (20,)
 
 
 class TestTwoStepReadsCachedConstants:
     def test_branch_n_z_come_from_one_product_of_cached_constants(self, monkeypatch):
-        """After the filter is built, the two-step predictor runs no filter
-        recursion and derives no constants, for one cache or a stack, and a
-        stack predicts each step as a call on its cache alone does, bit for
-        bit; a new trigger object gets constants of its own."""
+        """The two-step predictor runs no filter recursion, and consecutive
+        predictions under one (model, trigger) pair derive constants at most
+        once, for the first of them; a new trigger object derives its own."""
         model, trig, filt = _setup()
         ys = simulate(model, 20, np.random.default_rng(57), x0=np.array(TRUE_INITIAL_STATE))
         stack = filt.run(ys.measurements).cache
+        caches = [StepCache(*(f[k] for f in stack)) for k in range(21)]
 
         def refuse(*_args, **_kwargs):
             raise AssertionError("the two-step predictor ran the filter recursion")
 
         monkeypatch.setattr(estimator.EventTriggeredFilter, "_advance", refuse)
+        derived, derive = [], estimator._constants
+        monkeypatch.setattr(estimator, "_constants", lambda m, t: derived.append(t) or derive(m, t))
 
-        def predict(cache, trigger=trig):
-            return rate_two_step(
-                RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=trigger)
-            ).gamma_hat
+        def predict(trigger=trig):
+            return np.array(
+                [rate_two_step(RateState(c.prob0, c, model, trigger)).gamma_hat for c in caches]
+            )
 
-        misses = estimator._constants.cache_info().misses
-        single = [predict(StepCache(*(f[k] for f in stack))) for k in range(21)]
-        batched = predict(stack)
-        assert estimator._constants.cache_info().misses == misses
-        assert batched.shape == (21,)
-        assert np.array_equal(batched, single)
-
-        assert not np.any(predict(stack, replace(trig, threshold=2.0 * trig.threshold)) == batched)
+        want = predict()
+        assert len(derived) <= 1
+        derived.clear()
+        doubled = replace(trig, threshold=2.0 * trig.threshold)
+        assert not np.any(predict(doubled) == want)
         # Phi and the threshold scaled together leave every ball probability
         # as it was, which stale constants of the old Phi would not.
         scaled = replace(trig, phi=2.0 * trig.phi, threshold=4.0 * trig.threshold)
-        np.testing.assert_allclose(predict(stack, scaled), batched, rtol=1e-13, atol=0.0)
-        assert estimator._constants.cache_info().misses == misses + 2
+        np.testing.assert_allclose(predict(scaled), want, rtol=1e-13, atol=0.0)
+        assert derived == [doubled, scaled]
 
 
 class TestPerStepCallStructure:
@@ -289,13 +291,11 @@ class TestPerStepCallStructure:
         ``np.where`` (the mean), and calls neither ``np.linalg.eigh`` nor
         ``np.stack``; so does a two-step prediction followed by the step it
         predicts, which shares the prediction's geometry.  A whole run wraps
-        one StepCache, none per step; a prediction on a stack of caches runs
-        one ``_eigh`` and one ``_ball_full``."""
+        one StepCache, none per step."""
         model, trig, filt = _setup()
         ys = simulate(model, 20, np.random.default_rng(58), x0=np.array(TRUE_INITIAL_STATE))
         ys = ys.measurements
         _, state = filt.init(ys[0])
-        stack = filt.run(ys[:11]).cache
         calls = {}
 
         def spy(module, name):
@@ -336,9 +336,6 @@ class TestPerStepCallStructure:
         filt.run(ys[:11])
         assert geometry() == {"_eigh": 11, "eigh": 0, "_ball_full": 11}
         assert calls["StepCache"] == 1
-        calls.clear()
-        predict(stack)
-        assert geometry() == {"_eigh": 1, "eigh": 0, "_ball_full": 1}
 
 
 def _predicted_steps(filt, ys, predict):
@@ -482,6 +479,39 @@ class TestSharedBranchGeometry:
             assert preds[i] == alone[i][1]
 
 
+class TestTheSlotIsTheOnlyState:
+    """The online predictor's one piece of module state is ``estimator._primed``:
+    nothing but a prediction under another pair evicts a filter's shared geometry."""
+
+    def test_table1_runs_and_other_filters_keep_one_eigensolve_per_step(
+        self, monkeypatch, tmp_path
+    ):
+        model, trig, filt = _setup()
+        ys = simulate(model, 3, np.random.default_rng(65), x0=np.array(TRUE_INITIAL_STATE))
+        _, state = filt.init(ys.measurements[0])
+        for seed in (1, 2, 3):
+            table1(ExperimentConfig(trials=10, seed=seed), tmp_path / str(seed))
+        for nbar in CASE_BOUNDS.values():  # nine filters under other triggers
+            for alpha in (0.01, 0.05, 0.1):
+                EventTriggeredFilter(model, make_config(nbar, alpha))
+        calls = []
+        eigh = estimator._eigh
+        monkeypatch.setattr(estimator, "_eigh", lambda a: calls.append(1) or eigh(a))
+        for y in ys.measurements[1:]:
+            calls.clear()
+            _predict(filt, state)
+            _, state = filt.step(state, y)
+            assert len(calls) == 1
+
+    def test_table1_leaves_the_slot_as_it_was(self, tmp_path):
+        model, trig, filt = _setup()
+        _predict(filt, filt.init(np.zeros(model.p))[1])
+        before = estimator._primed
+        assert before is not None and before[0].trigger is trig
+        table1(ExperimentConfig(trials=10, seed=1), tmp_path)
+        assert estimator._primed is before
+
+
 class TestNeverSend:
     def test_all_predictors_give_exactly_zero(self):
         model, trig, _ = _setup()
@@ -498,7 +528,7 @@ class TestNeverSend:
 class TestAlwaysSend:
     def test_all_predictors_give_exactly_one(self):
         """A zero threshold has no silence ball: every predictor reads 1, for
-        a single cache and for a stack of steps."""
+        a single cache and along a whole run."""
         model, trig, _ = _setup()
         always = replace(trig, threshold=0.0)
         assert bootstrap_rates(model, always) == (1.0, 1.0)
@@ -508,12 +538,12 @@ class TestAlwaysSend:
             RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=always)
         )
         assert pred.gamma_hat == 1.0
-        stacked = StepCache(*(np.stack([f] * 3) for f in cache))
-        pred = rate_two_step(
-            RateState(prob0_prev=stacked.prob0, cache_prev=stacked, model=model, trigger=always)
+        run = EventTriggeredFilter(model, always).run(
+            simulate(model, 5, np.random.default_rng(64)).measurements
         )
-        assert pred.gamma_hat.shape == (3,)
-        assert np.all(pred.gamma_hat == 1.0)
+        two = _two_step_of_run(model, always, run.gamma, run.cache)
+        assert np.all(run.gamma == 1) and two.shape == (5,)
+        assert np.all(two == 1.0)
 
 
 class TestHugeBound:
