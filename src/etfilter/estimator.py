@@ -16,6 +16,7 @@ measurement.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -35,9 +36,6 @@ class StepCache(NamedTuple):
     P_z      : posterior covariance of the send branch (measurement received)
     P_silent : posterior covariance of the silent branch
     prob0    : probability of silence at this step given the previous info set
-
-    Inside the batched recursion every field carries a leading trial axis, and
-    in ``FilterRun.cache`` a step axis.
     """
 
     P_z: NDArray
@@ -92,9 +90,9 @@ def _constants(model: LinearGaussianModel, trigger: TriggerConfig) -> _Constants
 
     The filter step and the two-step rate predictor both whiten a prior cov
     into N_z = Phi C cov C' Phi' + Phi R Phi' from these products.  A filter
-    derives them once, when it is built; the online predictor keeps the last
-    pair's in ``_primed``.  A stacked trigger gives every product of Phi the
-    same leading axis.
+    derives them once, when it is built, and its one-step caches keep them; a
+    prediction from any other cache derives them afresh.  A stacked trigger
+    gives every product of Phi the same leading axis.
     """
     phi = trigger.phi
     phi_c = phi @ model.C
@@ -166,16 +164,23 @@ def _cache(const: _Constants, cov: NDArray):
     return gain, p_z, p_silent, prob
 
 
-# The online two-step predictor's one piece of state, set by
-# ``_branch_silence``: (constants of the last pair it predicted under, P_z,
-# P_silent, the 2-row ``_cache`` output of the priors after a send and after a
-# silence), the last three None when that cache was writable.
-_primed = None
+class _OnlineCache(StepCache):
+    """The one-step cache ``init`` and ``step`` return, holding the constants of
+    the filter that made it (``const``, absent from a ``_replace``d copy).  Its
+    branch arrays are read-only, so its identity pins its values; a pickled or
+    copied cache is a plain StepCache, and never shares this one's ``ahead``.
+    """
 
+    @cached_property
+    def ahead(self) -> list:
+        """The 2-row ``_cache`` of the next step's priors A P A' + Q for P in
+        (P_z, P_silent), computed once; a row has the bits of its one-row call.
+        ``np.array`` stacks the branches with the copy ``np.stack`` makes,
+        without its Python-level checks."""
+        return _cache(self.const, _prior(self.const.model, np.array((self.P_z, self.P_silent))))
 
-def _frozen(a) -> bool:
-    """Whether ``a`` is an array no caller can write, so that its identity pins its values."""
-    return isinstance(a, np.ndarray) and not a.flags.writeable
+    def __reduce__(self):
+        return StepCache, tuple(self)
 
 
 def _branch_silence(
@@ -184,51 +189,29 @@ def _branch_silence(
     """Silence probabilities (after a send, after a silence) of the step after
     the one-step ``cache``, from the priors A P A' + Q for P in (P_z, P_silent).
 
-    Both branches take the filter's whole ``_cache`` in one 2-row call, under
-    the constants in ``_primed`` when the slot holds this very (model,
-    trigger) pair and constants derived afresh otherwise.  The constants
-    always go back into the slot, and the geometry with them when both branch
-    arrays are read-only: a state whose P is one of these very arrays, stepped
-    under the same pair, takes its branch's row in place of its own ``_cache``
-    call.  A row of the 2-row call has the bits of its one-row call, so the
-    filter's output does not change.  The two branches are stacked with
-    ``np.array``, the same copy ``np.stack`` makes without its Python-level
-    checks.
+    A cache that a filter on this very (model, trigger) pair made gives its
+    ``ahead``, whose rows that filter's next step reuses.  Any other cache (a
+    run's row, a hand-built one) or pair takes one 2-row ``_silence`` call
+    under constants derived afresh, with the same bits.
     """
-    global _primed
-    p_z, p_silent = cache.P_z, cache.P_silent
-    const = _primed[0] if _primed else None
-    if const is None or const.model is not model or const.trigger is not trigger:
-        const = _constants(model, trigger)
-    geometry = _cache(const, _prior(model, np.array((p_z, p_silent))))
-    frozen = _frozen(p_z) and _frozen(p_silent)
-    _primed = (const, p_z, p_silent, geometry) if frozen else (const, None, None, None)
-    return geometry[3]
+    const = getattr(cache, "const", None)
+    if const is not None and const.model is model and const.trigger is trigger:
+        return cache.ahead[3]
+    prior = _prior(model, np.array((cache.P_z, cache.P_silent)))
+    return _silence(_constants(model, trigger), prior)[3]
 
 
-def _primed_row(const: _Constants, cov) -> list | None:
-    """The primed geometry of the branch whose posterior is the array ``cov``, or None."""
-    primed = _primed  # read once: the slot may be refilled meanwhile
-    if primed and primed[0].model is const.model and primed[0].trigger is const.trigger:
-        if cov is primed[1]:
-            return [f[:1] for f in primed[3]]
-        if cov is primed[2]:
-            return [f[1:] for f in primed[3]]
-    return None
-
-
-def _state(advanced) -> tuple[int, EstimatorState]:
-    """The decision and state of a one-row ``_advance``, wrapped once.
-
-    P is the taken branch's own posterior array, and both posteriors are
-    read-only, so ``step`` can match a primed geometry row by identity.
-    """
+def _state(const: _Constants, advanced) -> tuple[int, EstimatorState]:
+    """The decision and state of a one-row ``_advance`` under ``const``, wrapped
+    once.  P is the taken branch's own read-only posterior array, so ``step``
+    can match its row of ``ahead`` by identity."""
     gamma, xhat, p_z, p_silent, prob = advanced
     gamma, p_z, p_silent = int(gamma[0]), p_z[0], p_silent[0]
     p_z.setflags(write=False)
     p_silent.setflags(write=False)
-    cov = p_z if gamma else p_silent
-    return gamma, EstimatorState(xhat[0], cov, StepCache(p_z, p_silent, prob[0]))
+    cache = _OnlineCache(p_z, p_silent, prob[0])
+    cache.const = const
+    return gamma, EstimatorState(xhat[0], p_z if gamma else p_silent, cache)
 
 
 class EventTriggeredFilter:
@@ -299,19 +282,23 @@ class EventTriggeredFilter:
     def init(self, y0) -> tuple[int, EstimatorState]:
         """Consume the time-0 measurement against the model prior."""
         m = self._const.model
-        return _state(self._advance(m.x0_mean[None], m.x0_cov[None], self._one(y0), predict=False))
+        advanced = self._advance(m.x0_mean[None], m.x0_cov[None], self._one(y0), predict=False)
+        return _state(self._const, advanced)
 
     def step(self, state: EstimatorState, y) -> tuple[StepOutput, EstimatorState]:
         """Advance one step with ``y``, the measurement of the step after ``state``.
 
-        When the last ``rate_two_step`` predicted from ``state.cache`` under
-        this filter's very model and trigger objects, it already computed this
-        step's geometry for both branches (``_primed``), and the step takes the
-        row of the branch ``state`` took.
+        When ``state.cache`` is this filter's own and a ``rate_two_step`` from it
+        has computed its ``ahead``, this step's geometry for both branches, the
+        step takes the row of the branch ``state`` took; it never computes it.
         """
-        ys = self._one(y)
-        geometry = _primed_row(self._const, state.P)
-        gamma, state = _state(self._advance(state.xhat[None], state.P[None], ys, True, geometry))
+        cache, geometry = state.cache, None
+        if getattr(cache, "const", None) is self._const and "ahead" in vars(cache):
+            for row, branch in enumerate(cache[:2]):
+                if state.P is branch:
+                    geometry = [f[row : row + 1] for f in cache.ahead]
+        advanced = self._advance(state.xhat[None], state.P[None], self._one(y), True, geometry)
+        gamma, state = _state(self._const, advanced)
         return StepOutput(gamma), state
 
     def run(self, measurements) -> FilterRun:

@@ -1,4 +1,8 @@
+import copy
+import importlib
 import math
+import pickle
+import pkgutil
 import sys
 import warnings
 from dataclasses import replace
@@ -6,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import etfilter
 from etfilter import estimator
 from etfilter.estimator import EventTriggeredFilter, StepCache
 from etfilter.harness import CASE_BOUNDS, ExperimentConfig, table1
@@ -252,20 +257,23 @@ class TestHotPathSkipsValidator:
 
 class TestTwoStepReadsCachedConstants:
     def test_branch_n_z_come_from_one_product_of_cached_constants(self, monkeypatch):
-        """The two-step predictor runs no filter recursion, and consecutive
-        predictions under one (model, trigger) pair derive constants at most
-        once, for the first of them; a new trigger object derives its own."""
+        """An online loop predicts under the constants its filter derived when
+        built and derives none.  A row of a run's cache holds no constants, so
+        each prediction from one derives its own, by design, and runs no
+        filter recursion; a new trigger object's predictions use its own."""
         model, trig, filt = _setup()
         ys = simulate(model, 20, np.random.default_rng(57), x0=np.array(TRUE_INITIAL_STATE))
         stack = filt.run(ys.measurements).cache
         caches = [StepCache(*(f[k] for f in stack)) for k in range(21)]
+        derived, derive = [], estimator._constants
+        monkeypatch.setattr(estimator, "_constants", lambda m, t: derived.append(t) or derive(m, t))
+        online, _ = _predicted_steps(filt, ys.measurements, predict=True)
+        assert derived == [] and len(online) == 21
 
         def refuse(*_args, **_kwargs):
             raise AssertionError("the two-step predictor ran the filter recursion")
 
         monkeypatch.setattr(estimator.EventTriggeredFilter, "_advance", refuse)
-        derived, derive = [], estimator._constants
-        monkeypatch.setattr(estimator, "_constants", lambda m, t: derived.append(t) or derive(m, t))
 
         def predict(trigger=trig):
             return np.array(
@@ -273,7 +281,7 @@ class TestTwoStepReadsCachedConstants:
             )
 
         want = predict()
-        assert len(derived) <= 1
+        assert derived == [trig] * 21
         derived.clear()
         doubled = replace(trig, threshold=2.0 * trig.threshold)
         assert not np.any(predict(doubled) == want)
@@ -281,17 +289,17 @@ class TestTwoStepReadsCachedConstants:
         # as it was, which stale constants of the old Phi would not.
         scaled = replace(trig, phi=2.0 * trig.phi, threshold=4.0 * trig.threshold)
         np.testing.assert_allclose(predict(scaled), want, rtol=1e-13, atol=0.0)
-        assert derived == [doubled, scaled]
+        assert derived == [doubled] * 21 + [scaled] * 21
 
 
 class TestPerStepCallStructure:
     def test_one_eigensolve_and_one_ball_call_per_step_and_per_prediction(self, monkeypatch):
         """The per-step dispatch floor.  A filter step runs one ``_eigh`` and
-        one ``_ball_full``, wraps one StepCache and selects with one
+        one ``_ball_full``, wraps one online cache and selects with one
         ``np.where`` (the mean), and calls neither ``np.linalg.eigh`` nor
         ``np.stack``; so does a two-step prediction followed by the step it
         predicts, which shares the prediction's geometry.  A whole run wraps
-        one StepCache, none per step."""
+        one StepCache, none per step, and no online cache."""
         model, trig, filt = _setup()
         ys = simulate(model, 20, np.random.default_rng(58), x0=np.array(TRUE_INITIAL_STATE))
         ys = ys.measurements
@@ -313,6 +321,7 @@ class TestPerStepCallStructure:
         spy(np, "where")
         spy(estimator, "_ball_full")
         spy(estimator, "StepCache")
+        spy(estimator, "_OnlineCache")
 
         def predict(cache):
             rate_two_step(
@@ -322,7 +331,7 @@ class TestPerStepCallStructure:
         def geometry():
             return {name: calls.get(name, 0) for name in ("_eigh", "eigh", "_ball_full")}
 
-        floor = {"_eigh": 1, "_ball_full": 1, "StepCache": 1, "where": 1}
+        floor = {"_eigh": 1, "_ball_full": 1, "_OnlineCache": 1, "where": 1}
         for k in range(1, 11):
             calls.clear()
             _, state = filt.step(state, ys[k])
@@ -335,7 +344,7 @@ class TestPerStepCallStructure:
         calls.clear()
         filt.run(ys[:11])
         assert geometry() == {"_eigh": 11, "eigh": 0, "_ball_full": 11}
-        assert calls["StepCache"] == 1
+        assert calls["StepCache"] == 1 and "_OnlineCache" not in calls
 
 
 def _predicted_steps(filt, ys, predict):
@@ -412,33 +421,31 @@ class TestSharedBranchGeometry:
             out, new = f.step(state, y)
             return (out.gamma, *new[:2], *new.cache), len(calls)
 
-        def fresh(state, f=filt):
-            with monkeypatch.context() as m:
-                m.setattr(estimator, "_primed", None)
-                return stepped(state, f)[0]
-
         def check(state, computed, f=filt):
             got, count = stepped(state, f)
             assert count == (1 if computed else 0)
-            _assert_steps_equal([got], [fresh(state, f)])
+            # A plain StepCache shares no geometry: the step's own output.
+            plain = state._replace(cache=StepCache(*state.cache))
+            _assert_steps_equal([got], [stepped(plain, f)[0]])
 
-        # A cache whose silent branch was replaced: the state that took the
-        # original silent branch recomputes; one that took the replacement reuses.
+        # A cache whose silent branch was replaced holds no constants: neither
+        # the state that took the original silent branch nor one that took
+        # the replacement reuses a prediction from it.
         replaced = silent.cache._replace(P_silent=other)
         _predict(filt, silent._replace(cache=replaced))
         check(silent, computed=True)
-        check(silent._replace(P=other, cache=replaced), computed=False)
+        check(silent._replace(P=other, cache=replaced), computed=True)
 
         # A prediction under another trigger object, even one of equal values,
-        # is not this filter's; a filter on that object reuses it.
+        # computes no geometry for this filter; nor does another filter on
+        # this filter's own pair reuse its cache.
         for twin in (replace(trig), replace(trig, threshold=2.0 * trig.threshold)):
             _predict(filt, silent, twin)
             check(silent, computed=True)
-            _predict(filt, silent, twin)
-            check(silent, computed=False, f=EventTriggeredFilter(model, twin))
+        _predict(filt, silent)
+        check(silent, computed=True, f=EventTriggeredFilter(model, trig))
 
         # A state whose P is a copy of the branch array recomputes.
-        _predict(filt, silent)
         check(silent._replace(P=silent.P.copy()), computed=True)
         check(silent, computed=False)
 
@@ -448,6 +455,58 @@ class TestSharedBranchGeometry:
         _predict(filt, state)
         mine.P_silent[...] = other
         check(state, computed=True)
+
+    def test_a_prediction_no_step_reads_whitens_without_the_gain(self, monkeypatch):
+        """From an online cache under a twin trigger, the prediction takes one
+        2-row ``_silence`` call and no ``_cache`` call, and gives the bits of
+        the cache's own ``ahead``."""
+        model, trig, filt = _setup()
+        _, state = filt.init(np.zeros(model.p))
+        calls = []
+        for name in ("_cache", "_silence"):
+            original = getattr(estimator, name)
+            spy = lambda *a, name=name, original=original: calls.append(name) or original(*a)
+            monkeypatch.setattr(estimator, name, spy)
+        got = estimator._branch_silence(model, replace(trig), state.cache)
+        assert calls == ["_silence"]
+        assert np.array_equal(got, state.cache.ahead[3])
+
+    def test_predicting_twice_from_one_state_eigensolves_once(self, monkeypatch):
+        model, trig, filt = _setup()
+        ys = simulate(model, 5, np.random.default_rng(66), x0=np.array(TRUE_INITIAL_STATE))
+        state = _state_after(filt, ys.measurements, 3)
+        shapes = []
+        eigh = estimator._eigh
+        monkeypatch.setattr(estimator, "_eigh", lambda a: shapes.append(a.shape) or eigh(a))
+        first, second = _predict(filt, state), _predict(filt, state)
+        assert first == second and shapes == [(2, model.p, model.p)]
+        shapes.clear()
+        filt.step(state, ys.measurements[4])
+        assert shapes == []
+
+    def test_a_pickled_or_copied_state_steps_afresh(self, monkeypatch):
+        """A copy's branch arrays are writable, so it must share no geometry,
+        even with a filter copied along with it; it steps to the original's bits."""
+        model, trig, filt = _setup()
+        ys = simulate(model, 5, np.random.default_rng(67), x0=np.array(TRUE_INITIAL_STATE))
+        state = _state_after(filt, ys.measurements, 3)
+        want = _predict(filt, state)
+        out, new = filt.step(state, ys.measurements[4])
+        want_rows = [(want, out.gamma, *new[:2], *new.cache)]
+        copies = [
+            (filt, pickle.loads(pickle.dumps(state))),
+            (filt, copy.deepcopy(state)),
+            copy.deepcopy((filt, state)),
+        ]
+        calls = []
+        original = estimator._cache
+        monkeypatch.setattr(estimator, "_cache", lambda *a: calls.append(1) or original(*a))
+        for f, twin in copies:
+            pred = _predict(f, twin)
+            calls.clear()
+            out, new = f.step(twin, ys.measurements[4])
+            assert len(calls) == 1
+            _assert_steps_equal([(pred, out.gamma, *new[:2], *new.cache)], want_rows)
 
     def test_interleaved_filters_equal_each_filter_alone(self):
         """Case 1 and case 3 predicted and stepped in varying interleavings
@@ -479,37 +538,61 @@ class TestSharedBranchGeometry:
             assert preds[i] == alone[i][1]
 
 
-class TestTheSlotIsTheOnlyState:
-    """The online predictor's one piece of module state is ``estimator._primed``:
-    nothing but a prediction under another pair evicts a filter's shared geometry."""
+def _interfere(model, tmp_path, k):
+    """Predictions under other pairs, ``bootstrap_rates`` and, at ``k`` < 3,
+    a ``table1`` run: nothing that may touch another filter's geometry."""
+    other = make_config(CASE_BOUNDS["case2"], 0.05)
+    filt = EventTriggeredFilter(model, other)
+    _predict(filt, filt.init(np.zeros(model.p))[1], make_config(CASE_BOUNDS["case3"]))
+    bootstrap_rates(model, other)
+    if k < 3:
+        table1(ExperimentConfig(trials=10, seed=k), tmp_path / str(k))
 
-    def test_table1_runs_and_other_filters_keep_one_eigensolve_per_step(
+
+class TestNoModuleState:
+    """The online predictor keeps its shared geometry on the cache it was
+    computed from, so nothing else in the process can evict it."""
+
+    def test_nothing_between_predict_and_step_evicts_the_shared_geometry(
         self, monkeypatch, tmp_path
     ):
-        model, trig, filt = _setup()
-        ys = simulate(model, 3, np.random.default_rng(65), x0=np.array(TRUE_INITIAL_STATE))
-        _, state = filt.init(ys.measurements[0])
-        for seed in (1, 2, 3):
-            table1(ExperimentConfig(trials=10, seed=seed), tmp_path / str(seed))
-        for nbar in CASE_BOUNDS.values():  # nine filters under other triggers
-            for alpha in (0.01, 0.05, 0.1):
-                EventTriggeredFilter(model, make_config(nbar, alpha))
+        """Two filters predicted and stepped in turn, with other traffic
+        between each prediction and its step: each predicted step runs one
+        ``_eigh``, in the prediction, and the step runs none."""
+        model = tracking_preset()
+        filters = [
+            EventTriggeredFilter(model, make_config(CASE_BOUNDS[c])) for c in ("case1", "case3")
+        ]
+        ys = simulate(model, 8, np.random.default_rng(65), x0=np.array(TRUE_INITIAL_STATE))
+        states = [f.init(ys.measurements[0])[1] for f in filters]
         calls = []
         eigh = estimator._eigh
         monkeypatch.setattr(estimator, "_eigh", lambda a: calls.append(1) or eigh(a))
-        for y in ys.measurements[1:]:
-            calls.clear()
-            _predict(filt, state)
-            _, state = filt.step(state, y)
-            assert len(calls) == 1
+        for k, y in enumerate(ys.measurements[1:]):
+            for f, state in zip(filters, states):
+                calls.clear()
+                _predict(f, state)
+                assert len(calls) == 1, k
+            _interfere(model, tmp_path, k)
+            for i, f in enumerate(filters):
+                calls.clear()
+                states[i] = f.step(states[i], y)[1]
+                assert calls == [], k
 
-    def test_table1_leaves_the_slot_as_it_was(self, tmp_path):
+    def test_no_module_global_is_rebound(self, tmp_path):
+        """Every global of every ``etfilter`` module stays bound to the same
+        object through online predict+step loops, ``bootstrap_rates``,
+        ``table1`` runs and predictions under other pairs."""
+        names = [m.name for m in pkgutil.iter_modules(etfilter.__path__) if m.name != "__main__"]
+        modules = [etfilter, *(importlib.import_module(f"etfilter.{n}") for n in names)]
+        before = [dict(vars(m)) for m in modules]  # held, so no id can be reused
         model, trig, filt = _setup()
-        _predict(filt, filt.init(np.zeros(model.p))[1])
-        before = estimator._primed
-        assert before is not None and before[0].trigger is trig
-        table1(ExperimentConfig(trials=10, seed=1), tmp_path)
-        assert estimator._primed is before
+        ys = simulate(model, 10, np.random.default_rng(68), x0=np.array(TRUE_INITIAL_STATE))
+        for k in range(4):
+            _predicted_steps(filt, ys.measurements, predict=True)
+            _interfere(model, tmp_path, k)
+        for m, was in zip(modules, before):
+            assert {n: id(v) for n, v in vars(m).items()} == {n: id(v) for n, v in was.items()}, m
 
 
 class TestNeverSend:
