@@ -16,7 +16,6 @@ measurement.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -66,40 +65,6 @@ class FilterRun(NamedTuple):
     cache: StepCache
 
 
-def _check_inputs(model: LinearGaussianModel, trigger: TriggerConfig) -> None:
-    if trigger.p != model.p:
-        raise ValueError(
-            f"trigger dimension {trigger.p} does not match measurement dimension {model.p}"
-        )
-    validated_eigh(model.R, "R", definite=True)
-
-
-class _Constants(NamedTuple):
-    """A (model, trigger) pair and the products of it that every step reads."""
-
-    model: LinearGaussianModel
-    trigger: TriggerConfig
-    phi_c: NDArray  # Phi C
-    phi_c_t: NDArray  # (Phi C)'
-    phi_r_phi: NDArray  # Phi R Phi'
-    eye: NDArray  # I_n
-
-
-def _constants(model: LinearGaussianModel, trigger: TriggerConfig) -> _Constants:
-    """The constants of a (model, trigger) pair.
-
-    The filter step and the two-step rate predictor both whiten a prior cov
-    into N_z = Phi C cov C' Phi' + Phi R Phi' from these products.  A filter
-    derives them once, when it is built, and its one-step caches keep them; a
-    prediction from any other cache derives them afresh.  A stacked trigger
-    gives every product of Phi the same leading axis.
-    """
-    phi = trigger.phi
-    phi_c = phi @ model.C
-    phi_r_phi = phi @ model.R @ phi.swapaxes(-1, -2)
-    return _Constants(model, trigger, phi_c, phi_c.swapaxes(-1, -2), phi_r_phi, np.eye(model.n))
-
-
 _N_Z_BROKEN = "N_z lost definiteness or overflowed: eigenvalues must be > 0 and finite"
 
 
@@ -113,105 +78,19 @@ def _checked(lam: NDArray) -> NDArray:
     return lam
 
 
-def _prior(model: LinearGaussianModel, cov: NDArray) -> NDArray:
-    """The time update A P A' + Q of (B, n, n) posterior covariances."""
-    return model.A @ cov @ model.A.T + model.Q
-
-
-def _silence(const: _Constants, cov: NDArray):
-    """Whiten (B, n, n) prior covariances and take their silence balls.
-
-    Returns (cross, lam, vec, prob0, d): cross = cov (Phi C)', the eigenvalues
-    and eigenvectors of N_z = Phi C cov C' Phi' + Phi R Phi', and the ball's
-    probability and eigenframe second moments (``_ball_full``).  N_z is checked
-    only for what roundoff can break (``_checked``); a non-finite entry that
-    keeps LAPACK from converging (as some do at p >= 3) raises the same
-    ValueError, chained from the LinAlgError.  The eigensolve is
-    ``numerics._eigh``, which skips checks that N_z, a float64 square stack
-    by construction, does not need.
-    """
-    cross = cov @ const.phi_c_t
-    try:
-        lam, vec = _eigh(const.phi_c @ cross + const.phi_r_phi)
-    except np.linalg.LinAlgError as err:
-        raise ValueError(_N_Z_BROKEN) from err
-    prob, d = _ball_full(_checked(lam), const.trigger.threshold)
-    return cross, lam, vec, prob, d
-
-
-def _cache(const: _Constants, cov: NDArray):
-    """Measurement geometry and silence-ball step from (B, n, n) prior covariances.
-
-    Returns (gain, P_z, P_silent, prob0), plain arrays with a leading trial
-    axis, the last three a StepCache's fields; none depends on the
-    measurements.  Everything comes from one eigendecomposition
-    N_z = V diag(lam) V' (``_silence``): with U = cov (Phi C)' V diag(1 / lam),
-    the whitened gain in the eigenframe, the gain is U V' Phi, the send branch
-    takes the Joseph-stabilized update, and the silent branch adds U diag(d) U'
-    for the ball's eigenframe second moments d.  Each factor divides by lam
-    once, so no lam^2 can underflow.
-
-    Neither cov nor N_z is symmetrized: ``eigh`` reads only the lower
-    triangle of N_z, and cov enters only through cross and the Joseph
-    product, which is symmetrized itself.
-    """
-    cross, lam, vec, prob, d = _silence(const, cov)
-    u = cross @ vec / lam[:, None, :]
-    gain = u @ (vec.swapaxes(1, 2) @ const.trigger.phi)
-    a = const.eye - gain @ const.model.C
-    p_z = symmetrize(a @ cov @ a.swapaxes(1, 2) + gain @ const.model.R @ gain.swapaxes(1, 2))
-    p_silent = symmetrize(p_z + (u * d[:, None, :]) @ u.swapaxes(1, 2))
-    return gain, p_z, p_silent, prob
-
-
 class _OnlineCache(StepCache):
-    """The one-step cache ``init`` and ``step`` return, holding the constants of
-    the filter that made it (``const``, absent from a ``_replace``d copy).  Its
-    branch arrays are read-only, so its identity pins its values; a pickled or
-    copied cache is a plain StepCache, and never shares this one's ``ahead``.
+    """The one-step cache ``init`` and ``step`` return, holding the filter that
+    made it (``filter``, absent from a ``_replace``d copy) and, once a
+    prediction fills it, the 2-row ``_cache`` of the next step's priors
+    (``ahead``).  Its branch arrays are read-only, so its identity pins its
+    values; a pickled or copied cache is a plain StepCache, and never shares
+    this one's ``ahead``.
     """
 
-    @cached_property
-    def ahead(self) -> list:
-        """The 2-row ``_cache`` of the next step's priors A P A' + Q for P in
-        (P_z, P_silent), computed once; a row has the bits of its one-row call.
-        ``np.array`` stacks the branches with the copy ``np.stack`` makes,
-        without its Python-level checks."""
-        return _cache(self.const, _prior(self.const.model, np.array((self.P_z, self.P_silent))))
+    ahead = None
 
     def __reduce__(self):
         return StepCache, tuple(self)
-
-
-def _branch_silence(
-    model: LinearGaussianModel, trigger: TriggerConfig, cache: StepCache
-) -> NDArray:
-    """Silence probabilities (after a send, after a silence) of the step after
-    the one-step ``cache``, from the priors A P A' + Q for P in (P_z, P_silent).
-
-    A cache that a filter on this very (model, trigger) pair made gives its
-    ``ahead``, whose rows that filter's next step reuses.  Any other cache (a
-    run's row, a hand-built one) or pair takes one 2-row ``_silence`` call
-    under constants derived afresh, with the same bits.
-    """
-    const = getattr(cache, "const", None)
-    if const is not None and const.model is model and const.trigger is trigger:
-        return cache.ahead[3]
-    prior = _prior(model, np.array((cache.P_z, cache.P_silent)))
-    return _silence(_constants(model, trigger), prior)[3]
-
-
-def _state(const: _Constants, advanced) -> tuple[int, EstimatorState]:
-    """The decision and state of a one-row ``_advance`` under ``const``, wrapped
-    once.  P is the taken branch's own read-only posterior array, so ``step``
-    can match its row of ``ahead`` by identity."""
-    gamma, xhat, p_z, p_silent, prob = advanced
-    gamma, p_z, p_silent = int(gamma[0]), p_z[0], p_silent[0]
-    p_z.setflags(write=False)
-    p_silent.setflags(write=False)
-    cache = _OnlineCache(p_z, p_silent, prob[0])
-    cache.const = const
-    return gamma, EstimatorState(xhat[0], p_z if gamma else p_silent, cache)
 
 
 class EventTriggeredFilter:
@@ -237,11 +116,118 @@ class EventTriggeredFilter:
     """
 
     def __init__(self, model: LinearGaussianModel, trigger: TriggerConfig):
-        _check_inputs(model, trigger)
-        self._const = _constants(model, trigger)
+        if trigger.p != model.p:
+            raise ValueError(
+                f"trigger dimension {trigger.p} does not match measurement dimension {model.p}"
+            )
+        validated_eigh(model.R, "R", definite=True)
+        # The products that whiten a prior cov into N_z = Phi C cov C' Phi' + Phi R Phi';
+        # a stacked trigger gives each product of Phi the same leading axis.
+        phi = trigger.phi
+        self._model, self._trigger = model, trigger
+        self._phi_c = phi @ model.C
+        self._phi_c_t = self._phi_c.swapaxes(-1, -2)
+        self._phi_r_phi = phi @ model.R @ phi.swapaxes(-1, -2)
+        self._eye = np.eye(model.n)
 
-    model = property(lambda self: self._const.model)  # read-only: _const derives from it
-    trigger = property(lambda self: self._const.trigger)  # read-only: _const derives from it
+    model = property(lambda self: self._model)  # read-only: the products derive from it
+    trigger = property(lambda self: self._trigger)  # read-only: the products derive from it
+
+    # -- step geometry ---------------------------------------------------------
+
+    def _prior(self, cov: NDArray) -> NDArray:
+        """The time update A P A' + Q of (B, n, n) posterior covariances."""
+        return self._model.A @ cov @ self._model.A.T + self._model.Q
+
+    def _silence(self, cov: NDArray):
+        """Whiten (B, n, n) prior covariances and take their silence balls.
+
+        Returns (cross, lam, vec, prob0, d): cross = cov (Phi C)', the eigenvalues
+        and eigenvectors of N_z = Phi C cov C' Phi' + Phi R Phi', and the ball's
+        probability and eigenframe second moments (``_ball_full``).  N_z is checked
+        only for what roundoff can break (``_checked``); a non-finite entry that
+        keeps LAPACK from converging (as some do at p >= 3) raises the same
+        ValueError, chained from the LinAlgError.  The eigensolve is
+        ``numerics._eigh``, which skips checks that N_z, a float64 square stack
+        by construction, does not need.
+        """
+        cross = cov @ self._phi_c_t
+        try:
+            lam, vec = _eigh(self._phi_c @ cross + self._phi_r_phi)
+        except np.linalg.LinAlgError as err:
+            raise ValueError(_N_Z_BROKEN) from err
+        prob, d = _ball_full(_checked(lam), self._trigger.threshold)
+        return cross, lam, vec, prob, d
+
+    def _cache(self, cov: NDArray):
+        """Measurement geometry and silence-ball step from (B, n, n) prior covariances.
+
+        Returns (gain, P_z, P_silent, prob0), plain arrays with a leading trial
+        axis, the last three a StepCache's fields; none depends on the
+        measurements.  Everything comes from one eigendecomposition
+        N_z = V diag(lam) V' (``_silence``): with U = cov (Phi C)' V diag(1 / lam),
+        the whitened gain in the eigenframe, the gain is U V' Phi, the send branch
+        takes the Joseph-stabilized update, and the silent branch adds U diag(d) U'
+        for the ball's eigenframe second moments d.  Each factor divides by lam
+        once, so no lam^2 can underflow.
+
+        Neither cov nor N_z is symmetrized: ``eigh`` reads only the lower
+        triangle of N_z, and cov enters only through cross and the Joseph
+        product, which is symmetrized itself.
+        """
+        cross, lam, vec, prob, d = self._silence(cov)
+        u = cross @ vec / lam[:, None, :]
+        gain = u @ (vec.swapaxes(1, 2) @ self._trigger.phi)
+        a = self._eye - gain @ self._model.C
+        p_z = symmetrize(a @ cov @ a.swapaxes(1, 2) + gain @ self._model.R @ gain.swapaxes(1, 2))
+        p_silent = symmetrize(p_z + (u * d[:, None, :]) @ u.swapaxes(1, 2))
+        return gain, p_z, p_silent, prob
+
+    def _branch_silence(self, cache: StepCache) -> NDArray:
+        """Silence probabilities (after a send, after a silence) of the step after
+        the one-step ``cache``, from the priors A P A' + Q for P in (P_z, P_silent).
+
+        A cache this filter made fills its ``ahead`` once (a concurrent fill
+        computes the same bits), and this filter's next step reuses its rows,
+        each with the bits of its one-row call.  Any other cache takes one
+        2-row ``_silence`` call, with the same bits.
+        ``np.array`` stacks the branches with the copy ``np.stack`` makes,
+        without its Python-level checks.
+        """
+        if getattr(cache, "filter", None) is not self:
+            return self._silence(self._prior(np.array(cache[:2])))[3]
+        if cache.ahead is None:
+            cache.ahead = self._cache(self._prior(np.array(cache[:2])))
+        return cache.ahead[3]
+
+    def _two_step_of_run(self, gamma: NDArray, cache: StepCache) -> NDArray:
+        """The one stacked two-step predictor: ``rate_two_step`` of steps 1..K of
+        one trial that ``run`` filtered under this filter's trigger, from the
+        trial's K + 1 decisions and caches, bit for bit.
+
+        The branch step k-1 took has the prior that ``run`` whitened at step k, so
+        its silence probability is ``cache.prob0[k]`` with the same bits; only the
+        untaken branch (P_silent after a send, P_z after a silence) goes through
+        ``_prior`` and ``_silence``, K rows instead of 2K.
+        """
+        sent = gamma[:-1] == 1
+        untaken = np.where(sent[:, None, None], cache.P_silent[:-1], cache.P_z[:-1])
+        other = self._silence(self._prior(untaken))[3]
+        taken, q = cache.prob0[1:], cache.prob0[:-1]
+        p_sent, p_silent = np.where(sent, taken, other), np.where(sent, other, taken)
+        return 1.0 - (p_sent + q * (p_silent - p_sent))
+
+    def _state(self, advanced) -> tuple[int, EstimatorState]:
+        """The decision and state of a one-row ``_advance``, wrapped once.  P is
+        the taken branch's own read-only posterior array, so ``step`` can match
+        its row of ``ahead`` by identity."""
+        gamma, xhat, p_z, p_silent, prob = advanced
+        gamma, p_z, p_silent = int(gamma[0]), p_z[0], p_silent[0]
+        p_z.setflags(write=False)
+        p_silent.setflags(write=False)
+        cache = _OnlineCache(p_z, p_silent, prob[0])
+        cache.filter = self
+        return gamma, EstimatorState(xhat[0], p_z if gamma else p_silent, cache)
 
     # -- the batched recursion -------------------------------------------------
 
@@ -259,13 +245,13 @@ class EventTriggeredFilter:
         for the callers to wrap; each trial's posterior covariance is the
         branch its gamma took, which only ``run`` needs as a stack.
         """
-        const, m = self._const, self._const.model
+        m = self._model
         if predict:
             xhat = np.matvec(m.A, xhat)
         innovation = ys - np.matvec(m.C, xhat)
-        gamma = decide(const.trigger, innovation)
+        gamma = decide(self._trigger, innovation)
         if geometry is None:
-            geometry = _cache(const, _prior(m, cov) if predict else cov)
+            geometry = self._cache(self._prior(cov) if predict else cov)
         gain, p_z, p_silent, prob = geometry
         xhat = np.where(gamma[:, None], xhat + np.matvec(gain, innovation), xhat)
         return gamma, xhat, p_z, p_silent, prob
@@ -274,31 +260,31 @@ class EventTriggeredFilter:
 
     def _one(self, y) -> NDArray:
         y = np.asarray(y, dtype=float)
-        p = self._const.trigger.p
+        p = self._trigger.p
         if y.shape != (p,):
             raise ValueError(f"measurement must have shape ({p},), got {y.shape}")
         return y[None]
 
     def init(self, y0) -> tuple[int, EstimatorState]:
         """Consume the time-0 measurement against the model prior."""
-        m = self._const.model
+        m = self._model
         advanced = self._advance(m.x0_mean[None], m.x0_cov[None], self._one(y0), predict=False)
-        return _state(self._const, advanced)
+        return self._state(advanced)
 
     def step(self, state: EstimatorState, y) -> tuple[StepOutput, EstimatorState]:
         """Advance one step with ``y``, the measurement of the step after ``state``.
 
         When ``state.cache`` is this filter's own and a ``rate_two_step`` from it
-        has computed its ``ahead``, this step's geometry for both branches, the
-        step takes the row of the branch ``state`` took; it never computes it.
+        has filled its ``ahead``, this step's geometry for both branches, the
+        step takes the row of the branch ``state`` took; it never fills it.
         """
         cache, geometry = state.cache, None
-        if getattr(cache, "const", None) is self._const and "ahead" in vars(cache):
+        if getattr(cache, "filter", None) is self and cache.ahead is not None:
             for row, branch in enumerate(cache[:2]):
                 if state.P is branch:
                     geometry = [f[row : row + 1] for f in cache.ahead]
         advanced = self._advance(state.xhat[None], state.P[None], self._one(y), True, geometry)
-        gamma, state = _state(self._const, advanced)
+        gamma, state = self._state(advanced)
         return StepOutput(gamma), state
 
     def run(self, measurements) -> FilterRun:
@@ -306,7 +292,7 @@ class EventTriggeredFilter:
         of independent trials advanced together, one step per pass.  A stacked
         trigger must hold one whitener per trial."""
         ys = np.asarray(measurements, dtype=float)
-        m = self._const.model
+        m = self._model
         if ys.ndim not in (2, 3) or ys.shape[-1] != m.p or ys.size == 0:
             raise ValueError(
                 f"measurements must have shape (K+1, {m.p}) or (B, K+1, {m.p}), got {ys.shape}"

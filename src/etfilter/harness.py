@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 
 from .estimator import EventTriggeredFilter, StepCache
 from .model import TRUE_INITIAL_STATE, simulate, tracking_preset
-from .rate import _two_step_of_run, rate_two_step  # noqa: F401 (bench/run.py hooks the name here; drop it once the hook moves to _two_step_of_run)
+from .rate import rate_two_step  # noqa: F401 (bench/run.py hooks the name here; drop it once the hook moves to the filter's _two_step_of_run)
 from .trigger import TriggerConfig, make_config
 
 __all__ = [
@@ -139,9 +139,9 @@ def _chunk_worker(configs: tuple[ExperimentConfig, ...], lo: int) -> list:
     the threshold, set by alpha and p, is shared.  The rate predictors follow
     each config's designated trial under its own trigger: alg1 is the run's
     own silence probability, and alg2 takes the branch each step took from
-    the run and whitens only the untaken one (``rate._two_step_of_run``), K
-    rows per config for K + 1 steps.  Returns one (send counts, squared-error
-    sums, rates) triple per config.
+    the run and whitens only the untaken one (the ``_two_step_of_run`` of a
+    filter on that trigger), K rows per config for K + 1 steps.  Returns one
+    (send counts, squared-error sums, rates) triple per config.
     """
     model, first = tracking_preset(), configs[0]
     hi = min(lo + _CHUNK, first.trials)
@@ -162,7 +162,8 @@ def _chunk_worker(configs: tuple[ExperimentConfig, ...], lo: int) -> list:
             alg1 = 1.0 - c.prob0
             # Step k's two-step prediction reads the cache of step k-1; at step 0
             # there is no history and both predictors read the prior cache.
-            two_step = _two_step_of_run(model, config.trigger, run.gamma[i * b + row], c)
+            filt = EventTriggeredFilter(model, config.trigger)
+            two_step = filt._two_step_of_run(run.gamma[i * b + row], c)
             rates = (alg1, np.concatenate([alg1[:1], two_step]))
         out.append((run.gamma[rows].sum(axis=0), (err * err).sum(axis=0), rates))
     return out

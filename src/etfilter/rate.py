@@ -12,7 +12,8 @@ Two predictors for the probability that step k stays silent:
   which the filter's next step reuses for the branch it takes, so an online
   loop that predicts before each step eigendecomposes once per step.
   Along a trial that ``run`` already filtered, the branch each step took is
-  in the run's cache, so only the untaken branch is whitened.
+  in the run's cache, so the filter's ``_two_step_of_run`` whitens only the
+  untaken branch.
 
 A bootstrap provides the expected rates at the first two steps, where no
 filtering history exists yet; it is built purely from the model prior.
@@ -23,10 +24,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from numpy.typing import NDArray
 
-from . import estimator
-from .estimator import StepCache
+from .estimator import EventTriggeredFilter, StepCache
 from .model import LinearGaussianModel
 from .trigger import TriggerConfig
 
@@ -71,11 +70,12 @@ def rate_two_step(state: RateState) -> RatePrediction:
     """Expected transmission indicator for step k given information to k-2.
 
     The send- and silent-branch priors are evaluated as one 2-row batch of
-    ball probabilities, by the filter's own geometry
-    (``estimator._branch_silence``).  The predictor follows one trial, so the
-    trigger holds one whitener and ``cache_prev`` one step, else ValueError;
-    ``prob0_prev`` is one probability: an array, or a value outside [0, 1],
-    NaN included, raises ValueError.
+    ball probabilities by the filter that made ``cache_prev`` if it was built
+    on this very model and trigger, else by a new filter, which checks them.
+    The predictor follows one trial, so the trigger holds one whitener and
+    ``cache_prev`` one step, else ValueError; ``prob0_prev`` is one
+    probability: an array, or a value outside [0, 1], NaN included, raises
+    ValueError.
     """
     _check_unstacked(state.trigger)
     cache, q, n = state.cache_prev, state.prob0_prev, state.model.n
@@ -86,29 +86,11 @@ def rate_two_step(state: RateState) -> RatePrediction:
         )
     if np.ndim(q) or not 0.0 <= q <= 1.0:  # NaN fails every comparison
         raise ValueError(f"prob0_prev must be a scalar in [0, 1], got {q!r}")
-    p_sent, p_silent = estimator._branch_silence(state.model, state.trigger, cache)
+    filt = getattr(cache, "filter", None)
+    if filt is None or filt.model is not state.model or filt.trigger is not state.trigger:
+        filt = EventTriggeredFilter(state.model, state.trigger)
+    p_sent, p_silent = filt._branch_silence(cache)
     return RatePrediction(gamma_hat=1.0 - float(p_sent + q * (p_silent - p_sent)))
-
-
-def _two_step_of_run(
-    model: LinearGaussianModel, trigger: TriggerConfig, gamma: NDArray, cache: StepCache
-) -> NDArray:
-    """The one stacked two-step predictor: ``rate_two_step`` of steps 1..K of
-    one trial that ``run`` filtered under ``trigger``, from the trial's K + 1
-    decisions and caches, bit for bit.
-
-    The branch step k-1 took has the prior that ``run`` whitened at step k, so
-    its silence probability is ``cache.prob0[k]`` with the same bits; only the
-    untaken branch (P_silent after a send, P_z after a silence) goes through
-    ``_prior`` and ``_silence``, K rows instead of 2K.
-    """
-    const = estimator._constants(model, trigger)
-    sent = gamma[:-1] == 1
-    untaken = np.where(sent[:, None, None], cache.P_silent[:-1], cache.P_z[:-1])
-    other = estimator._silence(const, estimator._prior(model, untaken))[3]
-    taken, q = cache.prob0[1:], cache.prob0[:-1]
-    p_sent, p_silent = np.where(sent, taken, other), np.where(sent, other, taken)
-    return 1.0 - (p_sent + q * (p_silent - p_sent))
 
 
 def bootstrap_rates(model: LinearGaussianModel, trigger: TriggerConfig) -> tuple[float, float]:
@@ -121,7 +103,7 @@ def bootstrap_rates(model: LinearGaussianModel, trigger: TriggerConfig) -> tuple
     holds one whitener.
     """
     _check_unstacked(trigger)
-    _, state = estimator.EventTriggeredFilter(model, trigger).init(model.C @ model.x0_mean)
+    _, state = EventTriggeredFilter(model, trigger).init(model.C @ model.x0_mean)
     cache0 = state.cache
     e0 = 1.0 - cache0.prob0
     e1 = rate_two_step(

@@ -1,3 +1,4 @@
+import ast
 import csv
 import os
 import subprocess
@@ -184,6 +185,39 @@ class TestPublicNames:
             if not n.startswith("_") and not isinstance(getattr(etfilter, n), ModuleType)
         }
         assert public == set(names) - {"__version__"}
+
+
+def _estimator_reads(path: Path) -> set[str]:
+    """Every name ``path`` reads off ``etfilter.estimator``: imported from it
+    (``from .estimator import x``) or read off the module (``estimator.x``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases, reads = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            for alias in node.names:
+                if source in (".estimator", "etfilter.estimator"):
+                    reads.add(alias.name)
+                elif source in (".", "etfilter") and alias.name == "estimator":
+                    aliases.add(alias.asname or alias.name)
+    return reads | {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+    }
+
+
+class TestModuleBoundaries:
+    @pytest.mark.parametrize("module", [rate, harness])
+    def test_reads_no_private_module_name_of_the_estimator(self, module):
+        """The filter owns its step geometry: the rate predictors and the
+        harness reach it through a filter, never through a module-level
+        private name of ``etfilter.estimator``."""
+        reads = _estimator_reads(Path(module.__file__))
+        assert "EventTriggeredFilter" in reads  # the parse found the imports
+        assert sorted(n for n in reads if n.startswith("_")) == []
 
 
 class TestImportFootprint:

@@ -10,9 +10,7 @@ from etfilter.estimator import (
     EventTriggeredFilter,
     FilterRun,
     StepCache,
-    _cache,
     _checked,
-    _constants,
 )
 from etfilter.harness import CASE_BOUNDS
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
@@ -201,7 +199,7 @@ class TestRoundoffCheck:
     def test_indefinite_prior_raises(self):
         cov = -1e6 * np.eye(3)[None]
         with pytest.raises(ValueError, match="N_z"):
-            _cache(_constants(tracking_preset(), make_config(CASE_BOUNDS["case1"])), cov)
+            EventTriggeredFilter(tracking_preset(), make_config(CASE_BOUNDS["case1"]))._cache(cov)
 
     @pytest.mark.parametrize("column", [0, -1])
     def test_nan_eigenvalue_raises(self, column):
@@ -464,10 +462,11 @@ class TestMeasurementGeometry:
         model, nbar = _geometry_case(case, request)
         trig = make_config(nbar, 0.05)
         rng = np.random.default_rng(42)
-        run = EventTriggeredFilter(model, trig).run(simulate(model, 30, rng).measurements)
+        filt = EventTriggeredFilter(model, trig)
+        run = filt.run(simulate(model, 30, rng).measurements)
         # The time-0 prior and the prior of every later step.
         priors = np.concatenate([model.x0_cov[None], model.A @ run.P[:-1] @ model.A.T + model.Q])
-        gain, p_zs, p_silents, prob0 = _cache(_constants(model, trig), priors)
+        gain, p_zs, p_silents, prob0 = filt._cache(priors)
         for i, cov in enumerate(priors):
             s = model.C @ cov @ model.C.T + model.R
             want_gain = np.linalg.solve(s, model.C @ cov).T
@@ -496,13 +495,13 @@ class TestMeasurementGeometry:
         and its symmetric part give the same step within roundoff, and both
         branch posteriors stay exactly symmetric."""
         model, nbar = _geometry_case(case, request)
-        const = _constants(model, make_config(nbar, 0.05))
+        filt = EventTriggeredFilter(model, make_config(nbar, 0.05))
         rng = np.random.default_rng(43)
-        run = EventTriggeredFilter(model, const.trigger).run(simulate(model, 30, rng).measurements)
+        run = filt.run(simulate(model, 30, rng).measurements)
         priors = model.A @ run.P[:-1] @ model.A.T + model.Q
         assert not np.array_equal(priors, priors.swapaxes(1, 2))
-        gain, p_z, p_silent, prob0 = _cache(const, priors)
-        sym_gain, sym_p_z, sym_p_silent, sym_prob0 = _cache(const, symmetrize(priors))
+        gain, p_z, p_silent, prob0 = filt._cache(priors)
+        sym_gain, sym_p_z, sym_p_silent, sym_prob0 = filt._cache(symmetrize(priors))
         pairs = ((gain, sym_gain), (p_z, sym_p_z), (p_silent, sym_p_silent))
         for got, want in pairs:
             scale = np.abs(want).max(axis=(1, 2), keepdims=True)

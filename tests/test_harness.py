@@ -16,9 +16,9 @@ from etfilter.harness import (
     run_monte_carlo,
     table1,
 )
-from etfilter.estimator import EventTriggeredFilter, StepCache, _branch_silence
+from etfilter.estimator import EventTriggeredFilter, StepCache
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
-from etfilter.rate import RateState, _two_step_of_run, rate_one_step, rate_two_step
+from etfilter.rate import RateState, rate_one_step, rate_two_step
 from etfilter.trigger import TriggerConfig, make_config
 
 SMALL = dict(trials=40, steps=30, seed=77)
@@ -290,11 +290,12 @@ class TestTwoStepOfRun:
         for i, trig in enumerate(triggers):
             gamma, cache = run.gamma[i], StepCache(*(f[i] for f in run.cache))
             rows = [StepCache(*(f[k] for f in cache)) for k in range(steps - 1)]
-            p_sent, p_silent = np.array([_branch_silence(model, trig, c) for c in rows]).T
+            filt = EventTriggeredFilter(model, trig)
+            p_sent, p_silent = np.array([filt._branch_silence(c) for c in rows]).T
             taken = np.where(gamma[:-1] == 1, p_sent, p_silent)
             assert np.array_equal(taken, cache.prob0[1:]), i
             want = [rate_two_step(RateState(c.prob0, c, model, trig)).gamma_hat for c in rows]
-            assert np.array_equal(_two_step_of_run(model, trig, gamma, cache), want), i
+            assert np.array_equal(filt._two_step_of_run(gamma, cache), want), i
 
     def test_prediction_whitens_one_row_per_step_and_case(self, monkeypatch, tmp_path):
         """A table1 chunk's eigensolves: one per filter step over the whole

@@ -8,9 +8,6 @@ from etfilter import numerics
 from etfilter.estimator import (
     EventTriggeredFilter,
     _checked,
-    _Constants,
-    _constants,
-    _silence,
 )
 from etfilter.harness import CASE_BOUNDS
 from etfilter.model import LinearGaussianModel, simulate, tracking_preset
@@ -515,13 +512,13 @@ class TestEighGufunc:
 
     @staticmethod
     def _whitening_to(n_z):
-        """Constants and a prior stack under which ``_silence`` whitens to the
-        (B, p, p) stack ``n_z`` exactly: zero Phi C, and Phi R Phi' = n_z."""
+        """A bare filter and a prior stack under which ``_silence`` whitens to
+        the (B, p, p) stack ``n_z`` exactly: zero Phi C, and Phi R Phi' = n_z."""
         p = n_z.shape[-1]
-        const = _Constants(
-            None, make_config(np.eye(p)), np.zeros((p, 1)), np.zeros((1, p)), n_z, None
-        )
-        return const, np.zeros((len(n_z), 1, 1))
+        filt = object.__new__(EventTriggeredFilter)
+        filt._trigger = make_config(np.eye(p))
+        filt._phi_c, filt._phi_c_t, filt._phi_r_phi = np.zeros((p, 1)), np.zeros((1, p)), n_z
+        return filt, np.zeros((len(n_z), 1, 1))
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -537,7 +534,7 @@ class TestEighGufunc:
             stack = base.copy()
             stack[1, i, j] = bad
             with pytest.raises(ValueError, match="N_z lost definiteness") as raised:
-                _silence(*self._whitening_to(stack))
+                EventTriggeredFilter._silence(*self._whitening_to(stack))
             try:
                 want = np.linalg.eigh(stack)
             except np.linalg.LinAlgError:
@@ -558,11 +555,11 @@ class TestEighGufunc:
     def test_silence_rejects_non_finite_prior(self, bad):
         """A non-finite prior covariance reaches the filter's eigensolve as a
         non-finite N_z row and raises ValueError, not a silent probability."""
-        const = _constants(tracking_preset(), make_config(CASE_BOUNDS["case1"]))
+        filt = EventTriggeredFilter(tracking_preset(), make_config(CASE_BOUNDS["case1"]))
         cov = np.repeat(np.eye(3)[None], 2, axis=0)
         cov[1, 2, 0] = bad
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="N_z"):
-            _silence(const, cov)
+            filt._silence(cov)
 
 
 class TestPsdSqrt:

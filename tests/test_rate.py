@@ -16,13 +16,7 @@ from etfilter.estimator import EventTriggeredFilter, StepCache
 from etfilter.harness import CASE_BOUNDS, ExperimentConfig, table1
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
 from etfilter.numerics import ball_moments
-from etfilter.rate import (
-    RateState,
-    _two_step_of_run,
-    bootstrap_rates,
-    rate_one_step,
-    rate_two_step,
-)
+from etfilter.rate import RateState, bootstrap_rates, rate_one_step, rate_two_step
 from etfilter.trigger import TriggerConfig, make_config
 
 import oracles
@@ -146,6 +140,19 @@ class TestRateTwoStep:
             with pytest.raises(ValueError, match="one whitener, not a stack"):
                 bootstrap_rates(model, t)
 
+    def test_rejects_a_trigger_of_another_dimension(self):
+        """A trigger whose p differs from the model's raises the filter's
+        named ValueError from any cache, as ``bootstrap_rates`` does."""
+        model, trig, filt = _setup()
+        _, state = filt.init(np.zeros(2))
+        three = make_config(np.eye(3))
+        named = "trigger dimension 3 does not match measurement dimension 2"
+        for cache in (state.cache, StepCache(*state.cache)):
+            with pytest.raises(ValueError, match=named):
+                rate_two_step(RateState(cache.prob0, cache, model, three))
+        with pytest.raises(ValueError, match=named):
+            bootstrap_rates(model, three)
+
     @pytest.mark.parametrize(
         "bad", [1.5, -0.1, math.nan, math.inf, np.array([0.5]), np.array([0.5, 0.5])]
     )
@@ -252,21 +259,26 @@ class TestHotPathSkipsValidator:
             rate_one_step(cache)
         run = filt.run(ys)
         trial = StepCache(*(f[1] for f in run.cache))
-        assert _two_step_of_run(model, trig, run.gamma[1], trial).shape == (20,)
+        assert filt._two_step_of_run(run.gamma[1], trial).shape == (20,)
 
 
 class TestTwoStepReadsCachedConstants:
     def test_branch_n_z_come_from_one_product_of_cached_constants(self, monkeypatch):
-        """An online loop predicts under the constants its filter derived when
-        built and derives none.  A row of a run's cache holds no constants, so
-        each prediction from one derives its own, by design, and runs no
+        """An online loop predicts under the products its filter derived when
+        built and builds no filter.  A row of a run's cache holds no filter, so
+        each prediction from one builds its own, by design, and runs no
         filter recursion; a new trigger object's predictions use its own."""
         model, trig, filt = _setup()
         ys = simulate(model, 20, np.random.default_rng(57), x0=np.array(TRUE_INITIAL_STATE))
         stack = filt.run(ys.measurements).cache
         caches = [StepCache(*(f[k] for f in stack)) for k in range(21)]
-        derived, derive = [], estimator._constants
-        monkeypatch.setattr(estimator, "_constants", lambda m, t: derived.append(t) or derive(m, t))
+        derived, init = [], EventTriggeredFilter.__init__
+
+        def counted(self, m, t):
+            derived.append(t)
+            init(self, m, t)
+
+        monkeypatch.setattr(EventTriggeredFilter, "__init__", counted)
         online, _ = _predicted_steps(filt, ys.measurements, predict=True)
         assert derived == [] and len(online) == 21
 
@@ -361,6 +373,13 @@ def _predicted_steps(filt, ys, predict):
     return rows, preds
 
 
+def _cache_calls(monkeypatch) -> list:
+    """A list that gains one entry per ``EventTriggeredFilter._cache`` call."""
+    calls, original = [], EventTriggeredFilter._cache
+    monkeypatch.setattr(EventTriggeredFilter, "_cache", lambda *a: calls.append(1) or original(*a))
+    return calls
+
+
 def _predict(filt, state, trigger=None):
     cache = state.cache
     return rate_two_step(
@@ -391,9 +410,7 @@ class TestSharedBranchGeometry:
         filt = EventTriggeredFilter(model, make_config(nbar, 0.05))
         ys = simulate(model, 100, np.random.default_rng(60), x0=np.array(TRUE_INITIAL_STATE))
         alone, _ = _predicted_steps(filt, ys.measurements, predict=False)
-        calls = []
-        original = estimator._cache
-        monkeypatch.setattr(estimator, "_cache", lambda *a: calls.append(1) or original(*a))
+        calls = _cache_calls(monkeypatch)
         primed, preds = _predicted_steps(filt, ys.measurements, predict=True)
         # init, then one 2-row call per prediction and none in the steps.
         assert len(calls) == 101
@@ -411,9 +428,7 @@ class TestSharedBranchGeometry:
         silent = next(s for s in states[1:] if s.P is s.cache.P_silent)
         other = next(s for s in states[1:] if s is not silent).cache.P_silent
         y = ys[-1]
-        calls = []
-        original = estimator._cache
-        monkeypatch.setattr(estimator, "_cache", lambda *a: calls.append(1) or original(*a))
+        calls = _cache_calls(monkeypatch)
 
         def stepped(state, f=filt):
             """The step's output and how many ``_cache`` calls it made."""
@@ -428,7 +443,7 @@ class TestSharedBranchGeometry:
             plain = state._replace(cache=StepCache(*state.cache))
             _assert_steps_equal([got], [stepped(plain, f)[0]])
 
-        # A cache whose silent branch was replaced holds no constants: neither
+        # A cache whose silent branch was replaced holds no filter: neither
         # the state that took the original silent branch nor one that took
         # the replacement reuses a prediction from it.
         replaced = silent.cache._replace(P_silent=other)
@@ -457,18 +472,20 @@ class TestSharedBranchGeometry:
         check(state, computed=True)
 
     def test_a_prediction_no_step_reads_whitens_without_the_gain(self, monkeypatch):
-        """From an online cache under a twin trigger, the prediction takes one
-        2-row ``_silence`` call and no ``_cache`` call, and gives the bits of
-        the cache's own ``ahead``."""
+        """From an online cache, a filter on a twin trigger takes one 2-row
+        ``_silence`` call and no ``_cache`` call, and gives the bits of the
+        cache's own ``ahead``, which the cache's filter fills."""
         model, trig, filt = _setup()
         _, state = filt.init(np.zeros(model.p))
+        twin = EventTriggeredFilter(model, replace(trig))
         calls = []
         for name in ("_cache", "_silence"):
-            original = getattr(estimator, name)
+            original = getattr(EventTriggeredFilter, name)
             spy = lambda *a, name=name, original=original: calls.append(name) or original(*a)
-            monkeypatch.setattr(estimator, name, spy)
-        got = estimator._branch_silence(model, replace(trig), state.cache)
-        assert calls == ["_silence"]
+            monkeypatch.setattr(EventTriggeredFilter, name, spy)
+        got = twin._branch_silence(state.cache)
+        assert calls == ["_silence"] and state.cache.ahead is None
+        assert np.array_equal(got, filt._branch_silence(state.cache))
         assert np.array_equal(got, state.cache.ahead[3])
 
     def test_predicting_twice_from_one_state_eigensolves_once(self, monkeypatch):
@@ -498,9 +515,7 @@ class TestSharedBranchGeometry:
             (filt, copy.deepcopy(state)),
             copy.deepcopy((filt, state)),
         ]
-        calls = []
-        original = estimator._cache
-        monkeypatch.setattr(estimator, "_cache", lambda *a: calls.append(1) or original(*a))
+        calls = _cache_calls(monkeypatch)
         for f, twin in copies:
             pred = _predict(f, twin)
             calls.clear()
@@ -621,10 +636,9 @@ class TestAlwaysSend:
             RateState(prob0_prev=cache.prob0, cache_prev=cache, model=model, trigger=always)
         )
         assert pred.gamma_hat == 1.0
-        run = EventTriggeredFilter(model, always).run(
-            simulate(model, 5, np.random.default_rng(64)).measurements
-        )
-        two = _two_step_of_run(model, always, run.gamma, run.cache)
+        filt = EventTriggeredFilter(model, always)
+        run = filt.run(simulate(model, 5, np.random.default_rng(64)).measurements)
+        two = filt._two_step_of_run(run.gamma, run.cache)
         assert np.all(run.gamma == 1) and two.shape == (5,)
         assert np.all(two == 1.0)
 
