@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .model import LinearGaussianModel
-from .numerics import _ball_full, _eigh, symmetrize, validated_eigh
+from .numerics import _ball_full, _eigh, symmetrize
 from .trigger import TriggerConfig, decide
 
 __all__ = ["EstimatorState", "EventTriggeredFilter", "FilterRun", "StepCache", "StepOutput"]
@@ -120,7 +120,10 @@ class EventTriggeredFilter:
             raise ValueError(
                 f"trigger dimension {trigger.p} does not match measurement dimension {model.p}"
             )
-        validated_eigh(model.R, "R", definite=True)
+        # The model has checked R as PSD; N_z needs it definite.
+        low = _eigh(model.R)[0][0]
+        if not low > 0.0:
+            raise ValueError(f"R is not positive definite (min eigenvalue {low:.3e})")
         # The products that whiten a prior cov into N_z = Phi C cov C' Phi' + Phi R Phi';
         # a stacked trigger gives each product of Phi the same leading axis.
         phi = trigger.phi

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .estimator import EventTriggeredFilter, StepCache
-from .model import TRUE_INITIAL_STATE, simulate, tracking_preset
+from .model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
 from .rate import rate_two_step  # noqa: F401 (bench/run.py hooks the name here; drop it once the hook moves to the filter's _two_step_of_run)
 from .trigger import TriggerConfig, make_config
 
@@ -129,9 +129,11 @@ class ExperimentSummary(NamedTuple):
     avg_rates: NDArray
 
 
-def _chunk_worker(configs: tuple[ExperimentConfig, ...], lo: int) -> list:
-    """Simulate the trials of the chunk starting at ``lo``, one generator each,
-    then filter them under every config's trigger as one stack.
+def _chunk_worker(
+    model: LinearGaussianModel, configs: tuple[ExperimentConfig, ...], lo: int
+) -> list:
+    """Simulate the chunk of trials starting at ``lo`` on ``model``, one
+    generator each, then filter them under every config's trigger as one stack.
 
     The configs differ in their trigger only, so the trajectories, which do
     not depend on it, are simulated once, and the stack repeats them once per
@@ -143,7 +145,7 @@ def _chunk_worker(configs: tuple[ExperimentConfig, ...], lo: int) -> list:
     filter on that trigger), K rows per config for K + 1 steps.  Returns one
     (send counts, squared-error sums, rates) triple per config.
     """
-    model, first = tracking_preset(), configs[0]
+    first = configs[0]
     hi = min(lo + _CHUNK, first.trials)
     rngs = [np.random.default_rng(np.random.SeedSequence([first.seed, i])) for i in range(lo, hi)]
     traj = simulate(model, first.steps - 1, rngs, x0=TRUE_INITIAL_STATE)
@@ -170,9 +172,10 @@ def _chunk_worker(configs: tuple[ExperimentConfig, ...], lo: int) -> list:
 
 
 def _run_cases(configs: tuple[ExperimentConfig, ...]) -> list[ExperimentSummary]:
-    """Run configs that differ only in their case over shared trajectories,
-    and combine each config's chunks in chunk order; one summary per config."""
-    chunk = partial(_chunk_worker, configs)
+    """Run configs that differ only in their case over shared trajectories of
+    one tracking preset, built (and checked) once, and combine each config's
+    chunks in chunk order; one summary per config."""
+    chunk = partial(_chunk_worker, tracking_preset(), configs)
     starts = range(0, configs[0].trials, _CHUNK)
     workers = min(configs[0].jobs, len(starts))
     if workers > 1:

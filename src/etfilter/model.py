@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .numerics import psd_sqrt, validated_eigh
+from .numerics import validated_eigh
 
 __all__ = [
     "LinearGaussianModel",
@@ -30,6 +30,8 @@ class LinearGaussianModel:
     the filter additionally requires it to be strictly positive definite.
     Every field is stored as a read-only float copy, and a model compares and
     hashes by identity, so whatever is derived from one model stays valid.
+    Each covariance is checked once, here, and the square-root factor of that
+    check's eigendecomposition, clamped at zero, is kept for ``simulate``.
     """
 
     A: NDArray
@@ -55,10 +57,11 @@ class LinearGaussianModel:
         if mean.shape != (n,):
             raise ValueError(f"x0_mean must have shape ({n},), got {mean.shape}")
         for name, dim in (("Q", n), ("R", c.shape[0]), ("x0_cov", n)):
-            cov = validated_eigh(getattr(self, name), name, definite=False)[0]
+            cov, lam, vec = validated_eigh(getattr(self, name), name, definite=False)
             if cov.shape != (dim, dim):
                 raise ValueError(f"{name} must have shape ({dim}, {dim}), got {cov.shape}")
             fields[name] = cov
+            fields[f"_{name}_root"] = vec * np.sqrt(np.clip(lam, 0.0, None))
         for name, value in fields.items():
             value = np.array(value, dtype=float)
             value.setflags(write=False)
@@ -90,11 +93,11 @@ def simulate(
     """Sample one trajectory with K = ``steps`` transitions (K+1 time points),
     or one per generator when ``rng`` is a sequence of them.
 
-    The initial state is drawn from the model prior via an eigendecomposition
-    square root (so singular x0_cov is exact), unless ``x0`` pins it.  Each
-    generator draws all of its trial's measurement noise first, then all
-    process noise, then the initial state, so a trial depends only on its own
-    generator; the trials of a stack then propagate together.
+    The initial state is drawn from the model prior through the model's
+    eigendecomposition square root (so singular x0_cov is exact), unless
+    ``x0`` pins it.  Each generator draws all of its trial's measurement noise
+    first, then all process noise, then the initial state, so a trial depends
+    only on its own generator; the trials of a stack then propagate together.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -106,7 +109,7 @@ def simulate(
             raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
         if not np.isfinite(x0).all():
             raise ValueError("x0 has non-finite entries")
-    r_half, q_half, cov_half = (psd_sqrt(m) for m in (model.R, model.Q, model.x0_cov))
+    r_half, q_half, cov_half = model._R_root, model._Q_root, model._x0_cov_root
     meas_noise = np.empty((len(rngs), steps + 1, p))
     proc_noise = np.empty((len(rngs), steps, n))
     states = np.empty((len(rngs), steps + 1, n))

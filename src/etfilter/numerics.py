@@ -84,16 +84,6 @@ def validated_eigh(a, name: str, definite: bool) -> tuple[NDArray, NDArray, NDAr
     return m, lam, vec
 
 
-def psd_sqrt(a) -> NDArray:
-    """Square-root factor S with S @ S.T = a for a PSD matrix (or each of a stack).
-
-    Built from the eigendecomposition with negative roundoff eigenvalues
-    clamped to zero, so genuinely singular covariances are handled exactly.
-    """
-    _, lam, vec = validated_eigh(a, "covariance", definite=False)
-    return vec * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]
-
-
 @lru_cache(maxsize=64, typed=True)
 def chi_square_quantile(alpha: float, dof: int) -> float:
     """Upper-tail chi-square quantile: the c with P(X > c) = alpha, X ~ chi2(dof).

@@ -37,16 +37,20 @@ class TestConstruction:
             EventTriggeredFilter(model, trig)
 
     def test_rejects_singular_measurement_noise(self):
-        model = LinearGaussianModel(
-            A=np.eye(1),
-            C=np.eye(1),
-            Q=np.eye(1),
-            R=np.zeros((1, 1)),
-            x0_mean=np.zeros(1),
-            x0_cov=np.eye(1),
-        )
-        with pytest.raises(ValueError):
-            EventTriggeredFilter(model, make_config(np.eye(1)))
+        """The model accepts a PSD R, down to its roundoff allowance; the filter
+        adds only definiteness."""
+        for r in (np.zeros((1, 1)), np.diag([1.0, 0.0]), np.diag([1.0, -1e-12])):
+            p = len(r)
+            model = LinearGaussianModel(
+                A=np.eye(2),
+                C=np.eye(p, 2),
+                Q=np.eye(2),
+                R=r,
+                x0_mean=np.zeros(2),
+                x0_cov=np.eye(2),
+            )
+            with pytest.raises(ValueError, match="^R is not positive definite"):
+                EventTriggeredFilter(model, make_config(np.eye(p)))
 
 
     @pytest.mark.parametrize("name", ["model", "trigger"])

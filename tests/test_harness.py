@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from etfilter import estimator, harness
+from etfilter import estimator, harness, numerics
+from etfilter import model as model_module
+from etfilter import trigger as trigger_module
 from etfilter.harness import (
     CASE_BOUNDS,
     TABLE1_REFERENCE,
@@ -18,7 +20,7 @@ from etfilter.harness import (
 )
 from etfilter.estimator import EventTriggeredFilter, StepCache
 from etfilter.model import TRUE_INITIAL_STATE, LinearGaussianModel, simulate, tracking_preset
-from etfilter.rate import RateState, rate_one_step, rate_two_step
+from etfilter.rate import RateState, bootstrap_rates, rate_one_step, rate_two_step
 from etfilter.trigger import TriggerConfig, make_config
 
 SMALL = dict(trials=40, steps=30, seed=77)
@@ -298,17 +300,54 @@ class TestTwoStepOfRun:
             assert np.array_equal(filt._two_step_of_run(gamma, cache), want), i
 
     def test_prediction_whitens_one_row_per_step_and_case(self, monkeypatch, tmp_path):
-        """A table1 chunk's eigensolves: one per filter step over the whole
+        """A table1 chunk's eigensolves: each filter checks R's definiteness on
+        the one (p, p) R, then one eigensolve per filter step over the whole
         stack, then one per case over the K untaken branches of its K + 1
         steps, not 2K."""
         config = ExperimentConfig(trials=50, steps=12, seed=3)
         rows = []
 
         def spy(a):
-            rows.append(len(a))
+            rows.append("R" if a.ndim == 2 else len(a))
             return eigh(a)
 
         eigh = estimator._eigh
         monkeypatch.setattr(estimator, "_eigh", spy)
         table1(config, tmp_path)
-        assert rows == [3 * config.trials] * config.steps + [config.steps - 1] * 3
+        assert rows == ["R"] + [3 * config.trials] * config.steps + ["R", config.steps - 1] * 3
+
+
+class TestEachCovarianceCheckedOnce:
+    """``validated_eigh`` runs once per input matrix, where the input enters."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        names = []
+
+        def spy(a, name, definite):
+            names.append(name)
+            return validated_eigh(a, name, definite)
+
+        validated_eigh = numerics.validated_eigh
+        for module in (numerics, model_module, trigger_module):
+            monkeypatch.setattr(module, "validated_eigh", spy)
+        return names
+
+    def test_table1_checks_each_input_once(self, monkeypatch, tmp_path):
+        """Each case's bound once, and the model's Q, R and x0_cov once per
+        run, not per chunk or per filter."""
+        config = ExperimentConfig(trials=400)
+        names = self._spy(monkeypatch)
+        table1(config, tmp_path)
+        assert sorted(names) == ["Q", "R", "nbar", "nbar", "nbar", "x0_cov"]
+
+    def test_filter_simulation_and_rates_check_nothing(self, monkeypatch):
+        model, trig = tracking_preset(), make_config(CASE_BOUNDS["case1"])
+        names = self._spy(monkeypatch)
+        filt = EventTriggeredFilter(model, trig)
+        traj = simulate(model, 10, np.random.default_rng(3), x0=TRUE_INITIAL_STATE)
+        bootstrap_rates(model, trig)
+        cache = filt.run(traj.measurements).cache
+        row = StepCache(*(f[4] for f in cache))
+        rate_two_step(RateState(row.prob0, row, model, trig))
+        assert names == []

@@ -8,7 +8,6 @@ from etfilter.model import (
     simulate,
     tracking_preset,
 )
-from etfilter.numerics import psd_sqrt
 
 from oracles import random_model
 
@@ -120,6 +119,23 @@ class TestModelValidation:
         )
         assert m.n == 2
 
+    def test_singular_covariance_is_reproduced_by_its_factor(self):
+        """The model keeps each covariance's square-root factor, read-only; a
+        singular one is reproduced, and its null direction stays exactly zero."""
+        cov = np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        m = LinearGaussianModel(
+            A=np.eye(3),
+            C=np.ones((1, 3)),
+            Q=np.eye(3),
+            R=np.eye(1),
+            x0_mean=np.zeros(3),
+            x0_cov=cov,
+        )
+        root = m._x0_cov_root
+        assert np.allclose(root @ root.T, cov, atol=1e-12)
+        assert np.array_equal(root[2], np.zeros(3))
+        assert not root.flags.writeable
+
     def test_rejects_bad_mean_shape(self):
         with pytest.raises(ValueError):
             LinearGaussianModel(
@@ -209,14 +225,21 @@ class TestSimulate:
         assert np.allclose(traj.measurements[:, 0], 2.0 * traj.states[:, 0])
 
 
+def _root(cov):
+    """Reference square-root factor: ``np.linalg.eigh`` with negative roundoff
+    eigenvalues clamped to zero."""
+    lam, vec = np.linalg.eigh(cov)
+    return vec * np.sqrt(np.clip(lam, 0.0, None))
+
+
 def _one_trial(model, steps, seed, x0):
     """Per-trial reference: measurement noise, process noise, then the initial
     state from one generator, and one matrix-vector product per step."""
     rng = np.random.default_rng(seed)
-    meas_noise = rng.standard_normal((steps + 1, model.p)) @ psd_sqrt(model.R).T
-    proc_noise = rng.standard_normal((steps, model.n)) @ psd_sqrt(model.Q).T
+    meas_noise = rng.standard_normal((steps + 1, model.p)) @ _root(model.R).T
+    proc_noise = rng.standard_normal((steps, model.n)) @ _root(model.Q).T
     if x0 is None:
-        x0 = model.x0_mean + psd_sqrt(model.x0_cov) @ rng.standard_normal(model.n)
+        x0 = model.x0_mean + _root(model.x0_cov) @ rng.standard_normal(model.n)
     states = [x0]
     for k in range(steps):
         states.append(model.A @ states[-1] + proc_noise[k])

@@ -11,7 +11,7 @@ from etfilter.estimator import (
 )
 from etfilter.harness import CASE_BOUNDS
 from etfilter.model import LinearGaussianModel, simulate, tracking_preset
-from etfilter.numerics import ball_moments, chi_square_quantile, psd_sqrt
+from etfilter.numerics import ball_moments, chi_square_quantile
 from etfilter.trigger import make_config
 
 import oracles
@@ -562,26 +562,6 @@ class TestEighGufunc:
             filt._silence(cov)
 
 
-class TestPsdSqrt:
-    def test_reconstructs_singular_matrix(self):
-        m = np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        root = psd_sqrt(m)
-        assert np.allclose(root @ root.T, m, atol=1e-12)
-
-    def test_stack_rows_equal_single_calls(self):
-        stack = np.array([np.diag([4.0, 0.0]), [[2.0, 1.0], [1.0, 3.0]]])
-        roots = psd_sqrt(stack)
-        for m, root in zip(stack, roots):
-            assert np.array_equal(root, psd_sqrt(m))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            psd_sqrt(np.array([[1.0, 0.0], [0.0, -0.5]]))
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="non-finite"):
-                psd_sqrt(np.array([[bad, 0.0], [0.0, 1.0]]))
-
-
 def _model_with_q(q):
     return LinearGaussianModel(
         A=np.eye(2), C=np.ones((1, 2)), Q=q, R=np.eye(1), x0_mean=np.zeros(2), x0_cov=np.eye(2)
@@ -621,7 +601,6 @@ class TestMatrixValidation:
                 lambda m: ball_moments(m, 2.0 * np.abs(m).max(initial=0.0) or 1.0),
                 id="ball_moments",
             ),
-            pytest.param(psd_sqrt, id="psd_sqrt"),
         ],
     )
     def test_verdict_is_unit_free(self, call, m, want, scale):
@@ -636,7 +615,6 @@ class TestMatrixValidation:
     def test_symmetric_matrix_near_overflow_is_accepted(self):
         # Symmetrizing by 0.5 * (m + m.T) would overflow to inf here.
         m = np.diag([1e308, 1.0])
-        root = psd_sqrt(m)
+        root = _model_with_q(m)._Q_root
         assert np.allclose(root @ root.T, m, rtol=1e-15, atol=0.0)
-        assert _model_with_q(m).Q is not None
         assert ball_moments(m, 1.0).prob > 0.0

@@ -230,8 +230,10 @@ class TestTwoStepRoundoffCheck:
 
 class TestHotPathSkipsValidator:
     def test_filter_and_rates_never_reach_the_boundary_validator(self, monkeypatch):
-        """Inputs are validated when the filter is built; after that neither
-        the filter nor the rate predictors may call ``validated_eigh``."""
+        """Inputs are validated where they enter: the model checks Q, R and
+        x0_cov, ``make_config`` its bound and ``ball_moments`` its kernel, so
+        only those modules bind ``validated_eigh``; after construction neither
+        the filter nor the rate predictors may call it."""
         model, trig, filt = _setup()
         bootstrap_rates(model, trig)
         rngs = [np.random.default_rng(55), np.random.default_rng(56)]
@@ -245,7 +247,7 @@ class TestHotPathSkipsValidator:
             for name, module in list(sys.modules.items())
             if name.split(".")[0] == "etfilter" and hasattr(module, "validated_eigh")
         ]
-        assert {"etfilter.numerics", "etfilter.estimator"} <= set(bound)
+        assert set(bound) == {"etfilter.numerics", "etfilter.model", "etfilter.trigger"}
         for name in bound:
             monkeypatch.setattr(sys.modules[name], "validated_eigh", refuse)
 
